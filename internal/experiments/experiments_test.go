@@ -88,6 +88,18 @@ func TestRunTableSmall(t *testing.T) {
 	if rows[1].Unicast < rows[0].Unicast {
 		t.Errorf("gaussian unicast %v < uniform %v", rows[1].Unicast, rows[0].Unicast)
 	}
+	// Golden values recorded at a2a8c71: a refactor of the cost model or
+	// the routing must reproduce them bit for bit.
+	golden := [][3]float64{
+		{1011.280274780084, 325.92405411509486, 185.085932752725},
+		{1694.5191648262708, 326.06634555485005, 221.08496848884178},
+		{130.4772291893986, 326.1523017395527, 62.21353154663703},
+	}
+	for i, r := range rows {
+		if got := [3]float64{r.Unicast, r.Broadcast, r.Ideal}; got != golden[i] {
+			t.Errorf("row %d (unicast, broadcast, ideal) = %v, golden %v", i, got, golden[i])
+		}
+	}
 }
 
 func TestRunTableErrors(t *testing.T) {
@@ -140,6 +152,29 @@ func TestRunFig7Small(t *testing.T) {
 	for _, p := range pts {
 		if p.K == 80 && (p.Alg == "forgy" || p.Alg == "k-means") && p.Network <= 0 {
 			t.Errorf("%s at K=80 has non-positive improvement %v", p.Alg, p.Network)
+		}
+	}
+	// Golden values recorded at a2a8c71, compared bit for bit.
+	golden := []Fig7Point{
+		{"k-means", 10, 24.04609239422441, 16.27235523181239},
+		{"k-means", 40, 36.28399979092068, 30.02894201401782},
+		{"k-means", 80, 39.81351752292465, 34.67404039298611},
+		{"forgy", 10, 20.648703413221398, 14.263900413182034},
+		{"forgy", 40, 31.130490087732987, 24.881039034636153},
+		{"forgy", 80, 34.983393632411094, 29.23211160884669},
+		{"mst", 10, 9.072076561515102, 2.6456450542697874},
+		{"mst", 40, 13.414275763129268, 6.546053223070975},
+		{"mst", 80, 29.7485152438217, 22.65924238746578},
+		{"approx-pairs", 10, 36.243515263769766, 31.25975658229982},
+		{"approx-pairs", 40, 40.43421945446089, 36.219917709455814},
+		{"approx-pairs", 80, 41.64169945690441, 37.87523573542245},
+		{"no-loss", 10, 15.074216257077309, 14.657998268938243},
+		{"no-loss", 40, 20.088278649989903, 19.534259685969303},
+		{"no-loss", 80, 20.088278649989903, 19.534259685969303},
+	}
+	for i, p := range pts {
+		if p != golden[i] {
+			t.Errorf("point %d = %+v, golden %+v", i, p, golden[i])
 		}
 	}
 }
@@ -429,6 +464,11 @@ func TestDynamicMethodAblation(t *testing.T) {
 	// includes what the static engine would do).
 	if pts[0].Extra < pts[0].Network-1e-9 {
 		t.Errorf("dynamic %v worse than static %v", pts[0].Extra, pts[0].Network)
+	}
+	// Golden values recorded at a2a8c71 (Engine.Publish → pickMethod),
+	// compared bit for bit.
+	if pts[0].Network != 3.0296598424058923 || pts[0].Extra != 26.298397385404108 {
+		t.Errorf("(static, dynamic) = (%v, %v), golden (3.0296598424058923, 26.298397385404108)", pts[0].Network, pts[0].Extra)
 	}
 }
 
