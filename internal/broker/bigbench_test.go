@@ -116,7 +116,7 @@ func BenchmarkPublishDecide1M(b *testing.B) {
 	snap := eng.Snapshot()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("decideWorkers=%d", workers), func(b *testing.B) {
-			views := make([]*multicast.SPTView, workers)
+			views := make([]*multicast.Model, workers)
 			scratches := make([]*core.DecideScratch, workers)
 			for i := range views {
 				views[i] = eng.NewSPTView()

@@ -92,6 +92,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -877,7 +878,7 @@ func (b *Broker) Telemetry() *telemetry.Registry { return b.reg }
 // decideLoop is one decision worker: it drains admitted publications and
 // decides each against a lock-free load of the published snapshot, using
 // its private SPT view for cost queries.
-func (b *Broker) decideLoop(w int, view *multicast.SPTView) {
+func (b *Broker) decideLoop(w int, view *multicast.Model) {
 	defer b.decisionWG.Done()
 	for q := range b.publishCh {
 		b.decideOne(q, w, view)
@@ -886,7 +887,7 @@ func (b *Broker) decideLoop(w int, view *multicast.SPTView) {
 
 // decideOne routes one publication through the decision stage, against the
 // snapshot captured when the event was published.
-func (b *Broker) decideOne(q queued, w int, view *multicast.SPTView) {
+func (b *Broker) decideOne(q queued, w int, view *multicast.Model) {
 	snap := q.snap
 	trace := b.tracer.Begin(q.seq)
 	t0 := time.Now()
@@ -1284,7 +1285,7 @@ func (b *Broker) requestQuarantine(group int) {
 // publisher's shortest-path tree, using the decision worker's private SPT
 // view. Destinations come from the routed event itself (its frozen node
 // sets), never from mutable broker state.
-func routePaths(view *multicast.SPTView, r *routed) map[topology.NodeID][]topology.NodeID {
+func routePaths(view *multicast.Model, r *routed) map[topology.NodeID][]topology.NodeID {
 	spt := view.SPT(r.ev.Pub)
 	paths := make(map[topology.NodeID][]topology.NodeID)
 	add := func(n topology.NodeID) {
@@ -1562,9 +1563,9 @@ func (b *Broker) backoff(seq int64, n topology.NodeID, attempt int) {
 // fault injection makes duplicates possible.
 func (b *Broker) consume(n topology.NodeID, ch <-chan Delivery, pn *atomic.Int64, lw *lockedWindow) {
 	defer b.consumerWG.Done()
-	var seen *seqWindow
+	var seen *wire.Window
 	if lw == nil && b.inj != nil {
-		seen = newSeqWindow(b.rel.DedupWindow)
+		seen = wire.NewWindow(b.rel.DedupWindow)
 	}
 	for d := range ch {
 		fresh := true
@@ -1593,7 +1594,7 @@ func (b *Broker) consume(n topology.NodeID, ch <-chan Delivery, pn *atomic.Int64
 				continue
 			}
 		} else if seen != nil {
-			fresh = seen.admit(d.Seq)
+			fresh = seen.Admit(d.Seq)
 		}
 		if !fresh {
 			b.ctr.deduped.Add(1)

@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/topology"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -54,7 +55,7 @@ var preservedCounters = []string{
 // pay for the lock; fault-injection-only consumers keep a private window.
 type lockedWindow struct {
 	mu sync.Mutex
-	w  *seqWindow
+	w  *wire.Window
 }
 
 // admitDurable performs duplicate-check → ack append → admission as one
@@ -71,7 +72,7 @@ type lockedWindow struct {
 func (lw *lockedWindow) admitDurable(seq int64, ack func() error) (fresh bool, err error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
-	if !lw.w.fresh(seq) {
+	if lw.w.Seen(seq) {
 		return false, nil
 	}
 	if ack != nil {
@@ -79,14 +80,14 @@ func (lw *lockedWindow) admitDurable(seq int64, ack func() error) (fresh bool, e
 			return false, err
 		}
 	}
-	lw.w.admit(seq)
+	lw.w.Admit(seq)
 	return true, nil
 }
 
 func (lw *lockedWindow) capture() (int64, []int64) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
-	return lw.w.snapshot()
+	return lw.w.Snapshot()
 }
 
 // recoveredInit carries recovery products from Open into New (windows and
@@ -123,7 +124,7 @@ type durState struct {
 	// checkpoints on the same goroutine or after quiescence in Close).
 	windows map[topology.NodeID]*lockedWindow
 	// recovered seeds windows for consumers not yet spawned.
-	recovered map[topology.NodeID]*seqWindow
+	recovered map[topology.NodeID]*wire.Window
 
 	// lost records copies dropped unobserved because a simulated crash
 	// interrupted their ack append — the output-commit window where the
@@ -277,7 +278,7 @@ func Open(dir string, engine *core.Engine, opts ...Option) (*Broker, error) {
 func (b *Broker) initDurable() {
 	d := b.dur
 	d.windows = map[topology.NodeID]*lockedWindow{}
-	d.recovered = map[topology.NodeID]*seqWindow{}
+	d.recovered = map[topology.NodeID]*wire.Window{}
 	d.store.Instrument(b.reg)
 	if d.init == nil {
 		return
@@ -285,15 +286,15 @@ func (b *Broker) initDurable() {
 	in := d.init
 	d.init = nil
 	for _, ws := range in.windows {
-		d.recovered[ws.Node] = restoreSeqWindow(b.rel.DedupWindow, ws.Max, ws.Seqs)
+		d.recovered[ws.Node] = wire.RestoreWindow(b.rel.DedupWindow, ws.Max, ws.Seqs)
 	}
 	for _, a := range in.acks {
 		w, ok := d.recovered[a.Node]
 		if !ok {
-			w = newSeqWindow(b.rel.DedupWindow)
+			w = wire.NewWindow(b.rel.DedupWindow)
 			d.recovered[a.Node] = w
 		}
-		w.admit(a.Seq)
+		w.Admit(a.Seq)
 	}
 	scope := b.reg.Scope("broker")
 	for name, v := range in.counters {
@@ -313,7 +314,7 @@ func (b *Broker) consumerWindow(n topology.NodeID) *lockedWindow {
 	if ok {
 		delete(b.dur.recovered, n)
 	} else {
-		w = newSeqWindow(b.rel.DedupWindow)
+		w = wire.NewWindow(b.rel.DedupWindow)
 	}
 	lw := &lockedWindow{w: w}
 	b.dur.windows[n] = lw

@@ -25,7 +25,7 @@ type ShardInfo struct {
 
 // Shard is the contract one broker shard fulfils in a replicated or
 // federated deployment: admit publications into its decision plane
-// (Decide), mutate its subscription population (Apply), force its durable
+// (DecideSeq), mutate its subscription population (Apply), force its durable
 // state to a checkpoint (Checkpoint), and report the decision state it
 // serves (Snapshot). The in-process Broker is the canonical
 // implementation; the replicate package adds two more — a replicating
@@ -34,13 +34,12 @@ type ShardInfo struct {
 // (rectangle- or hash-partitioned) implement the same surface, so the
 // routing tier above never cares which kind it is talking to.
 type Shard interface {
-	// Decide admits one publication into the shard's decision plane. A nil
-	// return means the publication is accepted (and, for durable shards,
-	// journaled): it will be delivered to every matching subscriber.
-	Decide(ev workload.Event) error
-	// DecideSeq is Decide reporting the shard-local publication sequence
-	// the event consumed (deliveries carry it as Delivery.Seq), or -1 when
-	// the event never entered the shard's history. A non-negative seq
+	// DecideSeq admits one publication into the shard's decision plane. A
+	// nil error means the publication is accepted (and, for durable
+	// shards, journaled): it will be delivered to every matching
+	// subscriber. It reports the shard-local publication sequence the
+	// event consumed (deliveries carry it as Delivery.Seq), or -1 when the
+	// event never entered the shard's history. A non-negative seq
 	// alongside a non-nil error means the seq was consumed — possibly
 	// journaled — before the failure; a federation router records it so
 	// recovery replays of the half-accepted publish dedup against the
@@ -61,10 +60,6 @@ type Shard interface {
 
 // Compile-time check: the broker is a Shard.
 var _ Shard = (*Broker)(nil)
-
-// Decide implements Shard: it is Publish under the federation contract's
-// name.
-func (b *Broker) Decide(ev workload.Event) error { return b.Publish(ev) }
 
 // DecideSeq implements Shard: PublishSeq under the federation contract's
 // name.

@@ -85,6 +85,9 @@ type Engine struct {
 
 	world *workload.World
 	grid  *space.Grid
+	// model is the engine's one cost model. Decide prices through it;
+	// snapshot decide workers price through views of it (NewSPTView) and
+	// the overlay table builds through it, all sharing one tree cache.
 	model *multicast.Model
 	tree  *rtree.Tree  // dynamic subscription index
 	live  map[int]bool // subscription slots still active
@@ -105,11 +108,6 @@ type Engine struct {
 	quarantined map[int]bool
 
 	stale bool // groups no longer reflect the current subscriptions
-
-	// shared is the concurrency-safe SPT cache backing DecisionSnapshot
-	// cost queries; the engine's private model keeps its own cache for the
-	// single-threaded path.
-	shared *multicast.SharedSPTs
 
 	// Snapshot cache: lastSnap is reused until one of the dirty flags
 	// marks the corresponding state as changed (see Snapshot).
@@ -181,13 +179,12 @@ func New(g *topology.Graph, axes []space.Axis, subs []workload.Subscription, tra
 		}
 	}
 	e := &Engine{
-		cfg:    cfg,
-		graph:  g,
-		axes:   append([]space.Axis(nil), axes...),
-		subs:   append([]workload.Subscription(nil), subs...),
-		train:  train,
-		model:  multicast.NewModel(g),
-		shared: multicast.NewSharedSPTs(g),
+		cfg:   cfg,
+		graph: g,
+		axes:  append([]space.Axis(nil), axes...),
+		subs:  append([]workload.Subscription(nil), subs...),
+		train: train,
+		model: multicast.NewModel(g),
 	}
 	if err := e.rebuild(); err != nil {
 		return nil, err
@@ -253,7 +250,7 @@ func (e *Engine) rebuild() error {
 			g := idx.Groups()[i]
 			e.groupNodes[i] = g.NodesOf(w)
 		}
-		e.overlays = newOverlayTable(e.shared, e.groupNodes)
+		e.overlays = newOverlayTable(e.model, e.groupNodes)
 		e.clearQuarantines()
 		e.markRebuilt()
 		e.tel.liveGroups.Set(int64(len(e.groupNodes)))
@@ -303,7 +300,7 @@ func (e *Engine) adoptGridAssignment(in *cluster.Input, assign cluster.Assignmen
 	// eager per-group Prim over the metric closure made construction
 	// quadratic in group size and is pure waste for runs that never price
 	// app-level multicast.
-	e.overlays = newOverlayTable(e.shared, e.groupNodes)
+	e.overlays = newOverlayTable(e.model, e.groupNodes)
 	e.clearQuarantines()
 	e.markRebuilt()
 	e.tel.liveGroups.Set(int64(len(e.groupNodes)))

@@ -30,19 +30,6 @@ type Decision struct {
 	MatchedSubs []int
 }
 
-// costModel is the cost-query surface a delivery decision needs. Both
-// *multicast.Model (the engine's private, single-threaded model) and
-// *multicast.SPTView (a decision worker's view over the shared SPT cache)
-// implement it, and — being backed by the same Dijkstra trees — return
-// bit-identical numbers, so decisions are identical whichever path prices
-// them.
-type costModel interface {
-	Dist(u, v topology.NodeID) float64
-	BroadcastCost(pub topology.NodeID) float64
-	SPTCoverCost(pub topology.NodeID, targets []topology.NodeID) float64
-	ALMCost(pub topology.NodeID, o multicast.Overlay) float64
-}
-
 // decider is the frozen state one delivery decision reads: the
 // subscription index, the group tables and the quarantine set. The Engine
 // builds a decider over its live state for the single-threaded path;
@@ -113,9 +100,11 @@ func (e *Engine) Decide(ev workload.Event) Decision {
 }
 
 // decide runs the full decision: static routing plus (when enabled) the
-// dynamic method comparison. A nil scratch allocates fresh slices, giving
-// the caller a Decision it may retain.
-func (dc *decider) decide(ev workload.Event, cost costModel, sc *DecideScratch) Decision {
+// dynamic method comparison. cost is the engine's model or a view of it,
+// owned by the calling goroutine; every view prices bit-identically. A nil
+// scratch allocates fresh slices, giving the caller a Decision it may
+// retain.
+func (dc *decider) decide(ev workload.Event, cost *multicast.Model, sc *DecideScratch) Decision {
 	if sc == nil {
 		sc = &DecideScratch{}
 	}
@@ -213,7 +202,7 @@ type Costs struct {
 // pickMethod downgrades or upgrades a routed decision to the cheapest of
 // group multicast, per-node unicast and broadcast, priced under the
 // network-supported framework.
-func (dc *decider) pickMethod(ev workload.Event, d Decision, cost costModel) Decision {
+func (dc *decider) pickMethod(ev workload.Event, d Decision, cost *multicast.Model) Decision {
 	unicast := 0.0
 	for _, n := range d.Interested {
 		unicast += cost.Dist(ev.Pub, n)
@@ -244,7 +233,7 @@ func (dc *decider) pickMethod(ev workload.Event, d Decision, cost costModel) Dec
 }
 
 // costOf prices a decision for the given event.
-func (dc *decider) costOf(ev workload.Event, d Decision, cost costModel) Costs {
+func (dc *decider) costOf(ev workload.Event, d Decision, cost *multicast.Model) Costs {
 	if d.Method == multicast.Broadcast {
 		b := cost.BroadcastCost(ev.Pub)
 		return Costs{Network: b, AppLevel: b}

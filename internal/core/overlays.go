@@ -16,23 +16,23 @@ import (
 // there first.
 //
 // Concurrency: cells are atomic pointers filled with a compare-and-swap.
-// BuildOverlayShared is deterministic over the shared SPT cache, so racing
-// builders compute identical overlays and whichever CAS wins is
-// indistinguishable — the same argument that makes SharedSPTs safe. The
-// table is immutable after construction (nodes must not be mutated), so a
-// single table is shared by the engine and every snapshot taken of the
-// group generation it describes.
+// Model.BuildOverlay reads only the model's shared tree cache and is
+// deterministic, so racing builders compute identical overlays and
+// whichever CAS wins is indistinguishable. The table is immutable after
+// construction (nodes must not be mutated), so a single table is shared by
+// the engine and every snapshot taken of the group generation it
+// describes.
 type overlayTable struct {
-	shared *multicast.SharedSPTs
-	nodes  [][]topology.NodeID
-	cells  []atomic.Pointer[multicast.Overlay]
+	model *multicast.Model
+	nodes [][]topology.NodeID
+	cells []atomic.Pointer[multicast.Overlay]
 }
 
-func newOverlayTable(shared *multicast.SharedSPTs, nodes [][]topology.NodeID) *overlayTable {
+func newOverlayTable(model *multicast.Model, nodes [][]topology.NodeID) *overlayTable {
 	return &overlayTable{
-		shared: shared,
-		nodes:  nodes,
-		cells:  make([]atomic.Pointer[multicast.Overlay], len(nodes)),
+		model: model,
+		nodes: nodes,
+		cells: make([]atomic.Pointer[multicast.Overlay], len(nodes)),
 	}
 }
 
@@ -41,7 +41,7 @@ func (t *overlayTable) get(g int) multicast.Overlay {
 	if o := t.cells[g].Load(); o != nil {
 		return *o
 	}
-	o := multicast.BuildOverlayShared(t.shared, t.nodes[g])
+	o := t.model.BuildOverlay(t.nodes[g])
 	if t.cells[g].CompareAndSwap(nil, &o) {
 		return o
 	}

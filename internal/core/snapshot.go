@@ -17,13 +17,12 @@ import (
 // old snapshot while the writer prepares the next).
 //
 // Cost queries need per-goroutine scratch state, so Decide and CostOf take
-// the calling worker's *multicast.SPTView (create one per goroutine with
-// Engine.NewSPTView). Decisions are byte-identical to Engine.Decide
-// against the same state, for every worker count.
+// the calling worker's view of the engine's cost model (create one per
+// goroutine with Engine.NewSPTView). Decisions are byte-identical to
+// Engine.Decide against the same state, for every worker count.
 type DecisionSnapshot struct {
 	version int64
 	dec     decider
-	shared  *multicast.SharedSPTs
 }
 
 // Version is the snapshot's monotone build number (1 for the first
@@ -54,7 +53,7 @@ func (s *DecisionSnapshot) GroupNodes(g int) []topology.NodeID {
 // Decide plans delivery for one event against the frozen state. view must
 // be owned by the calling goroutine. The returned Decision's slices are
 // freshly allocated and safe to retain.
-func (s *DecisionSnapshot) Decide(ev workload.Event, view *multicast.SPTView) Decision {
+func (s *DecisionSnapshot) Decide(ev workload.Event, view *multicast.Model) Decision {
 	return s.dec.decide(ev, view, nil)
 }
 
@@ -63,21 +62,22 @@ func (s *DecisionSnapshot) Decide(ev workload.Event, view *multicast.SPTView) De
 // decide worker that reuses one scratch across events makes the whole
 // decide path allocation-free in steady state; decisions are bit-identical
 // to Decide. sc must be owned by the calling goroutine.
-func (s *DecisionSnapshot) DecideInto(ev workload.Event, view *multicast.SPTView, sc *DecideScratch) Decision {
+func (s *DecisionSnapshot) DecideInto(ev workload.Event, view *multicast.Model, sc *DecideScratch) Decision {
 	return s.dec.decide(ev, view, sc)
 }
 
 // CostOf prices a decision made against this snapshot. view must be owned
 // by the calling goroutine.
-func (s *DecisionSnapshot) CostOf(ev workload.Event, d Decision, view *multicast.SPTView) Costs {
+func (s *DecisionSnapshot) CostOf(ev workload.Event, d Decision, view *multicast.Model) Costs {
 	return s.dec.costOf(ev, d, view)
 }
 
-// NewSPTView creates a decision worker's view over the engine's shared
-// shortest-path-tree cache. Views work across snapshot swaps (the network
-// topology is fixed for the engine's lifetime) but are not safe for
-// concurrent use: one per goroutine.
-func (e *Engine) NewSPTView() *multicast.SPTView { return e.shared.NewView() }
+// NewSPTView creates a decision worker's view of the engine's cost model:
+// it shares the model's shortest-path-tree cache and owns its own
+// scratch. Views work across snapshot swaps (the network topology is fixed
+// for the engine's lifetime) but are not safe for concurrent use: one per
+// goroutine.
+func (e *Engine) NewSPTView() *multicast.Model { return e.model.View() }
 
 // Snapshot returns an immutable decision snapshot of the engine's current
 // state, building one only when state changed since the last call:
@@ -118,7 +118,7 @@ func (e *Engine) Snapshot() *DecisionSnapshot {
 		}
 		dec.quarantined = q
 	}
-	s := &DecisionSnapshot{version: e.snapVersion, dec: dec, shared: e.shared}
+	s := &DecisionSnapshot{version: e.snapVersion, dec: dec}
 	e.lastSnap = s
 	e.dirtySubs, e.dirtyGroups, e.dirtyQuar = false, false, false
 	return s

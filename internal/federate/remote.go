@@ -80,12 +80,6 @@ func classify(err error) error {
 	return err
 }
 
-// Decide publishes ev on the remote broker.
-func (m *Remote) Decide(ev workload.Event) error {
-	_, err := m.DecideSeq(ev)
-	return err
-}
-
 // DecideSeq publishes ev and reports the remote broker's publication
 // seq (the wire ack carries it since protocol v2).
 func (m *Remote) DecideSeq(ev workload.Event) (int64, error) {

@@ -16,6 +16,18 @@ const windowEmpty = math.MinInt64
 // through, so the window must exceed the deliveries a shard can have in
 // flight — see Config.DedupWindow). Callers hold the router's dedup
 // lock; the window itself is not concurrency-safe.
+//
+// Why not wire.Window, the residue-slot window the broker and transport
+// share: that one forgets by *value* (anything at or below max-size reads
+// as seen), which is right for one dense, nearly in-order seq stream. A
+// node's keys here are neither: global seqs are sparse per node (most
+// events miss it) and arrive merged out of order from several shards, so
+// a lagging shard's first delivery can sit far below the node's highest
+// key — a residue window would drop it as "already seen", turning a
+// duplicate filter into a loss. Synthetic replay keys are negative, which
+// a residue window rejects outright. This ring forgets by *arrival*
+// instead: the N most recent keys, whatever their values.
+// TestDedupWindowIsNotResidue pins both cases.
 type dedupWindow struct {
 	seen map[int64]struct{}
 	ring []int64
@@ -48,10 +60,12 @@ func (w *dedupWindow) admit(key int64) bool {
 }
 
 // seqMap translates one shard's local publication seqs to router-global
-// seqs. Bounded the same way as dedupWindow. A shard's deliveries race
-// the router's own bookkeeping — the broker can deliver an event before
-// the DecideSeq call that published it returns — so the router's Feed
-// path polls a missing entry briefly before declaring it unmapped.
+// seqs. Bounded the same way as dedupWindow, and not a residue window
+// either: it maps each local seq to a value, and concurrent DecideSeq
+// callers record entries out of order. A shard's deliveries race the
+// router's own bookkeeping — the broker can deliver an event before the
+// DecideSeq call that published it returns — so the router's Feed path
+// polls a missing entry briefly before declaring it unmapped.
 type seqMap struct {
 	mu   sync.Mutex
 	m    map[int64]int64

@@ -13,11 +13,18 @@
 //
 // A Model lazily caches one shortest-path tree per publisher so replaying a
 // long event stream costs one Dijkstra per distinct publisher.
+//
+// Concurrency: the tree cache is filled with a compare-and-swap and shared
+// by a Model and every View of it, so SPT, Dist, UnicastCost,
+// BroadcastCost, ALMCost and BuildOverlay are safe for concurrent use.
+// SPTCoverCost prices through per-Model Coverer scratch and is not: each
+// goroutine that calls it needs its own View.
 package multicast
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -52,37 +59,57 @@ func (m Method) String() string {
 	}
 }
 
-// Model evaluates delivery costs on one network. It is not safe for
-// concurrent use; create one Model per goroutine.
+// Model evaluates delivery costs on one network. See the package comment
+// for which methods are safe for concurrent use.
 type Model struct {
-	g    *topology.Graph
-	spts []*routing.SPT
+	g *topology.Graph
+	// spts is the tree cache shared with every View. Dijkstra is
+	// deterministic on an immutable graph, so goroutines racing to fill
+	// one root compute identical trees and whichever CAS wins is
+	// indistinguishable from the other.
+	spts []atomic.Pointer[routing.SPT]
+	// covs is this Model's own Coverer scratch (epoch-stamped, not
+	// concurrency-safe).
 	covs []*routing.Coverer
 }
 
-// NewModel creates a cost model over g.
+// NewModel creates a cost model over g. The graph must not be mutated
+// afterwards.
 func NewModel(g *topology.Graph) *Model {
 	return &Model{
 		g:    g,
-		spts: make([]*routing.SPT, g.NumNodes()),
+		spts: make([]atomic.Pointer[routing.SPT], g.NumNodes()),
 		covs: make([]*routing.Coverer, g.NumNodes()),
 	}
+}
+
+// View returns a Model that shares m's tree cache but owns its Coverer
+// scratch, for one more goroutine. Views are cheap; every cost query on a
+// view returns bit-identical numbers to m.
+func (m *Model) View() *Model {
+	return &Model{g: m.g, spts: m.spts, covs: make([]*routing.Coverer, len(m.covs))}
 }
 
 // Graph returns the underlying network.
 func (m *Model) Graph() *topology.Graph { return m.g }
 
-// SPT returns the (cached) shortest-path tree rooted at root.
+// SPT returns the (cached) shortest-path tree rooted at root. Safe for
+// concurrent use.
 func (m *Model) SPT(root topology.NodeID) *routing.SPT {
-	if m.spts[root] == nil {
-		m.spts[root] = routing.Dijkstra(m.g, root)
-		m.covs[root] = routing.NewCoverer(m.spts[root])
+	if t := m.spts[root].Load(); t != nil {
+		return t
 	}
-	return m.spts[root]
+	t := routing.Dijkstra(m.g, root)
+	if !m.spts[root].CompareAndSwap(nil, t) {
+		return m.spts[root].Load() // lost the race; identical tree
+	}
+	return t
 }
 
 func (m *Model) coverer(root topology.NodeID) *routing.Coverer {
-	m.SPT(root)
+	if m.covs[root] == nil {
+		m.covs[root] = routing.NewCoverer(m.SPT(root))
+	}
 	return m.covs[root]
 }
 
@@ -132,30 +159,18 @@ type Overlay struct {
 }
 
 // BuildOverlay computes a group's application-level overlay. The member
-// list is copied.
+// list is copied. Safe for concurrent use: it reads only the shared tree
+// cache, so the decide plane builds overlays lazily on whichever worker
+// first prices a group.
 func (m *Model) BuildOverlay(members []topology.NodeID) Overlay {
 	ms := make([]topology.NodeID, len(members))
 	copy(ms, members)
-	cost, edges := overlayMST(m.SPT, ms)
+	cost, edges := m.overlayMST(ms)
 	return Overlay{Members: ms, TreeCost: cost, Edges: edges}
 }
 
-// BuildOverlayShared computes a group's application-level overlay against a
-// shared SPT cache. Safe for concurrent use (SharedSPTs fills roots with
-// CAS), and — being Prim over the same deterministic Dijkstra trees —
-// returns an overlay bit-identical to Model.BuildOverlay over the same
-// graph. The decide plane uses this to build overlays lazily, on the worker
-// that first prices a group, instead of eagerly on the engine's writer.
-func BuildOverlayShared(s *SharedSPTs, members []topology.NodeID) Overlay {
-	ms := make([]topology.NodeID, len(members))
-	copy(ms, members)
-	cost, edges := overlayMST(s.SPT, ms)
-	return Overlay{Members: ms, TreeCost: cost, Edges: edges}
-}
-
-// overlayMST is Prim's algorithm over the metric closure; sptOf supplies
-// the (cached) shortest-path tree per member root.
-func overlayMST(sptOf func(topology.NodeID) *routing.SPT, members []topology.NodeID) (float64, [][2]int) {
+// overlayMST is Prim's algorithm over the metric closure.
+func (m *Model) overlayMST(members []topology.NodeID) (float64, [][2]int) {
 	k := len(members)
 	if k <= 1 {
 		return 0, nil
@@ -163,7 +178,7 @@ func overlayMST(sptOf func(topology.NodeID) *routing.SPT, members []topology.Nod
 	inTree := make([]bool, k)
 	best := make([]float64, k)
 	bestFrom := make([]int, k)
-	d0 := sptOf(members[0]).Dist
+	d0 := m.SPT(members[0]).Dist
 	for j := 1; j < k; j++ {
 		best[j] = d0[members[j]]
 		bestFrom[j] = 0
@@ -184,7 +199,7 @@ func overlayMST(sptOf func(topology.NodeID) *routing.SPT, members []topology.Nod
 		inTree[pick] = true
 		total += best[pick]
 		edges = append(edges, [2]int{bestFrom[pick], pick})
-		dp := sptOf(members[pick]).Dist
+		dp := m.SPT(members[pick]).Dist
 		for j := 0; j < k; j++ {
 			if !inTree[j] && dp[members[j]] < best[j] {
 				best[j] = dp[members[j]]
@@ -199,5 +214,22 @@ func overlayMST(sptOf func(topology.NodeID) *routing.SPT, members []topology.Nod
 // publisher's cheapest unicast hop into the overlay plus the full overlay
 // tree. A publisher that is itself a member enters for free.
 func (m *Model) ALMCost(pub topology.NodeID, o Overlay) float64 {
-	return almCost(m.SPT(pub), o)
+	if len(o.Members) == 0 {
+		return 0
+	}
+	dist := m.SPT(pub).Dist
+	entry := math.Inf(1)
+	for _, v := range o.Members {
+		if v == pub {
+			entry = 0
+			break
+		}
+		if d := dist[v]; d < entry {
+			entry = d
+		}
+	}
+	if math.IsInf(entry, 1) {
+		return 0 // group unreachable; nothing deliverable
+	}
+	return entry + o.TreeCost
 }

@@ -3,6 +3,7 @@ package multicast
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,106 @@ func TestCostOrderingInvariants(t *testing.T) {
 		}
 		if ideal > m.UnicastCost(pub, interested)+1e-9 {
 			t.Fatalf("ideal %v > unicast %v", ideal, m.UnicastCost(pub, interested))
+		}
+	}
+}
+
+func testGraph(t *testing.T, seed int64) *topology.Graph {
+	t.Helper()
+	cfg := topology.Net100
+	cfg.Seed = seed
+	g, err := topology.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestViewMatchesModel: every cost query on a View must be bit-identical
+// to an independent Model over the same graph — the property the snapshot
+// decision plane's determinism rests on — and a view must share its
+// parent's trees rather than recompute them.
+func TestViewMatchesModel(t *testing.T) {
+	g := testGraph(t, 500)
+	m := NewModel(g)
+	parent := NewModel(g)
+	v := parent.View()
+	rng := rand.New(rand.NewSource(501))
+	n := g.NumNodes()
+
+	randNodes := func(k int) []topology.NodeID {
+		out := make([]topology.NodeID, k)
+		for i := range out {
+			out[i] = topology.NodeID(rng.Intn(n))
+		}
+		return out
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		u := topology.NodeID(rng.Intn(n))
+		w := topology.NodeID(rng.Intn(n))
+		if m.Dist(u, w) != v.Dist(u, w) {
+			t.Fatalf("Dist(%d,%d): model %v, view %v", u, w, m.Dist(u, w), v.Dist(u, w))
+		}
+		if m.BroadcastCost(u) != v.BroadcastCost(u) {
+			t.Fatalf("BroadcastCost(%d) diverged", u)
+		}
+		targets := randNodes(1 + rng.Intn(12))
+		if mc, vc := m.SPTCoverCost(u, targets), v.SPTCoverCost(u, targets); mc != vc {
+			t.Fatalf("SPTCoverCost(%d, %v): model %v, view %v", u, targets, mc, vc)
+		}
+		o := m.BuildOverlay(randNodes(2 + rng.Intn(8)))
+		if mc, vc := m.ALMCost(u, o), v.ALMCost(u, o); mc != vc {
+			t.Fatalf("ALMCost(%d): model %v, view %v", u, mc, vc)
+		}
+		if v.SPT(u) != parent.SPT(u) {
+			t.Fatalf("view and parent hold different trees for root %d", u)
+		}
+	}
+
+	// Degenerate overlays.
+	if v.ALMCost(0, Overlay{}) != 0 {
+		t.Error("empty overlay not free")
+	}
+	root := Overlay{Members: []topology.NodeID{3}, TreeCost: 0}
+	if m.ALMCost(3, root) != v.ALMCost(3, root) {
+		t.Error("self-membership overlay diverged")
+	}
+}
+
+// TestViewsConcurrentFill: many views racing to fill the same roots must
+// agree on the resulting trees (run under -race this also proves the CAS
+// publication is clean).
+func TestViewsConcurrentFill(t *testing.T) {
+	g := testGraph(t, 502)
+	m := NewModel(g)
+	n := g.NumNodes()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			view := m.View()
+			for i := 0; i < 200; i++ {
+				root := topology.NodeID(rng.Intn(n))
+				spt := view.SPT(root)
+				if spt.Root != root {
+					t.Errorf("SPT root %d, want %d", spt.Root, root)
+					return
+				}
+				view.SPTCoverCost(root, []topology.NodeID{topology.NodeID(rng.Intn(n))})
+			}
+		}(int64(503 + w))
+	}
+	wg.Wait()
+
+	// After the dust settles every root resolves to one stable tree.
+	for i := 0; i < n; i++ {
+		root := topology.NodeID(i)
+		if m.SPT(root) != m.SPT(root) {
+			t.Fatalf("root %d not cached stably", root)
 		}
 	}
 }

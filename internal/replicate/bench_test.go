@@ -61,7 +61,7 @@ func BenchmarkReplicationLag(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := ldr.Decide(evs[i]); err != nil {
+		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			b.Fatal(err)
 		}
 		lat = append(lat, time.Since(t0))
@@ -112,7 +112,7 @@ func BenchmarkFailover(b *testing.B) {
 		}
 		benchWait(b, "initial catch-up", flw.Synced)
 		for _, ev := range w.Events(50, 913) {
-			if err := ldr.Decide(ev); err != nil {
+			if _, err := ldr.DecideSeq(ev); err != nil {
 				b.Fatal(err)
 			}
 		}

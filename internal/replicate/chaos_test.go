@@ -46,7 +46,7 @@ func runFailover(t *testing.T, seed int64, plan faults.CrashPlan, midCkpt bool) 
 		// Publish a prefix, then die inside the checkpoint commit: the
 		// follower holds the rotation marker but no install.
 		for ; n < 30; n++ {
-			if err := p.ldr.Decide(evs[n]); err != nil {
+			if _, err := p.ldr.DecideSeq(evs[n]); err != nil {
 				t.Fatalf("publish %d: %v", n, err)
 			}
 			acked[n] = true
@@ -127,7 +127,7 @@ func TestFailoverDuringCatchup(t *testing.T) {
 	evs := w.Events(120, seed+10)
 	acked := make([]bool, len(evs))
 	for i := range evs[:80] {
-		if err := ldr.Decide(evs[i]); err != nil {
+		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("solo publish %d: %v", i, err)
 		}
 		acked[i] = true
@@ -161,7 +161,7 @@ func TestFailoverDuringCatchup(t *testing.T) {
 
 	// Live traffic replicates after the wound heals.
 	for i := 80; i < len(evs); i++ {
-		if err := ldr.Decide(evs[i]); err != nil {
+		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("post-resync publish %d: %v", i, err)
 		}
 		acked[i] = true
@@ -189,7 +189,7 @@ func TestFollowerCrashResyncFromScratch(t *testing.T) {
 	p := startPair(t, 661, pairOpts{leaderDur: noAutoCkpt(nil)})
 	evs := p.w.Events(60, p.seed+10)
 	for i := range evs[:30] {
-		if err := p.ldr.Decide(evs[i]); err != nil {
+		if _, err := p.ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestFollowerCrashResyncFromScratch(t *testing.T) {
 	defer flw3.Close()
 	waitFor(t, 10*time.Second, "resync over crashed directory", flw3.Synced)
 	before := flw3.Watermark()
-	if err := p.ldr.Decide(evs[30]); err != nil {
+	if _, err := p.ldr.DecideSeq(evs[30]); err != nil {
 		t.Fatalf("publish after resync: %v", err)
 	}
 	if flw3.Watermark() <= before {
@@ -261,7 +261,7 @@ func TestCrashDuringFailover(t *testing.T) {
 	}
 	m := n
 	for ; m < len(evs); m++ {
-		err := ldr2.Decide(evs[m])
+		_, err := ldr2.DecideSeq(evs[m])
 		if err == nil {
 			acked[m] = true
 			continue

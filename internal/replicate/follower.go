@@ -506,9 +506,6 @@ func (f *Follower) Close() error {
 
 // ---- broker.Shard (standby: reject writes) ------------------------------
 
-// Decide rejects publishes: standbys do not serve writes.
-func (f *Follower) Decide(workload.Event) error { return ErrNotLeader }
-
 // DecideSeq rejects publishes: standbys do not serve writes.
 func (f *Follower) DecideSeq(workload.Event) (int64, error) { return -1, ErrNotLeader }
 

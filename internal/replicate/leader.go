@@ -747,14 +747,11 @@ func (l *Leader) Close() error {
 
 // ---- broker.Shard -------------------------------------------------------
 
-// Decide publishes through the underlying broker; the replication
+// DecideSeq publishes through the underlying broker; the replication
 // barrier inside the durable store enforces dual-fsync (or solo fallback)
-// before the ack, and ErrFenced surfaces here once superseded.
-func (l *Leader) Decide(ev workload.Event) error { return l.b.Publish(ev) }
-
-// DecideSeq is Decide reporting the consumed publication seq (see
-// broker.Shard); a seq consumed before an ErrFenced or crash failure is
-// reported so a federation router can dedup the mirrored replay.
+// before the ack, and ErrFenced surfaces here once superseded. A seq
+// consumed before an ErrFenced or crash failure is reported (see
+// broker.Shard) so a federation router can dedup the mirrored replay.
 func (l *Leader) DecideSeq(ev workload.Event) (int64, error) { return l.b.PublishSeq(ev) }
 
 // Apply performs one subscription mutation on the underlying broker.

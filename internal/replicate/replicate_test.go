@@ -208,7 +208,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func publishUntilCrash(t *testing.T, ldr *Leader, evs []workload.Event, acked []bool) int {
 	t.Helper()
 	for i := range evs {
-		err := ldr.Decide(evs[i])
+		_, err := ldr.DecideSeq(evs[i])
 		switch {
 		case err == nil:
 			acked[i] = true
@@ -228,7 +228,7 @@ func TestPairReplicatesInSync(t *testing.T) {
 	evs := p.w.Events(120, p.seed+10)
 	acked := make([]bool, len(evs))
 	for i := range evs {
-		if err := p.ldr.Decide(evs[i]); err != nil {
+		if _, err := p.ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 		acked[i] = true
@@ -266,7 +266,7 @@ func TestCheckpointShipsToFollower(t *testing.T) {
 				t.Fatalf("mid-run checkpoint: %v", err)
 			}
 		}
-		if err := p.ldr.Decide(evs[i]); err != nil {
+		if _, err := p.ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 		acked[i] = true
@@ -305,7 +305,7 @@ func TestLeaderSoloWhenFollowerSilent(t *testing.T) {
 	})
 	evs := p.w.Events(100, p.seed+10)
 	for i := range evs {
-		if err := p.ldr.Decide(evs[i]); err != nil {
+		if _, err := p.ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestBarrierTimeoutDropsHungFollower(t *testing.T) {
 	}()
 	waitFor(t, 5*time.Second, "mute session to attach", func() bool { return !p.ldr.Solo() })
 	start := time.Now()
-	if err := p.ldr.Decide(p.w.Events(1, p.seed+10)[0]); err != nil {
+	if _, err := p.ldr.DecideSeq(p.w.Events(1, p.seed+10)[0]); err != nil {
 		t.Fatalf("publish against mute follower: %v", err)
 	}
 	if d := time.Since(start); d < 100*time.Millisecond {
@@ -367,7 +367,7 @@ func TestFencingRejectsStaleLeader(t *testing.T) {
 	p := startPair(t, 531, pairOpts{leaderDur: noAutoCkpt(nil)})
 	evs := p.w.Events(60, p.seed+10)
 	for i := range evs[:30] {
-		if err := p.ldr.Decide(evs[i]); err != nil {
+		if _, err := p.ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -394,7 +394,7 @@ func TestFencingRejectsStaleLeader(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	fenced := false
 	for time.Now().Before(deadline) {
-		err := p.ldr.Decide(evs[30])
+		_, err := p.ldr.DecideSeq(evs[30])
 		if errors.Is(err, ErrFenced) {
 			fenced = true
 			break
@@ -457,7 +457,7 @@ func TestStaleLeaderRejoinsAsFollower(t *testing.T) {
 	// Finish the traffic on the new leader (crashed publish not retried —
 	// its ack never came, so ≤1 is the contract).
 	for i := n; i < len(evs); i++ {
-		if err := ldr2.Decide(evs[i]); err != nil {
+		if _, err := ldr2.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("post-failover publish %d: %v", i, err)
 		}
 		acked[i] = true
@@ -485,7 +485,7 @@ func TestStaleLeaderRejoinsAsFollower(t *testing.T) {
 	// replicates to the rejoined standby.
 	fresh := p.w.Events(1, p.seed+99)[0]
 	before := flw2.Watermark()
-	if err := ldr2.Decide(fresh); err != nil {
+	if _, err := ldr2.DecideSeq(fresh); err != nil {
 		t.Fatalf("publish after rejoin: %v", err)
 	}
 	if flw2.Watermark() <= before {
@@ -524,7 +524,7 @@ func TestNoPromotionOverPartialResync(t *testing.T) {
 	// stream when it is cut.
 	evs := w.Events(100, seed+10)
 	for i := range evs[:80] {
-		if err := ldr.Decide(evs[i]); err != nil {
+		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("solo publish %d: %v", i, err)
 		}
 	}
@@ -645,7 +645,7 @@ func TestBarrierExtendsDuringSlowCatchup(t *testing.T) {
 	// throttled link below (~250 KB/s).
 	evs := w.Events(220, seed+10)
 	for i := range evs[:200] {
-		if err := ldr.Decide(evs[i]); err != nil {
+		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("solo publish %d: %v", i, err)
 		}
 	}
@@ -670,7 +670,7 @@ func TestBarrierExtendsDuringSlowCatchup(t *testing.T) {
 	// Publish the moment the session attaches — mid-catch-up, with the
 	// resync still far from done. The barrier must wait it out.
 	waitFor(t, 5*time.Second, "session attach", func() bool { return !ldr.Solo() })
-	if err := ldr.Decide(evs[200]); err != nil {
+	if _, err := ldr.DecideSeq(evs[200]); err != nil {
 		t.Fatalf("publish during catch-up: %v", err)
 	}
 	waitFor(t, 30*time.Second, "slow resync", flw.Synced)
@@ -708,7 +708,7 @@ func TestFenceFailsClosedWhenEpochPersistFails(t *testing.T) {
 	defer ln.Close()
 	go ldr.Serve(ln)
 	evs := w.Events(2, seed+10)
-	if err := ldr.Decide(evs[0]); err != nil {
+	if _, err := ldr.DecideSeq(evs[0]); err != nil {
 		t.Fatalf("healthy solo publish: %v", err)
 	}
 
@@ -734,7 +734,7 @@ func TestFenceFailsClosedWhenEpochPersistFails(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := ldr.Decide(evs[1])
+		_, err := ldr.DecideSeq(evs[1])
 		if errors.Is(err, faults.ErrCrashed) {
 			break
 		}
@@ -760,8 +760,8 @@ func TestShardContract(t *testing.T) {
 	p := startPair(t, 551, pairOpts{leaderDur: noAutoCkpt(nil)})
 	var _ broker.Shard = p.ldr
 	var _ broker.Shard = p.flw
-	if err := p.flw.Decide(p.w.Events(1, 1)[0]); !errors.Is(err, ErrNotLeader) {
-		t.Errorf("standby Decide = %v, want ErrNotLeader", err)
+	if _, err := p.flw.DecideSeq(p.w.Events(1, 1)[0]); !errors.Is(err, ErrNotLeader) {
+		t.Errorf("standby DecideSeq = %v, want ErrNotLeader", err)
 	}
 	if _, err := p.flw.Apply(broker.Mutation{Slot: 0}); !errors.Is(err, ErrNotLeader) {
 		t.Errorf("standby Apply = %v, want ErrNotLeader", err)
@@ -769,7 +769,7 @@ func TestShardContract(t *testing.T) {
 	if !p.flw.Snapshot().Durable {
 		t.Error("standby Snapshot not durable")
 	}
-	if err := p.ldr.Decide(p.w.Events(1, 1)[0]); err != nil {
+	if _, err := p.ldr.DecideSeq(p.w.Events(1, 1)[0]); err != nil {
 		t.Errorf("leader Decide = %v", err)
 	}
 	waitFor(t, 5*time.Second, "published counter", func() bool { return p.ldr.Snapshot().Published > 0 })

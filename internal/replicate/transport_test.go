@@ -99,7 +99,7 @@ func runReplicateOverTransport(t *testing.T, srvTLS *tls.Config, cliTLS *tls.Con
 	}
 	before := flw.Watermark()
 	for i, ev := range w.Events(20, seed+10) {
-		if err := ldr.Decide(ev); err != nil {
+		if _, err := ldr.DecideSeq(ev); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}

@@ -225,24 +225,3 @@ func TestDecodeRejectsWrongTypeAndTruncation(t *testing.T) {
 		t.Fatal("oversized rect dim accepted")
 	}
 }
-
-func TestWindowDedup(t *testing.T) {
-	w := NewWindow(4)
-	for i := int64(0); i < 10; i++ {
-		if !w.Admit(i) {
-			t.Fatalf("first arrival %d rejected", i)
-		}
-		if w.Admit(i) {
-			t.Fatalf("duplicate %d admitted", i)
-		}
-	}
-	if w.Admit(5) {
-		t.Fatal("below-window seq admitted")
-	}
-	if w.Max() != 9 {
-		t.Fatalf("max = %d", w.Max())
-	}
-	if w.Admit(-1) {
-		t.Fatal("negative seq admitted")
-	}
-}
