@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race chaos chaos-recovery chaos-wire chaos-replicate chaos-federate bench bench-json bench-baseline bench-decide bench-decide-n bench-recovery bench-wire bench-replicate bench-federate bench-smoke bench-1m bench-1m-smoke alloc-regression vet staticcheck fmt
+.PHONY: all build test tier1 race chaos chaos-recovery chaos-wire chaos-replicate chaos-federate bench bench-json bench-baseline bench-decide bench-decide-n bench-recovery bench-wire bench-replicate bench-federate bench-smoke bench-1m bench-1m-smoke alloc-regression fuzz-smoke vet staticcheck fmt
 
 # Label recorded next to a bench-baseline entry in BENCH_cluster.json.
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
@@ -17,12 +17,22 @@ tier1: vet staticcheck alloc-regression
 	$(GO) test -race -short ./...
 
 # alloc-regression pins the decide path and the small-frame read loop at
-# zero allocations per operation via testing.AllocsPerRun. It must run
-# without the race detector (shadow allocations would inflate the counts),
-# which is why it is a separate tier1 prerequisite rather than part of the
-# race suite.
+# zero allocations per operation, and R*-tree changes and churn snapshots at
+# O(path) allocations, via testing.AllocsPerRun. It must run without the
+# race detector (shadow allocations would inflate the counts), which is why
+# it is a separate tier1 prerequisite rather than part of the race suite.
 alloc-regression:
-	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall' ./internal/broker/ ./internal/wire/
+	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/
+
+# fuzz-smoke runs every fuzz target for 5 s. go test fuzzes one target
+# per invocation, hence one call per target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeOps$$' -fuzztime 5s ./internal/rtree/
+	$(GO) test -run '^$$' -fuzz '^FuzzClampRect$$' -fuzztime 5s ./internal/rtree/
+	$(GO) test -run '^$$' -fuzz '^FuzzGridLocate$$' -fuzztime 5s ./internal/space/
+	$(GO) test -run '^$$' -fuzz '^FuzzIntervalAlgebra$$' -fuzztime 5s ./internal/space/
+	$(GO) test -run '^$$' -fuzz '^FuzzPredicateNormalize$$' -fuzztime 5s ./internal/space/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompressedWastePair$$' -fuzztime 5s ./internal/bitset/
 
 # staticcheck runs honnef.co/go/tools when the binary is on PATH and is a
 # no-op otherwise, so tier1 never depends on tooling the container lacks.

@@ -10,9 +10,9 @@ import (
 // accumulated into independent counters, which breaks the loop-carried
 // dependency chain and gives the compiler straight-line bodies it can
 // schedule across the POPCNT latency (and vectorize where available). The
-// *Naive twins are the reference single-word loops; the property tests
-// prove equality and the BenchmarkBlockedVsNaive guard in kernels_test.go
-// keeps the blocked forms from regressing below them.
+// single-word reference loops live in kernels_test.go: the property tests
+// prove equality with them and the BenchmarkBlockedVsNaive guard keeps the
+// blocked forms from regressing below them.
 
 // onesCountWords returns popcount(a).
 func onesCountWords(a []uint64) int {
@@ -119,28 +119,6 @@ func wastePairWords(a, b []uint64) (aNotB, bNotA int) {
 		b0 += bits.OnesCount64(b[i] &^ a[i])
 	}
 	return a0 + a1, b0 + b1
-}
-
-// wastePairWordsNaive is the pre-unrolling reference loop for the bench
-// guard and the equality property tests.
-func wastePairWordsNaive(a, b []uint64) (aNotB, bNotA int) {
-	b = b[:len(a)]
-	for i, w := range a {
-		v := b[i]
-		aNotB += bits.OnesCount64(w &^ v)
-		bNotA += bits.OnesCount64(v &^ w)
-	}
-	return aNotB, bNotA
-}
-
-// andCountWordsNaive is the single-word reference for andCountWords.
-func andCountWordsNaive(a, b []uint64) int {
-	b = b[:len(a)]
-	c := 0
-	for i, w := range a {
-		c += bits.OnesCount64(w & b[i])
-	}
-	return c
 }
 
 // Scratch is a pooled []int buffer for the batch kernels' temporaries

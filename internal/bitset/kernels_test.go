@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,6 +55,28 @@ func TestQuickBlockedKernelsMatchNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wastePairWordsNaive is the pre-unrolling reference loop for the bench
+// guard and the equality property tests.
+func wastePairWordsNaive(a, b []uint64) (aNotB, bNotA int) {
+	b = b[:len(a)]
+	for i, w := range a {
+		v := b[i]
+		aNotB += bits.OnesCount64(w &^ v)
+		bNotA += bits.OnesCount64(v &^ w)
+	}
+	return aNotB, bNotA
+}
+
+// andCountWordsNaive is the single-word reference for andCountWords.
+func andCountWordsNaive(a, b []uint64) int {
+	b = b[:len(a)]
+	c := 0
+	for i, w := range a {
+		c += bits.OnesCount64(w & b[i])
+	}
+	return c
 }
 
 // popcountNaive is a from-first-principles bit count, independent of

@@ -213,6 +213,24 @@ func (e *Engine) markRebuilt() {
 	e.dirtySubs, e.dirtyGroups, e.dirtyQuar = true, true, true
 }
 
+// reindex installs a fresh world and grid and a subscription index over
+// every slot of w, all live. The insertion-built tree is re-laid in
+// depth-first order once: every later snapshot shares these nodes, and
+// every decide searches them.
+func (e *Engine) reindex(w *workload.World, grid *space.Grid) error {
+	tree := rtree.New(w.Dim)
+	live := make(map[int]bool, len(w.Subs))
+	for i, s := range w.Subs {
+		if err := tree.Insert(s.Rect, i); err != nil {
+			return fmt.Errorf("core: indexing subscription %d: %w", i, err)
+		}
+		live[i] = true
+	}
+	tree.Relayout()
+	e.world, e.grid, e.tree, e.live = w, grid, tree, live
+	return nil
+}
+
 // rebuild reconstructs every index and the multicast groups from scratch.
 func (e *Engine) rebuild() error {
 	e.tel.rebuilds.Inc()
@@ -224,15 +242,9 @@ func (e *Engine) rebuild() error {
 	if err != nil {
 		return fmt.Errorf("core: grid: %w", err)
 	}
-	tree := rtree.New(w.Dim)
-	live := make(map[int]bool, len(w.Subs))
-	for i, s := range w.Subs {
-		if err := tree.Insert(s.Rect, i); err != nil {
-			return fmt.Errorf("core: indexing subscription %d: %w", i, err)
-		}
-		live[i] = true
+	if err := e.reindex(w, grid); err != nil {
+		return err
 	}
-	e.world, e.grid, e.tree, e.live = w, grid, tree, live
 
 	if e.cfg.NoLoss != nil {
 		res, err := noloss.Build(w, e.train, *e.cfg.NoLoss)

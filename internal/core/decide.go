@@ -33,8 +33,9 @@ type Decision struct {
 // decider is the frozen state one delivery decision reads: the
 // subscription index, the group tables and the quarantine set. The Engine
 // builds a decider over its live state for the single-threaded path;
-// DecisionSnapshot freezes one (cloned tree, frozen subscription slice,
-// copied quarantine map) for lock-free concurrent reads.
+// DecisionSnapshot freezes one (structurally shared tree clone, frozen
+// subscription slice, copied quarantine map) for lock-free concurrent
+// reads.
 //
 // Invariant: decision code must never read world.Subs — a writer may be
 // appending to it concurrently — only the frozen subs slice.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/rtree"
 	"repro/internal/space"
 	"repro/internal/workload"
 )
@@ -124,23 +123,6 @@ func (e *Engine) Refresh(warmIters int) error {
 		return fmt.Errorf("core: warm clustering: %w", err)
 	}
 	return e.adoptGridAssignment(in, assign)
-}
-
-// reindex installs a fresh world, grid and subscription index after
-// compaction.
-func (e *Engine) reindex(w *workload.World, grid *space.Grid) error {
-	tree := rtree.New(w.Dim)
-	for i, s := range w.Subs {
-		if err := tree.Insert(s.Rect, i); err != nil {
-			return fmt.Errorf("core: re-indexing subscription %d: %w", i, err)
-		}
-	}
-	e.world, e.grid, e.tree = w, grid, tree
-	e.live = make(map[int]bool, len(w.Subs))
-	for i := range w.Subs {
-		e.live[i] = true
-	}
-	return nil
 }
 
 // majorityGroup picks the most common old group among the hyper-cell's

@@ -9,9 +9,10 @@ import (
 )
 
 // DecisionSnapshot is an immutable view of everything one delivery
-// decision reads: the subscription index (a private clone of the R*-tree),
-// a frozen subscription slice, the group tables, the overlay set and a
-// copy of the quarantine set. Snapshots are safe for concurrent use by any
+// decision reads: the subscription index (an O(1) clone of the persistent
+// R*-tree, sharing every node the writer has not since changed), a frozen
+// subscription slice, the group tables, the overlay set and a copy of the
+// quarantine set. Snapshots are safe for concurrent use by any
 // number of readers; the broker publishes them through an atomic pointer
 // and its decision workers take lock-free loads (RCU: readers drain on the
 // old snapshot while the writer prepares the next).
@@ -86,9 +87,11 @@ func (e *Engine) NewSPTView() *multicast.Model { return e.model.View() }
 //   - only the quarantine set changed: the new snapshot shares the
 //     subscription index and group tables with its predecessor and swaps
 //     in a fresh quarantine copy (cheap, O(quarantined));
-//   - subscriptions or groups changed: the R*-tree is cloned and the
-//     subscription slice frozen at its current length, so the engine's
-//     subsequent Insert/Delete/append mutations never touch the snapshot.
+//   - subscriptions or groups changed: the R*-tree is cloned in O(1) and
+//     the subscription slice frozen at its current length. The clone shares
+//     the index structurally: the engine's next Insert/Delete copies only
+//     the nodes on its root-to-leaf path, O(path) per change, and its
+//     appends never touch the frozen slice.
 //
 // Snapshot must be called from the goroutine that owns the engine.
 func (e *Engine) Snapshot() *DecisionSnapshot {

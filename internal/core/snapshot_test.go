@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func TestSnapshotCaching(t *testing.T) {
 		t.Error("quarantine copy leaked across snapshots")
 	}
 
-	// Subscription churn: fresh tree clone.
+	// Subscription churn: a fresh clone, not the live tree.
 	sub := w.Subs[0]
 	if _, err := e.AddSubscription(sub); err != nil {
 		t.Fatal(err)
@@ -222,4 +223,61 @@ func hasNode(nodes []topology.NodeID, n topology.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// TestSnapshotChurnAllocs: a subscription change plus the snapshot that
+// publishes it costs O(path) allocations, not O(subscriptions). The
+// snapshot's index shares the engine's R*-tree, and a change copies only
+// the nodes on its root-to-leaf path; a full copy of the 20k-subscription
+// tree would be thousands of allocations.
+func TestSnapshotChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector shadow allocations")
+	}
+	const (
+		runs     = 200
+		maxPerOp = 150
+		maxDelta = 20
+	)
+	measure := func(subs int) (add, remove float64) {
+		w, train := testWorld(t, subs, 409)
+		e, err := NewFromWorld(w, train, Config{Groups: 20, CellBudget: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Snapshot()
+		slots := make([]int, 0, runs+1) // AllocsPerRun adds one warm-up call
+		add = testing.AllocsPerRun(runs, func() {
+			slot, err := e.AddSubscription(w.Subs[len(slots)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots = append(slots, slot)
+			e.Snapshot()
+		})
+		i := 0
+		remove = testing.AllocsPerRun(runs, func() {
+			if err := e.RemoveSubscription(slots[i]); err != nil {
+				t.Fatal(err)
+			}
+			e.Snapshot()
+			i++
+		})
+		return add, remove
+	}
+	addSmall, removeSmall := measure(2000)
+	addLarge, removeLarge := measure(20000)
+	t.Logf("allocs per op: add+snapshot %.0f / %.0f, remove+snapshot %.0f / %.0f at 2k / 20k subscriptions",
+		addSmall, addLarge, removeSmall, removeLarge)
+	for _, a := range []float64{addSmall, addLarge, removeSmall, removeLarge} {
+		if a > maxPerOp {
+			t.Fatalf("a churn op plus snapshot allocates %.0f times, want ≤ %d", a, maxPerOp)
+		}
+	}
+	if d := math.Abs(addLarge - addSmall); d > maxDelta {
+		t.Errorf("add+snapshot allocations grow by %.0f from 2k to 20k subscriptions, want ≤ %d", d, maxDelta)
+	}
+	if d := math.Abs(removeLarge - removeSmall); d > maxDelta {
+		t.Errorf("remove+snapshot allocations grow by %.0f from 2k to 20k subscriptions, want ≤ %d", d, maxDelta)
+	}
 }

@@ -496,6 +496,7 @@ func (l *Leader) catchup(s *feed, term int64) bool {
 		}
 		kept = append(kept, e)
 	}
+	clear(l.buf[len(kept):]) // the filtered array must not hold the dropped records
 	l.buf = kept
 	s.cursor = 0
 	l.stats.CatchupRecords += streamed
@@ -546,6 +547,10 @@ func (l *Leader) shipLoop(s *feed) {
 		}
 		flush()
 		s.cursor = i
+		// A marker behind the ack watermark is done once shipped: no later
+		// ack would prune it if no record follows, and a checkpoint marker
+		// holds the whole encoded checkpoint.
+		l.pruneLocked()
 		l.stats.RecordsShipped += int64(nrecs)
 		l.mu.Unlock()
 		if err := s.write(frames...); err != nil {
@@ -618,7 +623,9 @@ func (l *Leader) pruneLocked() {
 		n++
 	}
 	if n > 0 {
-		l.buf = append(l.buf[:0:0], l.buf[n:]...)
+		// A fresh array: l.buf[:0:0] would keep the old one, and every
+		// record and checkpoint in it, reachable once the buffer empties.
+		l.buf = append([]entry(nil), l.buf[n:]...)
 		s.cursor -= n
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -290,6 +291,59 @@ func TestCheckpointShipsToFollower(t *testing.T) {
 		t.Error("follower mirror recovered without the shipped checkpoint")
 	}
 	checkOracle(t, p.w, evs, acked, p.o)
+}
+
+// TestShippedCheckpointNotRetained pins that the leader lets go of a
+// checkpoint once it has shipped it. With no record after the checkpoint
+// no later ack arrives to prune its marker, and neither the marker nor an
+// emptied buffer's old array may keep the encoded checkpoint reachable:
+// on a quiet leader it would stay live until the next publish.
+func TestShippedCheckpointNotRetained(t *testing.T) {
+	p := startPair(t, 531, pairOpts{leaderDur: noAutoCkpt(nil)})
+	if err := p.ldr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	freed := tapTrackedCheckpoint(t, p)
+	waitFor(t, 5*time.Second, "the checkpoint marker to ship and leave the buffer", func() bool {
+		p.ldr.mu.Lock()
+		defer p.ldr.mu.Unlock()
+		return len(p.ldr.buf) == 0
+	})
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the leader still holds a shipped checkpoint")
+		}
+	}
+}
+
+// tapTrackedCheckpoint feeds the leader's tap a copy of the checkpoint it
+// just committed, as the store does on every commit, and returns a channel
+// closed once the garbage collector frees that copy.
+func tapTrackedCheckpoint(t *testing.T, p *pair) <-chan struct{} {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(p.dirL, "checkpoint.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, _, err := durable.DecodeCheckpointMeta(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr := new([1 << 12]byte)
+	if len(raw) > len(arr) {
+		t.Fatalf("checkpoint of %d bytes does not fit the tracked array", len(raw))
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(arr, func(*[1 << 12]byte) { close(freed) })
+	p.ldr.tapCheckpoint(epoch, arr[:copy(arr[:], raw)])
+	return freed
 }
 
 // TestLeaderSoloWhenFollowerSilent pins the availability choice: a

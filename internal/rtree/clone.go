@@ -1,27 +1,69 @@
 package rtree
 
-// Clone returns an independent copy of the tree: every node is copied, so
-// Insert/Delete on either tree never touches the other. Rectangles are
-// shared — the tree never mutates a stored rect in place (MBR adjustments
-// always install freshly built rects), so sharing them is safe and keeps a
-// clone at O(nodes) extra memory. The snapshot decision plane clones the
-// subscription index this way on every churn-dirty snapshot build.
+import "sync/atomic"
+
+// generations hands out tree generations. Each is unique process-wide, so
+// no two trees ever own the same node.
+var generations atomic.Uint64
+
+func nextGen() uint64 { return generations.Add(1) }
+
+// Clone returns a copy of the tree in O(1). The two trees share every node
+// and each gets a fresh generation, so neither owns a shared node any more:
+// a later Insert or Delete on either copies the nodes on its root-to-leaf
+// path before writing them and leaves the other tree untouched.
+// Rectangles are shared too — the tree never writes a stored rect in place
+// (MBR updates install freshly built rects).
+//
+// Clone changes t's generation, so it must be called by t's writer; it may
+// run concurrently with searches of t and of any other clone.
 func (t *Tree) Clone() *Tree {
-	return &Tree{dim: t.dim, size: t.size, root: cloneNode(t.root, nil)}
+	t.gen = nextGen()
+	return &Tree{dim: t.dim, root: t.root, size: t.size, gen: nextGen()}
 }
 
-func cloneNode(n *node, parent *node) *node {
-	c := &node{
-		leaf:    n.leaf,
-		level:   n.level,
-		parent:  parent,
-		entries: make([]entry, len(n.entries)),
-	}
-	copy(c.entries, n.entries)
-	if !n.leaf {
+// Relayout copies every node into depth-first order, so that a search
+// walks the node arrays mostly forward in memory. An insertion-built tree
+// has its nodes scattered in allocation order; a stabbing query over a
+// 50 000-subscription index runs about 20 % faster on the re-laid copy
+// (DESIGN §11). Call it once after a bulk build of a tree that is searched
+// far more often than it changes. Clones taken earlier keep the old nodes.
+func (t *Tree) Relayout() { t.root = t.relay(t.root) }
+
+func (t *Tree) relay(n *node) *node {
+	c := copyNode(n, t.gen)
+	if !c.leaf {
 		for i := range c.entries {
-			c.entries[i].child = cloneNode(c.entries[i].child, c)
+			c.entries[i].child = t.relay(c.entries[i].child)
 		}
 	}
 	return c
+}
+
+// ownPath makes every node on a root-to-node path owned by t, so the caller
+// may write them in place. Shared nodes are copied top-down and each
+// parent's entry is re-pointed at the copy; nodes off the path stay shared.
+// The owned nodes of a tree always form a connected top part of it, so the
+// parent of a node being copied is already owned.
+func (t *Tree) ownPath(path []*node) []*node {
+	for k, n := range path {
+		if n.gen == t.gen {
+			continue
+		}
+		c := copyNode(n, t.gen)
+		if k == 0 {
+			t.root = c
+		} else {
+			parent := path[k-1]
+			parent.entries[childIndex(parent, n)].child = c
+		}
+		path[k] = c
+	}
+	return path
+}
+
+// copyNode returns a shallow copy of n owned by generation gen: a fresh
+// entry array whose children and rects are shared.
+func copyNode(n *node, gen uint64) *node {
+	return &node{gen: gen, leaf: n.leaf, level: n.level, entries: append([]entry(nil), n.entries...)}
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,24 +10,39 @@ import (
 
 // FuzzTreeOps derives a deterministic op sequence from the fuzz input and
 // checks the tree against a linear-scan oracle plus structural invariants.
+// The first byte picks k: a Clone is taken every k-th op and retained, and
+// at the end every clone must still match the oracle state of its moment.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
 	f.Add([]byte{255, 0, 255, 0, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
+		if len(data) == 0 || len(data) > 512 {
 			t.Skip()
 		}
+		k := int(data[0]%8) + 1
+		data = data[1:]
 		tr := New(2)
 		var oracle bruteIndex
 		type item struct {
 			rect space.Rect
 			id   int
 		}
+		type frozen struct {
+			tree   *Tree
+			oracle bruteIndex
+		}
 		var live []item
+		var clones []frozen
 		next := 0
 		// Consume 5 bytes per op: opcode + 4 coordinate bytes.
-		for i := 0; i+5 <= len(data); i += 5 {
+		for i, n := 0, 0; i+5 <= len(data); i, n = i+5, n+1 {
+			if n%k == 0 {
+				clones = append(clones, frozen{tree: tr.Clone(), oracle: bruteIndex{
+					rects: append([]space.Rect(nil), oracle.rects...),
+					ids:   append([]int(nil), oracle.ids...),
+				}})
+			}
 			op := data[i]
 			c := func(j int) float64 { return float64(data[i+1+j]) / 8 }
 			switch {
@@ -42,29 +58,28 @@ func FuzzTreeOps(f *testing.F) {
 				live = append(live, item{rect, next})
 				next++
 			default: // delete
-				k := int(data[i+1]) % len(live)
-				it := live[k]
+				j := int(data[i+1]) % len(live)
+				it := live[j]
 				if !tr.Delete(it.rect, it.id) {
 					t.Fatal("delete of live item failed")
 				}
 				oracle.remove(it.rect, it.id)
-				live = append(live[:k], live[k+1:]...)
+				live = append(live[:j], live[j+1:]...)
 			}
 		}
-		if tr.Len() != len(live) {
-			t.Fatalf("Len %d, want %d", tr.Len(), len(live))
-		}
-		if err := tr.checkInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		// Probe a grid of points against the oracle.
-		for x := 0.0; x <= 32; x += 7.5 {
-			for y := 0.0; y <= 32; y += 7.5 {
-				p := space.Point{x, y}
-				got := tr.SearchPoint(p)
-				want := oracle.searchPoint(p)
-				if len(got) != len(want) {
-					t.Fatalf("point %v: %d vs %d hits", p, len(got), len(want))
+		clones = append(clones, frozen{tree: tr, oracle: oracle})
+		for ci, cl := range clones {
+			if cl.tree.Len() != len(cl.oracle.ids) {
+				t.Fatalf("tree %d: Len %d, want %d", ci, cl.tree.Len(), len(cl.oracle.ids))
+			}
+			if err := cl.tree.checkInvariants(); err != nil {
+				t.Fatalf("tree %d: %v", ci, err)
+			}
+			// Probe a grid of points against the oracle.
+			for x := 0.0; x <= 32; x += 7.5 {
+				for y := 0.0; y <= 32; y += 7.5 {
+					p := space.Point{x, y}
+					sameIDs(t, cl.tree.SearchPoint(p), cl.oracle.searchPoint(p), fmt.Sprintf("tree %d, point %v", ci, p))
 				}
 			}
 		}

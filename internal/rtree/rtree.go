@@ -3,7 +3,10 @@
 // rectangles. The pub-sub matching problem reduces to point-stabbing
 // queries: given an event ω, find all subscription rectangles containing
 // it. The tree supports insertion with forced reinsertion, the R* split
-// heuristic, deletion with tree condensation, and point/rect queries.
+// heuristic, deletion with tree condensation, and point/rect queries. It
+// is persistent by path copying: Clone is O(1), and a change copies only
+// the nodes on its root-to-leaf path, so a clone handed to readers stays
+// frozen while the writer keeps changing the original.
 //
 // Rectangles may have infinite sides (wildcard predicates); they are
 // clamped to ±maxCoord internally, which preserves all containment
@@ -31,19 +34,24 @@ type entry struct {
 	data  int        // user id, valid at leaves
 }
 
+// node is one tree node. Only the tree whose generation it carries may
+// write it in place; any other tree that reaches it shares it read-only and
+// copies it before a change (see ownPath).
 type node struct {
+	gen     uint64
 	leaf    bool
 	level   int // 0 at leaves
 	entries []entry
-	parent  *node // nil at the root
 }
 
-// Tree is an R*-tree mapping rectangles to integer ids. The zero value is
-// not usable; call New.
+// Tree is a persistent R*-tree mapping rectangles to integer ids: Clone is
+// O(1) and a later change copies only the nodes on its root-to-leaf path.
+// The zero value is not usable; call New.
 type Tree struct {
 	dim  int
 	root *node
 	size int
+	gen  uint64 // nodes carrying this generation are owned by this tree
 }
 
 // New creates an empty tree over dim-dimensional rectangles.
@@ -51,7 +59,8 @@ func New(dim int) *Tree {
 	if dim <= 0 {
 		panic(fmt.Sprintf("rtree: dimension %d", dim))
 	}
-	return &Tree{dim: dim, root: &node{leaf: true}}
+	gen := nextGen()
+	return &Tree{dim: dim, root: &node{gen: gen, leaf: true}, gen: gen}
 }
 
 // Len returns the number of stored rectangles.
@@ -84,43 +93,56 @@ func (t *Tree) Insert(r space.Rect, id int) error {
 	if r.Empty() {
 		return fmt.Errorf("rtree: empty rectangle %v", r)
 	}
-	reinserted := make(map[int]bool)
-	t.insert(entry{rect: clampRect(r), data: id}, 0, reinserted)
+	var reinserted uint64
+	t.insert(entry{rect: clampRect(r), data: id}, 0, &reinserted)
 	t.size++
 	return nil
 }
 
-// insert places e at the given level (0 = leaf).
-func (t *Tree) insert(e entry, level int, reinserted map[int]bool) {
-	n := t.chooseSubtree(e.rect, level)
-	if e.child != nil {
-		e.child.parent = n
-	}
+// pathBuf sizes the stack buffer a root-to-node path starts in. A tree of
+// height 16 holds at least 2·6^15 entries, so the buffer never grows.
+const pathBuf = 16
+
+// insert places e at the given level (0 = leaf). reinserted is the bitmask
+// of levels that already had their forced reinsertion during the current
+// top-level insertion.
+func (t *Tree) insert(e entry, level int, reinserted *uint64) {
+	var buf [pathBuf]*node
+	path := t.ownPath(t.chooseSubtree(e.rect, level, buf[:0]))
+	n := path[len(path)-1]
 	n.entries = append(n.entries, e)
 	if len(n.entries) > maxEntries {
-		t.overflow(n, reinserted)
+		t.overflow(path, reinserted)
 	} else {
-		t.adjustUp(n)
+		adjustUp(path)
 	}
 }
 
-// adjustUp recomputes MBRs from n to the root via parent pointers.
-func (t *Tree) adjustUp(n *node) {
-	for child := n; child.parent != nil; child = child.parent {
-		p := child.parent
-		for j := range p.entries {
-			if p.entries[j].child == child {
-				p.entries[j].rect = mbrOf(child.entries)
-				break
-			}
+// adjustUp recomputes the MBRs along an owned root-to-node path, from its
+// last node up to the root.
+func adjustUp(path []*node) {
+	for k := len(path) - 1; k > 0; k-- {
+		parent, child := path[k-1], path[k]
+		parent.entries[childIndex(parent, child)].rect = mbrOf(child.entries)
+	}
+}
+
+// childIndex returns the index of parent's entry pointing at child.
+func childIndex(parent, child *node) int {
+	for j := range parent.entries {
+		if parent.entries[j].child == child {
+			return j
 		}
 	}
+	panic("rtree: child missing from its parent")
 }
 
-// chooseSubtree descends from the root to the node at the target level that
-// should receive a rectangle, using the R* criteria.
-func (t *Tree) chooseSubtree(r space.Rect, level int) *node {
+// chooseSubtree appends to path the nodes from the root down to the node at
+// the target level that should receive a rectangle, using the R* criteria.
+// It only reads the tree.
+func (t *Tree) chooseSubtree(r space.Rect, level int, path []*node) []*node {
 	n := t.root
+	path = append(path, n)
 	for n.level > level {
 		childrenAreLeaves := n.level == 1
 		best := -1
@@ -148,24 +170,29 @@ func (t *Tree) chooseSubtree(r space.Rect, level int) *node {
 			}
 		}
 		n = n.entries[best].child
+		path = append(path, n)
 	}
-	return n
+	return path
 }
 
-// overflow handles a node with M+1 entries: forced reinsertion on the first
-// overflow at each level per insertion, split otherwise.
-func (t *Tree) overflow(n *node, reinserted map[int]bool) {
-	if n != t.root && !reinserted[n.level] {
-		reinserted[n.level] = true
-		t.reinsert(n, reinserted)
+// overflow handles the last node of path when it holds M+1 entries: forced
+// reinsertion on the first overflow at each level per insertion, split
+// otherwise.
+func (t *Tree) overflow(path []*node, reinserted *uint64) {
+	n := path[len(path)-1]
+	if bit := uint64(1) << n.level; n != t.root && *reinserted&bit == 0 {
+		*reinserted |= bit
+		t.reinsert(path, reinserted)
 		return
 	}
-	t.split(n, reinserted)
+	t.split(path, reinserted)
 }
 
-// reinsert removes the p entries whose centers lie farthest from the node
-// MBR center and re-inserts them (close reinsert: nearest first).
-func (t *Tree) reinsert(n *node, reinserted map[int]bool) {
+// reinsert removes the p entries of path's last node whose centers lie
+// farthest from the node MBR center and re-inserts them (close reinsert:
+// nearest first).
+func (t *Tree) reinsert(path []*node, reinserted *uint64) {
+	n := path[len(path)-1]
 	center := rectCenter(mbrOf(n.entries))
 	type distEntry struct {
 		e entry
@@ -187,23 +214,23 @@ func (t *Tree) reinsert(n *node, reinserted map[int]bool) {
 	for i := 0; i < keep; i++ {
 		n.entries = append(n.entries, des[i].e)
 	}
-	t.adjustUp(n)
+	adjustUp(path)
 	level := n.level
 	for i := keep; i < len(des); i++ {
 		t.insert(des[i].e, level, reinserted)
 	}
 }
 
-// split performs the R* topological split of an overfull node.
-func (t *Tree) split(n *node, reinserted map[int]bool) {
+// split performs the R* topological split of path's overfull last node.
+func (t *Tree) split(path []*node, reinserted *uint64) {
+	n := path[len(path)-1]
 	groupA, groupB := chooseSplit(n.entries, t.dim)
 
 	if n == t.root {
-		left := &node{leaf: n.leaf, level: n.level, entries: groupA}
-		right := &node{leaf: n.leaf, level: n.level, entries: groupB}
-		adoptChildren(left)
-		adoptChildren(right)
+		left := &node{gen: t.gen, leaf: n.leaf, level: n.level, entries: groupA}
+		right := &node{gen: t.gen, leaf: n.leaf, level: n.level, entries: groupB}
 		t.root = &node{
+			gen:   t.gen,
 			leaf:  false,
 			level: n.level + 1,
 			entries: []entry{
@@ -211,36 +238,19 @@ func (t *Tree) split(n *node, reinserted map[int]bool) {
 				{rect: mbrOf(right.entries), child: right},
 			},
 		}
-		left.parent = t.root
-		right.parent = t.root
 		return
 	}
 
-	parent := n.parent
-	sibling := &node{leaf: n.leaf, level: n.level, entries: groupB, parent: parent}
+	up := path[:len(path)-1]
+	parent := up[len(up)-1]
+	sibling := &node{gen: t.gen, leaf: n.leaf, level: n.level, entries: groupB}
 	n.entries = groupA
-	adoptChildren(n)
-	adoptChildren(sibling)
-	for j := range parent.entries {
-		if parent.entries[j].child == n {
-			parent.entries[j].rect = mbrOf(n.entries)
-		}
-	}
+	parent.entries[childIndex(parent, n)].rect = mbrOf(n.entries)
 	parent.entries = append(parent.entries, entry{rect: mbrOf(sibling.entries), child: sibling})
 	if len(parent.entries) > maxEntries {
-		t.overflow(parent, reinserted)
+		t.overflow(up, reinserted)
 	} else {
-		t.adjustUp(parent)
-	}
-}
-
-// adoptChildren points n's children back at n after a split moved them.
-func adoptChildren(n *node) {
-	if n.leaf {
-		return
-	}
-	for i := range n.entries {
-		n.entries[i].child.parent = n
+		adjustUp(up)
 	}
 }
 
@@ -360,74 +370,70 @@ func (t *Tree) Delete(r space.Rect, id int) bool {
 	if r.Dim() != t.dim {
 		return false
 	}
-	cr := clampRect(r)
-	leaf, idx := t.findLeaf(t.root, cr, id)
-	if leaf == nil {
+	var buf [pathBuf]*node
+	path, idx := findLeaf(t.root, clampRect(r), id, buf[:0])
+	if path == nil {
 		return false
 	}
+	path = t.ownPath(path)
+	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
-	t.condense(leaf)
+	t.condense(path)
 	// Shrink the root while it is a non-leaf with a single child.
 	for !t.root.leaf && len(t.root.entries) == 1 {
 		t.root = t.root.entries[0].child
-		t.root.parent = nil
 	}
 	if len(t.root.entries) == 0 {
-		t.root = &node{leaf: true}
+		t.root = &node{gen: t.gen, leaf: true}
 	}
 	return true
 }
 
-func (t *Tree) findLeaf(n *node, r space.Rect, id int) (*node, int) {
+// findLeaf appends to path the nodes from n down to the leaf holding
+// (r, id) and returns the extended path with the entry's index in that
+// leaf, or a nil path when no such entry exists. It only reads the tree.
+func findLeaf(n *node, r space.Rect, id int, path []*node) ([]*node, int) {
+	path = append(path, n)
 	for i := range n.entries {
-		e := n.entries[i]
+		e := &n.entries[i]
 		if n.leaf {
 			if e.data == id && e.rect.Equal(r) {
-				return n, i
+				return path, i
 			}
 		} else if e.rect.Intersects(r) {
-			if leaf, idx := t.findLeaf(e.child, r, id); leaf != nil {
-				return leaf, idx
+			if found, idx := findLeaf(e.child, r, id, path); found != nil {
+				return found, idx
 			}
 		}
 	}
 	return nil, -1
 }
 
-// condense walks from the shrunken leaf to the root, removing underfull
-// nodes and collecting their entries for re-insertion at the right level.
-func (t *Tree) condense(leaf *node) {
+// condense walks an owned root-to-leaf path up from the shrunken leaf,
+// removing underfull nodes and collecting their entries for re-insertion
+// at the right level.
+func (t *Tree) condense(path []*node) {
 	type orphan struct {
 		e     entry
 		level int
 	}
 	var orphans []orphan
-	for n := leaf; n.parent != nil; {
-		parent := n.parent
+	for k := len(path) - 1; k > 0; k-- {
+		n, parent := path[k], path[k-1]
+		j := childIndex(parent, n)
 		if len(n.entries) < minEntries {
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
-					break
-				}
-			}
+			parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
 			for _, e := range n.entries {
 				orphans = append(orphans, orphan{e: e, level: n.level})
 			}
 		} else {
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries[j].rect = mbrOf(n.entries)
-					break
-				}
-			}
+			parent.entries[j].rect = mbrOf(n.entries)
 		}
-		n = parent
 	}
 	for _, o := range orphans {
-		reinserted := make(map[int]bool)
-		t.insert(o.e, o.level, reinserted)
+		var reinserted uint64
+		t.insert(o.e, o.level, &reinserted)
 	}
 }
 
@@ -494,24 +500,37 @@ func enlargement(r, q space.Rect) float64 {
 // overlapEnlargement is the growth in overlap between entry i and its
 // siblings if entry i absorbs q.
 func overlapEnlargement(es []entry, i int, q space.Rect) float64 {
-	grown := es[i].rect.Clone()
-	for d := range grown {
-		if q[d].Lo < grown[d].Lo {
-			grown[d].Lo = q[d].Lo
-		}
-		if q[d].Hi > grown[d].Hi {
-			grown[d].Hi = q[d].Hi
-		}
-	}
 	before, after := 0.0, 0.0
 	for j := range es {
 		if j == i {
 			continue
 		}
 		before += intersectArea(es[i].rect, es[j].rect)
-		after += intersectArea(grown, es[j].rect)
+		after += grownIntersectArea(es[i].rect, q, es[j].rect)
 	}
 	return after - before
+}
+
+// grownIntersectArea is intersectArea(r grown to cover q, b), computed
+// without materialising the grown rectangle.
+func grownIntersectArea(r, q, b space.Rect) float64 {
+	v := 1.0
+	for d := range r {
+		glo, ghi := r[d].Lo, r[d].Hi
+		if q[d].Lo < glo {
+			glo = q[d].Lo
+		}
+		if q[d].Hi > ghi {
+			ghi = q[d].Hi
+		}
+		lo := math.Max(glo, b[d].Lo)
+		hi := math.Min(ghi, b[d].Hi)
+		if hi <= lo {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
 }
 
 func rectCenter(r space.Rect) []float64 {
@@ -533,10 +552,19 @@ func (t *Tree) depth() int {
 	return d
 }
 
-// checkInvariants validates structural invariants; used by tests.
+// checkInvariants validates structural invariants; used by tests. Besides
+// the R* shape (fill, levels, exact MBRs, size) it checks what path copying
+// must preserve: every node is reachable once, and a node this tree owns
+// never hangs below one it does not own (a shared parent is reachable from
+// another tree, which would then see this tree's in-place writes).
 func (t *Tree) checkInvariants() error {
+	seen := make(map[*node]bool)
 	var walk func(n *node, isRoot bool) (int, error)
 	walk = func(n *node, isRoot bool) (int, error) {
+		if seen[n] {
+			return 0, fmt.Errorf("rtree: node at level %d reachable twice", n.level)
+		}
+		seen[n] = true
 		if !isRoot && (len(n.entries) < minEntries || len(n.entries) > maxEntries) {
 			return 0, fmt.Errorf("rtree: node with %d entries", len(n.entries))
 		}
@@ -555,8 +583,8 @@ func (t *Tree) checkInvariants() error {
 			if child == nil {
 				return 0, fmt.Errorf("rtree: nil child in internal node")
 			}
-			if child.parent != n {
-				return 0, fmt.Errorf("rtree: broken parent pointer at level %d", n.level)
+			if child.gen == t.gen && n.gen != t.gen {
+				return 0, fmt.Errorf("rtree: owned node under a shared parent at level %d", n.level)
 			}
 			if child.level != n.level-1 {
 				return 0, fmt.Errorf("rtree: child level %d under level %d", child.level, n.level)

@@ -273,6 +273,9 @@ func (s *session) kill() (conn net.Conn, slots []int64) {
 	}
 	s.queue = nil
 	s.unacked = nil
+	// No writer will ever send these; a drain's control frame queued just
+	// before the client's goodbye would otherwise keep flushed false.
+	s.ctrl = nil
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	return conn, slots
