@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race chaos chaos-recovery chaos-wire chaos-replicate chaos-federate bench bench-json bench-baseline bench-decide bench-decide-n bench-recovery bench-wire bench-replicate bench-federate bench-smoke bench-1m bench-1m-smoke alloc-regression fuzz-smoke vet staticcheck fmt
+.PHONY: all build test tier1 race chaos chaos-recovery chaos-wire chaos-replicate chaos-federate bench bench-json bench-baseline bench-decide bench-decide-n bench-recovery bench-wire bench-replicate bench-federate bench-smoke bench-1m bench-1m-smoke alloc-regression fuzz-smoke vet staticcheck fmt loc
 
 # Label recorded next to a bench-baseline entry in BENCH_cluster.json.
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
@@ -128,16 +128,16 @@ chaos-replicate:
 	$(GO) test -race -count=2 ./internal/replicate/
 
 # chaos-federate runs the federation suite — partition derivation, the
-# cross-shard exactly-once router tests (boundary straddlers, overlap
-# dedup, fenced-leader rerouting, remote shards over the wire) and the
-# chaos matrix where a replicated shard pair fails over mid-fan-out under
-# concurrent churn — twice under the race detector.
+# cross-shard exactly-once router tests (boundary straddlers, fenced-leader
+# rerouting, remote shards over the wire) and the chaos matrix where a
+# replicated shard pair fails over mid-storm under concurrent churn —
+# twice under the race detector.
 chaos-federate:
 	$(GO) test -race -count=2 ./internal/federate/
 
 # bench-federate measures end-to-end publish→deliver latency (p50/p99)
 # through the federation router at 1 shard vs 4 shards and appends a
-# labelled entry to BENCH_cluster.json — the fan-out/merge overhead row.
+# labelled entry to BENCH_cluster.json — the routing/merge overhead row.
 bench-federate:
 	$(GO) test -run '^$$' -bench 'BenchmarkFederatePublishDeliver' -count=3 ./internal/federate/ | \
 		$(GO) run ./cmd/benchrecord -file BENCH_cluster.json -label "$(BENCH_LABEL)-federate"
@@ -173,6 +173,12 @@ bench-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the Go line counts outside bench/ that CHANGES.md entries
+# and ROADMAP re-anchors quote: non-test files, then _test.go files.
+loc:
+	@printf 'non-test: '; find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
+	@printf 'test:     '; find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 fmt:
 	gofmt -l -w .

@@ -32,7 +32,7 @@
 //	          preserved counters and recovery stats per incarnation
 //	federate  federation sweep: the evaluation stream through 1-, 2- and
 //	          4-shard rectangle-partitioned federations, exactly-once
-//	          checked against the brute-force match, with fan-out and
+//	          checked against the brute-force match, with decide and
 //	          merge-latency accounting per width
 //	all       run everything above in order
 //
@@ -660,7 +660,7 @@ func runChurn(opt options) error {
 
 // runFederateSweep replays the evaluation stream through federations of
 // increasing shard counts, verifying exactly-once delivery against the
-// brute-force match and reporting fan-out and merge-latency per width.
+// brute-force match and reporting decides and merge-latency per width.
 func runFederateSweep(opt options) error {
 	env, err := experiments.NewStockEnv(opt.envConfig())
 	if err != nil {

@@ -44,7 +44,7 @@
 //	-shard-of I/N    serve only tile I of the N-tile derived partition:
 //	                 the world is restricted to the subscriptions
 //	                 intersecting that tile, and a federation router in
-//	                 another process fans events out across the N
+//	                 another process routes events across the N
 //	                 daemons; composes with -data-dir and -replica-of,
 //	                 so each shard can be a replicated pair
 //	-session-timeout D  how long a disconnected session may resume
@@ -381,8 +381,9 @@ func run(opt options) error {
 
 // runFederated runs the whole federation in one process: derive the
 // N-tile partition from the seeded world, build one broker per tile, and
-// serve the federate.Router — which fans publishes out to overlapping
-// tiles and merges deliveries exactly-once — as the wire backend.
+// serve the federate.Router — which sends each publish to the one tile
+// owning its point and merges deliveries exactly-once — as the wire
+// backend.
 func runFederated(opt options, reg *telemetry.Registry) error {
 	w, err := buildWorld(opt)
 	if err != nil {

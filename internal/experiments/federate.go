@@ -24,7 +24,7 @@ type FederatePoint struct {
 	Shards int
 	// Straddlers counts pre-seeded subscriptions whose rectangle
 	// intersects more than one tile — each is registered on every
-	// overlapping shard and deduplicated at merge time.
+	// intersecting shard, and matched by whichever one owns the event.
 	Straddlers int
 	// Stats is the router's cross-shard accounting after the stream.
 	Stats federate.Stats
@@ -58,7 +58,7 @@ func (c *FederateSweepConfig) setDefaults() {
 // RunFederate replays the evaluation stream through federations of
 // increasing width: the subscription space is rectangle-partitioned with
 // federate.Derive, one broker per tile serves its tile world, and the
-// router fans every event out to the owning shards and merges deliveries.
+// router sends every event to its owning shard and merges deliveries.
 // Every point is verified exactly-once against the brute-force match of
 // the full world.
 func RunFederate(env *StockEnv, cfg FederateSweepConfig) ([]FederatePoint, error) {

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkFederatePublishDeliver measures end-to-end publish→deliver
-// latency through the router — fan-out, per-shard decide, merge, dedup
+// latency through the router — routing, shard decide, merge, dedup
 // — for a single-shard federation (the router as pure overhead over one
 // broker) against a four-shard one (parallel per-tile decides, smaller
 // per-shard match state). Each op publishes one event and waits for its

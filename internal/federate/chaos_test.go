@@ -18,7 +18,7 @@ import (
 
 // TestFederationChaosExactlyOnce is the federation chaos matrix in one
 // deployment: a 4-shard federation whose shard 0 is a replicated pair,
-// a concurrent publish storm, subscription churn racing the fan-out,
+// a concurrent publish storm, subscription churn racing the publishes,
 // boundary-straddling churn subscriptions — and a hard kill of the pair
 // leader mid-storm with an automatic promotion the router must chase.
 // The brute-force oracle over the full world then asserts exactly-once:
@@ -139,7 +139,7 @@ func TestFederationChaosExactlyOnce(t *testing.T) {
 	acked := make([]bool, len(evs))
 	var wg sync.WaitGroup
 
-	// Two concurrent publishers so the leader crash lands mid-fan-out.
+	// Two concurrent publishers so the leader crash lands mid-storm.
 	publish := func(lo, hi int) {
 		defer wg.Done()
 		for i := lo; i < hi; i++ {
@@ -154,19 +154,19 @@ func TestFederationChaosExactlyOnce(t *testing.T) {
 	go publish(0, len(evs)/2)
 	go publish(len(evs)/2, len(evs))
 
-	// Churn racing the fan-out: ≥ 100 subscribe/unsubscribe cycles, each
+	// Churn racing the publishes: ≥ 100 subscribe/unsubscribe cycles, each
 	// a pair of decision-snapshot swaps on every covered shard.
 	churn := make(chan int, 1)
 	go func() {
 		n := 0
 		for n < 100 {
 			rect := churnRects[n%len(churnRects)]
-			id, err := r.SubscribeID(workload.Subscription{Owner: 500, Rect: rect})
+			id, err := r.Subscribe(workload.Subscription{Owner: 500, Rect: rect})
 			if err != nil {
 				t.Errorf("churn subscribe %d: %v", n, err)
 				break
 			}
-			if err := r.UnsubscribeID(id); err != nil {
+			if err := r.Unsubscribe(id); err != nil {
 				t.Errorf("churn unsubscribe %d: %v", n, err)
 				break
 			}
@@ -175,7 +175,7 @@ func TestFederationChaosExactlyOnce(t *testing.T) {
 		churn <- n
 	}()
 
-	// The failover: once the crash freezes the leader mid-fan-out, the
+	// The failover: once the crash freezes the leader mid-storm, the
 	// standby's breaker declares it dead; promote and let the router's
 	// crashed-decide retries re-resolve to b2.
 	promoter := make(chan struct{})
@@ -212,6 +212,6 @@ func TestFederationChaosExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	ldr.Close() // already killed; releases resources
-	checkExactlyOnce(t, w, evs, acked, o)
+	checkExactlyOnce(t, w, evs, acked, o, r)
 	t.Logf("chaos stats: %+v", st)
 }

@@ -2,49 +2,47 @@
 // shards and routes the full pub-sub surface over them — the first
 // multi-broker deployment shape on the road to the million-user north
 // star (the subscription-subgrouping line of work: partitioned subgroups
-// decouple routing paths from any single broker and tolerate multiple
-// paths).
+// decouple routing paths from any single broker).
 //
 // The pieces:
 //
-//   - Partition: an ordered list of rectangles tiling the event space,
-//     derived from the same grid + per-cell subscription-density
+//   - Partition: an ordered list of disjoint rectangles tiling the event
+//     space, derived from the same grid + per-cell subscription-density
 //     machinery the clustering engine uses (Derive splits the grid
 //     k-d-style along axis boundaries, balancing subscriber weight).
-//     Tiles produced by Derive are disjoint; the Router is also correct
-//     over hand-built overlapping tiles — overlap just turns into
-//     fan-out plus dedup.
+//     Validate rejects overlapping tiles, so every event point has at
+//     most one owner.
 //
 //   - Router: owns one broker.Shard per tile. Subscribe registers the
 //     subscription on every shard whose tile its rectangle intersects
 //     (a boundary-straddling subscription lives on several shards) and
-//     returns a federation-wide SubID, so Unsubscribe routes back to
+//     returns a federation-wide id, so Unsubscribe routes back to
 //     exactly the owning (shard, slot) pairs — shard-local slot ints
 //     collide across shards and must never escape the router. Publish
-//     fans the event out to every shard whose tile contains the point
-//     and stamps it with a router-global sequence number.
+//     sends the event to the one shard whose tile contains the point and
+//     stamps it with a router-global sequence number. A straddler is
+//     matched only by the shard that owns the event, so it sees each
+//     event once.
 //
-//   - Exactly-once across shards: every shard delivery is translated
+//   - Exactly-once across failover: every shard delivery is translated
 //     from the shard-local publication seq to the router-global seq
 //     (shards report the seq they consumed via Shard.DecideSeq, even
 //     when the publish then failed — a journaled-but-unacked publish
 //     replays after a failover) and deduplicated per subscriber node, so
-//     a subscription straddling a tile boundary, a duplicate fan-out
-//     after a router retry, and a replay by a promoted standby all
-//     collapse to one delivery.
+//     a promoted standby's replay and the router's retry of the same
+//     publish collapse to one delivery.
 //
 //   - Fencing interaction: a shard backed by a replicate.Leader returns
 //     replicate.ErrFenced once a standby has been promoted. The router
-//     treats fenced (and not-leader, crashed, closed) errors as
-//     retryable: it re-resolves the shard — via the Resolve hook or an
-//     external Attach of the promoted broker — and re-decides, relying
-//     on the seq translation above to keep the retry from double
-//     delivering.
+//     treats fenced (and crashed, closed) errors as retryable: it
+//     re-resolves the shard — via the Resolve hook or an external Attach
+//     of the promoted broker — and re-decides, relying on the seq
+//     translation above to keep the retry from double delivering.
 //
-// Shards may be in-process (*broker.Broker, replicate.Leader/Follower)
-// or remote: Remote adapts a transport client connection, so a shard can
-// be a whole pubsub-server — including a replicated pair sharing its
-// listener with followers via transport.Config.ReplHandler.
+// Shards may be in-process (*broker.Broker, replicate.Leader) or remote:
+// Remote adapts a transport client connection, so a shard can be a whole
+// pubsub-server — including a replicated pair sharing its listener with
+// followers via transport.Config.ReplHandler.
 package federate
 
 import (
@@ -65,18 +63,17 @@ var ErrUnknownSub = errors.New("federate: unknown subscription id")
 
 // Stats is a point-in-time snapshot of the router's counters.
 type Stats struct {
-	// Published counts router-level publications; Fanout counts the
-	// per-shard decides they expanded into (Fanout/Published > 1 means
-	// overlapping tiles or retries).
+	// Published counts router-level publications; Fanout counts decide
+	// attempts, one per publish plus one per retry.
 	Published int64
 	Fanout    int64
-	// Retries counts decide/apply attempts after a retryable shard
+	// Retries counts shard operations retried after a retryable shard
 	// failure; Resolves counts shard re-resolutions that installed a new
 	// shard (failover handovers).
 	Retries  int64
 	Resolves int64
 	// Delivered counts deliveries forwarded to the observer after
-	// cross-shard dedup; Suppressed counts the duplicates dedup caught;
+	// dedup; Suppressed counts the duplicates dedup caught;
 	// Unmapped counts deliveries whose shard-local seq had no recorded
 	// translation (replays from before this router's lifetime).
 	Delivered  int64

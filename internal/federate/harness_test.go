@@ -106,8 +106,10 @@ func interestedNodes(w *workload.World, ev workload.Event) map[topology.NodeID]b
 // checkExactlyOnce asserts the federated contract against the full
 // world's brute-force match: every acked event reaches each interested
 // node exactly once, unacked events at most once, and no (node, event)
-// pair is ever delivered twice.
-func checkExactlyOnce(t *testing.T, w *workload.World, evs []workload.Event, acked []bool, o *fedObs) {
+// pair is ever delivered twice. A lost or doubled acked event is
+// reported with the tile that owns it and r's counters, so a rare
+// failure says which shard it went through.
+func checkExactlyOnce(t *testing.T, w *workload.World, evs []workload.Event, acked []bool, o *fedObs, r *Router) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -115,7 +117,8 @@ func checkExactlyOnce(t *testing.T, w *workload.World, evs []workload.Event, ack
 		for n := range interestedNodes(w, ev) {
 			got := o.all[nk{n, ekey(ev)}]
 			if acked[i] && got != 1 {
-				t.Errorf("acked event %d delivered %d times to interested node %d, want exactly 1", i, got, n)
+				t.Errorf("acked event %d delivered %d times to interested node %d, want exactly 1 (owning tile %d, router %+v)",
+					i, got, n, r.tiles.Owner(ev.Point), r.Stats())
 			}
 			if !acked[i] && got > 1 {
 				t.Errorf("unacked event %d delivered %d times to node %d", i, got, n)
@@ -124,8 +127,18 @@ func checkExactlyOnce(t *testing.T, w *workload.World, evs []workload.Event, ack
 	}
 	for k, c := range o.all {
 		if c > 1 {
-			t.Errorf("node %d received %q %d times (cross-shard dedup failed)", k.node, k.ev, c)
+			t.Errorf("node %d received %q %d times (dedup failed)", k.node, k.ev, c)
 		}
+	}
+}
+
+// checkRoutedOnce asserts what single-owner routing implies when no
+// shard fails: one decide per publish, and nothing for the merge to
+// suppress or leave untranslated.
+func checkRoutedOnce(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Fanout != st.Published || st.Suppressed != 0 || st.Unmapped != 0 {
+		t.Errorf("router %+v: want Fanout == Published, Suppressed == 0, Unmapped == 0", st)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Partition is an ordered list of shard tiles. A router owns one shard
-// per tile; tile i is shard i's responsibility rectangle. Derive
-// produces disjoint tiles whose union is all of Ω (outermost tiles are
-// unbounded, so no event point can fall between the cracks), but the
-// Router accepts any tile list whose rectangles jointly cover the
-// workload — including overlapping ones.
+// Partition is an ordered list of disjoint shard tiles. A router owns
+// one shard per tile; tile i is shard i's responsibility rectangle, so
+// every event point has at most one owner. Derive produces tiles whose
+// union is all of Ω (outermost tiles are unbounded, so no event point
+// can fall between the cracks); a hand-built partition may leave gaps,
+// and a publish into one fails.
 type Partition []space.Rect
 
 // Dim returns the tiles' dimensionality.
@@ -26,7 +26,8 @@ func (p Partition) Dim() int {
 }
 
 // Validate checks the tile list is usable by a router: non-empty, every
-// tile non-empty and of equal dimensionality.
+// tile non-empty and of equal dimensionality, and no two tiles
+// overlapping, so no event point has two owners.
 func (p Partition) Validate() error {
 	if len(p) == 0 {
 		return fmt.Errorf("federate: partition has no tiles")
@@ -41,18 +42,24 @@ func (p Partition) Validate() error {
 				return fmt.Errorf("federate: tile %d is empty along dim %d", i, d)
 			}
 		}
+		for j := range p[:i] {
+			if t.Intersects(p[j]) {
+				return fmt.Errorf("federate: tiles %d and %d overlap", j, i)
+			}
+		}
 	}
 	return nil
 }
 
-// Owners appends to dst the indices of tiles containing point pt.
-func (p Partition) Owners(dst []int, pt space.Point) []int {
+// Owner returns the index of the tile containing point pt, or -1 when
+// no tile does.
+func (p Partition) Owner(pt space.Point) int {
 	for i, t := range p {
 		if t.Contains(pt) {
-			dst = append(dst, i)
+			return i
 		}
 	}
-	return dst
+	return -1
 }
 
 // Covering appends to dst the indices of tiles intersecting rect — the

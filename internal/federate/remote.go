@@ -70,12 +70,8 @@ func classify(err error) error {
 	if err == nil {
 		return nil
 	}
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, "fenced"):
+	if msg := err.Error(); strings.Contains(msg, "fenced") {
 		return fmt.Errorf("%w (remote: %s)", replicate.ErrFenced, msg)
-	case strings.Contains(msg, "not the leader"):
-		return fmt.Errorf("%w (remote: %s)", replicate.ErrNotLeader, msg)
 	}
 	return err
 }
@@ -87,21 +83,16 @@ func (m *Remote) DecideSeq(ev workload.Event) (int64, error) {
 	return seq, classify(err)
 }
 
-// Apply routes a subscribe/unsubscribe mutation over the wire.
-func (m *Remote) Apply(mu broker.Mutation) (int, error) {
-	if mu.Subscribe != nil {
-		slot, err := m.conn.Subscribe(mu.Subscribe.Owner, mu.Subscribe.Rect)
-		return int(slot), classify(err)
-	}
-	return mu.Slot, classify(m.conn.Unsubscribe(int64(mu.Slot)))
+// Subscribe registers s on the remote server and returns its slot.
+func (m *Remote) Subscribe(s workload.Subscription) (int, error) {
+	slot, err := m.conn.Subscribe(s.Owner, s.Rect)
+	return int(slot), classify(err)
 }
 
-// Checkpoint is a no-op: the remote server owns its durability cadence.
-func (m *Remote) Checkpoint() error { return nil }
-
-// Snapshot reports no local occupancy; the remote server owns the real
-// numbers.
-func (m *Remote) Snapshot() broker.ShardInfo { return broker.ShardInfo{} }
+// Unsubscribe releases a slot on the remote server.
+func (m *Remote) Unsubscribe(slot int) error {
+	return classify(m.conn.Unsubscribe(int64(slot)))
+}
 
 // Close tears down the connection and waits for the pump to drain.
 func (m *Remote) Close() error {

@@ -64,11 +64,11 @@ func TestRemoteShardOverWire(t *testing.T) {
 	}
 	t.Cleanup(func() { r.Close() })
 
-	idA, err := r.SubscribeID(workload.Subscription{Owner: 300, Rect: space.Rect{{Lo: 1, Hi: 2}}})
+	idA, err := r.Subscribe(workload.Subscription{Owner: 300, Rect: space.Rect{{Lo: 1, Hi: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idS, err := r.SubscribeID(workload.Subscription{Owner: 301, Rect: space.Rect{{Lo: 4, Hi: 6}}})
+	idS, err := r.Subscribe(workload.Subscription{Owner: 301, Rect: space.Rect{{Lo: 4, Hi: 6}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRemoteShardOverWire(t *testing.T) {
 	}
 
 	// Unsubscribe over the wire, then prove the remote slot is gone.
-	if err := r.UnsubscribeID(idA); err != nil {
+	if err := r.Unsubscribe(idA); err != nil {
 		t.Fatal(err)
 	}
 	evAgain := workload.Event{Pub: 0, Point: space.Point{1.7}}

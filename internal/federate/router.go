@@ -17,16 +17,23 @@ import (
 
 // SlotRef names one shard-local subscription slot. Slot ints are only
 // meaningful relative to their shard — two shards freely hand out the
-// same slot number — which is exactly the ambiguity SubID exists to fix.
+// same slot number — which is why the router hands out its own
+// subscription ids.
 type SlotRef struct {
 	Shard int
 	Slot  int
 }
 
-// SubID is a federation-wide subscription identifier. It is opaque and
-// never collides across shards; the router resolves it back to the
-// owning (shard, slot) pairs on Unsubscribe.
-type SubID int64
+const (
+	// dedupWindow bounds the per-subscriber duplicate-suppression window,
+	// in deliveries. It must exceed the number of deliveries a shard can
+	// replay after a failover (journaled-but-unacked tail plus
+	// deliveries in flight).
+	dedupWindow = 4096
+	// mapWindow bounds each shard's local→global seq translation table,
+	// in publications.
+	mapWindow = 65536
+)
 
 // Config parameterises a Router.
 type Config struct {
@@ -39,21 +46,11 @@ type Config struct {
 	Observer func(topology.NodeID, broker.Delivery)
 
 	// Resolve, when non-nil, is asked for a replacement shard after a
-	// retryable decide/apply failure (fenced, crashed, closed,
-	// not-leader). Returning nil means "no replacement yet"; the router
-	// backs off and asks again. Failover controllers that push the
-	// promoted broker via Attach instead can leave this nil.
+	// retryable shard failure (fenced, crashed, closed). Returning nil
+	// means "no replacement yet"; the router backs off and asks again.
+	// Failover controllers that push the promoted broker via Attach
+	// instead can leave this nil.
 	Resolve func(shard int) broker.Shard
-
-	// DedupWindow bounds the per-subscriber duplicate-suppression
-	// window, in deliveries. It must exceed the number of deliveries a
-	// shard can replay after a failover (journaled-but-unacked tail plus
-	// in-flight fan-out). 0 means 4096.
-	DedupWindow int
-
-	// MapWindow bounds each shard's local→global seq translation table,
-	// in publications. 0 means 65536.
-	MapWindow int
 
 	// MaxRetries, RetryBackoff and RetryTimeout bound the per-shard
 	// retry loop around retryable failures. Zero values mean 64 retries,
@@ -63,8 +60,8 @@ type Config struct {
 	RetryTimeout time.Duration
 }
 
-// Router fans the pub-sub surface out over one broker.Shard per tile
-// and merges the results back into a single exactly-once delivery
+// Router routes the pub-sub surface over one broker.Shard per tile and
+// merges the shards' delivery streams back into a single exactly-once
 // stream. See the package comment for the protocol.
 //
 // Router implements transport.Backend, so a pubsub-server can serve a
@@ -77,13 +74,13 @@ type Router struct {
 	// Attach, read on every decide. Guarded by mu.
 	mu      sync.RWMutex
 	shards  []broker.Shard
-	subs    map[SubID][]SlotRef
-	nextSub SubID
+	subs    map[int][]SlotRef
+	nextSub int
 
 	maps []*seqMap // per-shard local→global seq translation
 
 	dedupMu sync.Mutex
-	dedup   map[topology.NodeID]*dedupWindow
+	dedup   map[topology.NodeID]*ring[struct{}]
 
 	gseq   atomic.Int64
 	closed atomic.Bool
@@ -98,12 +95,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err := cfg.Tiles.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.DedupWindow <= 0 {
-		cfg.DedupWindow = 4096
-	}
-	if cfg.MapWindow <= 0 {
-		cfg.MapWindow = 65536
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 64
 	}
@@ -117,12 +108,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		tiles:  append(Partition(nil), cfg.Tiles...),
 		shards: make([]broker.Shard, len(cfg.Tiles)),
-		subs:   make(map[SubID][]SlotRef),
+		subs:   make(map[int][]SlotRef),
 		maps:   make([]*seqMap, len(cfg.Tiles)),
-		dedup:  make(map[topology.NodeID]*dedupWindow),
+		dedup:  make(map[topology.NodeID]*ring[struct{}]),
 	}
 	for i := range r.maps {
-		r.maps[i] = newSeqMap(cfg.MapWindow)
+		r.maps[i] = newSeqMap(mapWindow)
 	}
 	return r, nil
 }
@@ -162,11 +153,10 @@ func (r *Router) shard(i int) broker.Shard {
 
 // Retryable reports whether a shard error should trigger shard
 // re-resolution and retry rather than failing the operation: fencing
-// after a promotion, a not-yet-promoted standby, a simulated crash, a
-// shard (or its connection) closed mid-failover.
+// after a promotion, a simulated crash, a shard (or its connection)
+// closed mid-failover.
 func Retryable(err error) bool {
 	return errors.Is(err, replicate.ErrFenced) ||
-		errors.Is(err, replicate.ErrNotLeader) ||
 		errors.Is(err, faults.ErrCrashed) ||
 		errors.Is(err, broker.ErrClosed) ||
 		errors.Is(err, transport.ErrConnClosed) ||
@@ -212,16 +202,16 @@ func (r *Router) withShard(i int, op func(s broker.Shard) error) error {
 	}
 }
 
-// Publish fans ev out to every shard whose tile contains the event
-// point. See PublishSeq.
+// Publish sends ev to the shard whose tile contains the event point.
+// See PublishSeq.
 func (r *Router) Publish(ev workload.Event) error {
 	_, err := r.PublishSeq(ev)
 	return err
 }
 
-// PublishSeq publishes ev under a fresh router-global seq, fanning it
-// out to every owning shard and recording each shard's local seq for
-// delivery translation. The global seq is returned even on error: a
+// PublishSeq publishes ev under a fresh router-global seq on the one
+// shard that owns the event point, recording the shard's local seq for
+// delivery translation. The global seq is returned even on error: the
 // shard may have journaled the event (and will deliver it after a
 // failover replay) even when its publish call failed, and the recorded
 // translation is what keeps that replay plus the router's retry from
@@ -230,45 +220,29 @@ func (r *Router) PublishSeq(ev workload.Event) (int64, error) {
 	if r.closed.Load() {
 		return -1, ErrClosed
 	}
-	var owners [8]int
-	own := r.tiles.Owners(owners[:0], ev.Point)
-	if len(own) == 0 {
+	i := r.tiles.Owner(ev.Point)
+	if i < 0 {
 		return -1, fmt.Errorf("federate: no tile owns event point %v", ev.Point)
 	}
 	g := r.gseq.Add(1) - 1
 	r.stats.published.Add(1)
-	var firstErr error
-	for _, i := range own {
-		i := i
-		err := r.withShard(i, func(s broker.Shard) error {
-			r.stats.fanout.Add(1)
-			local, derr := s.DecideSeq(ev)
-			if local >= 0 {
-				// Record even on error: the seq was consumed, possibly
-				// journaled, and may resurface as a failover replay.
-				r.maps[i].record(local, g)
-			}
-			return derr
-		})
-		if err != nil && firstErr == nil {
-			firstErr = err
+	return g, r.withShard(i, func(s broker.Shard) error {
+		r.stats.fanout.Add(1)
+		local, err := s.DecideSeq(ev)
+		if local >= 0 {
+			// Record even on error: the seq was consumed, possibly
+			// journaled, and may resurface as a failover replay.
+			r.maps[i].record(local, g)
 		}
-	}
-	return g, firstErr
+		return err
+	})
 }
 
 // Subscribe registers s on every shard whose tile intersects its
-// rectangle and returns the federation-wide id as an int (satisfying
-// transport.Backend); SubscribeID returns the typed form.
+// rectangle — a rectangle straddling a tile boundary lives on several
+// shards — and returns a federation-wide id that resolves back to all of
+// them.
 func (r *Router) Subscribe(s workload.Subscription) (int, error) {
-	id, err := r.SubscribeID(s)
-	return int(id), err
-}
-
-// SubscribeID registers s across the federation. A rectangle straddling
-// a tile boundary is registered on every intersecting shard; the
-// returned SubID resolves back to all of them.
-func (r *Router) SubscribeID(s workload.Subscription) (SubID, error) {
 	if r.closed.Load() {
 		return -1, ErrClosed
 	}
@@ -281,21 +255,17 @@ func (r *Router) SubscribeID(s workload.Subscription) (SubID, error) {
 	for _, i := range own {
 		var slot int
 		err := r.withShard(i, func(sh broker.Shard) error {
-			got, aerr := sh.Apply(broker.Mutation{Subscribe: &s})
-			if aerr == nil {
+			got, serr := sh.Subscribe(s)
+			if serr == nil {
 				slot = got
 			}
-			return aerr
+			return serr
 		})
 		if err != nil {
 			// Roll back the shards already registered so a failed
 			// subscribe leaves no half-installed straddler behind.
 			for _, ref := range refs {
-				ref := ref
-				_ = r.withShard(ref.Shard, func(sh broker.Shard) error {
-					_, uerr := sh.Apply(broker.Mutation{Slot: ref.Slot})
-					return uerr
-				})
+				_ = r.withShard(ref.Shard, func(sh broker.Shard) error { return sh.Unsubscribe(ref.Slot) })
 			}
 			return -1, err
 		}
@@ -312,13 +282,9 @@ func (r *Router) SubscribeID(s workload.Subscription) (SubID, error) {
 	return id, nil
 }
 
-// Unsubscribe cancels the subscription by federation id (the int form
-// of the SubID returned by Subscribe), removing it from every shard it
-// was registered on.
-func (r *Router) Unsubscribe(id int) error { return r.UnsubscribeID(SubID(id)) }
-
-// UnsubscribeID cancels the subscription on every owning shard.
-func (r *Router) UnsubscribeID(id SubID) error {
+// Unsubscribe cancels the subscription with the federation id Subscribe
+// returned, removing it from every shard it was registered on.
+func (r *Router) Unsubscribe(id int) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
@@ -333,11 +299,7 @@ func (r *Router) UnsubscribeID(id SubID) error {
 	}
 	var firstErr error
 	for _, ref := range refs {
-		ref := ref
-		err := r.withShard(ref.Shard, func(sh broker.Shard) error {
-			_, uerr := sh.Apply(broker.Mutation{Slot: ref.Slot})
-			return uerr
-		})
+		err := r.withShard(ref.Shard, func(sh broker.Shard) error { return sh.Unsubscribe(ref.Slot) })
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -348,7 +310,7 @@ func (r *Router) UnsubscribeID(id SubID) error {
 // Refs returns the (shard, slot) pairs behind a subscription id —
 // observability for tests and operators; the slots themselves must not
 // be fed back into shard APIs behind the router's back.
-func (r *Router) Refs(id SubID) []SlotRef {
+func (r *Router) Refs(id int) []SlotRef {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return append([]SlotRef(nil), r.subs[id]...)
@@ -385,10 +347,10 @@ func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 	r.dedupMu.Lock()
 	w := r.dedup[n]
 	if w == nil {
-		w = newDedupWindow(r.cfg.DedupWindow)
+		w = newRing[struct{}](dedupWindow)
 		r.dedup[n] = w
 	}
-	fresh := w.admit(g)
+	fresh := w.put(g, struct{}{})
 	r.dedupMu.Unlock()
 	if !fresh {
 		r.stats.suppressed.Add(1)
@@ -399,19 +361,6 @@ func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 	if r.cfg.Observer != nil {
 		r.cfg.Observer(n, d)
 	}
-}
-
-// Checkpoint checkpoints every attached shard.
-func (r *Router) Checkpoint() error {
-	var firstErr error
-	for i := range r.tiles {
-		if s := r.shard(i); s != nil {
-			if err := s.Checkpoint(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
 }
 
 // Stats snapshots the router's counters.

@@ -30,15 +30,12 @@ func TestFederatedPublishDeliversExactlyOnce(t *testing.T) {
 	if err := f.r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, f.w, evs, acked, f.o)
+	checkExactlyOnce(t, f.w, evs, acked, f.o, f.r)
 	st := f.r.Stats()
 	if st.Published != int64(len(evs)) {
 		t.Errorf("Published = %d, want %d", st.Published, len(evs))
 	}
-	// Disjoint tiles: one decide per publish, no duplicates to suppress.
-	if st.Fanout != st.Published {
-		t.Errorf("Fanout = %d with disjoint tiles, want %d", st.Fanout, st.Published)
-	}
+	checkRoutedOnce(t, st)
 	if st.Delivered == 0 {
 		t.Error("no deliveries reached the federated observer")
 	}
@@ -76,14 +73,14 @@ func mkEvents(pts ...float64) []workload.Event {
 	return evs
 }
 
-// TestSubIDDisambiguatesShardLocalSlots is the regression for the
-// federated-unsubscribe bug: Broker.Subscribe returns a broker-local
+// TestSubscriptionIDsDisambiguateShardLocalSlots is the regression for
+// the federated-unsubscribe bug: Broker.Subscribe returns a broker-local
 // slot, two shards hand out the very same slot number, and routing an
 // unsubscribe by raw slot therefore cancels an arbitrary shard's
-// subscription. The router's SubID must resolve to the owning (shard,
-// slot) pair, so cancelling B leaves A's identically-numbered slot
-// alive.
-func TestSubIDDisambiguatesShardLocalSlots(t *testing.T) {
+// subscription. The router's federation id must resolve to the owning
+// (shard, slot) pair, so cancelling B leaves A's identically-numbered
+// slot alive.
+func TestSubscriptionIDsDisambiguateShardLocalSlots(t *testing.T) {
 	g := stockWorld(t, 821).Graph
 	tiles := Partition{
 		{{Lo: inf(-1), Hi: 5}},
@@ -110,11 +107,11 @@ func TestSubIDDisambiguatesShardLocalSlots(t *testing.T) {
 	}
 	defer r.Close()
 
-	idA, err := r.SubscribeID(workload.Subscription{Owner: 100, Rect: space.Rect{{Lo: 1, Hi: 2}}})
+	idA, err := r.Subscribe(workload.Subscription{Owner: 100, Rect: space.Rect{{Lo: 1, Hi: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, err := r.SubscribeID(workload.Subscription{Owner: 101, Rect: space.Rect{{Lo: 7, Hi: 8}}})
+	idB, err := r.Subscribe(workload.Subscription{Owner: 101, Rect: space.Rect{{Lo: 7, Hi: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestSubIDDisambiguatesShardLocalSlots(t *testing.T) {
 	if len(refsA) != 1 || len(refsB) != 1 {
 		t.Fatalf("refs = %v / %v, want one shard each", refsA, refsB)
 	}
-	// The trap the SubID exists for: identical local slots on different
+	// The trap federation ids exist for: identical local slots on different
 	// shards. Without this collision the test proves nothing.
 	if refsA[0].Slot != refsB[0].Slot {
 		t.Fatalf("local slots %d vs %d do not collide; harness broken", refsA[0].Slot, refsB[0].Slot)
@@ -131,7 +128,7 @@ func TestSubIDDisambiguatesShardLocalSlots(t *testing.T) {
 		t.Fatalf("subscriptions landed on the same shard %d; harness broken", refsA[0].Shard)
 	}
 
-	if err := r.UnsubscribeID(idB); err != nil {
+	if err := r.Unsubscribe(idB); err != nil {
 		t.Fatal(err)
 	}
 	evA := workload.Event{Pub: 0, Point: space.Point{1.5}}
@@ -149,7 +146,7 @@ func TestSubIDDisambiguatesShardLocalSlots(t *testing.T) {
 	if n := o.count(101, evB); n != 0 {
 		t.Errorf("cancelled subscription B received %d deliveries", n)
 	}
-	if err := r.UnsubscribeID(idB); !errors.Is(err, ErrUnknownSub) {
+	if err := r.Unsubscribe(idB); !errors.Is(err, ErrUnknownSub) {
 		t.Errorf("double unsubscribe returned %v, want ErrUnknownSub", err)
 	}
 }
@@ -182,7 +179,7 @@ func TestBoundaryStraddlerRegisteredOnBothShards(t *testing.T) {
 	}
 	defer r.Close()
 
-	id, err := r.SubscribeID(workload.Subscription{Owner: 200, Rect: space.Rect{{Lo: 4, Hi: 6}}})
+	id, err := r.Subscribe(workload.Subscription{Owner: 200, Rect: space.Rect{{Lo: 4, Hi: 6}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,64 +206,9 @@ func TestBoundaryStraddlerRegisteredOnBothShards(t *testing.T) {
 	if n := o.count(200, right); n != 1 {
 		t.Errorf("right event delivered %d times, want 1", n)
 	}
-	if err := r.UnsubscribeID(id); err != nil {
+	checkRoutedOnce(t, r.Stats())
+	if err := r.Unsubscribe(id); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestOverlappingTilesDeduplicate: with tiles sharing an overlap zone a
-// publish in the zone fans out to both shards, each of which decides
-// and delivers it — the router's per-(node, global-seq) window must
-// collapse the copies.
-func TestOverlappingTilesDeduplicate(t *testing.T) {
-	g := stockWorld(t, 825).Graph
-	tiles := Partition{
-		{{Lo: inf(-1), Hi: 6}},
-		{{Lo: 4, Hi: inf(1)}},
-	}
-	o := newFedObs()
-	r, err := NewRouter(Config{Tiles: tiles, Observer: o.cb()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The overlap-zone subscription (4.5, 5.5] is baked into BOTH shard
-	// worlds, exactly as tileWorld would do it. It is each world's first
-	// rect, so both shards give it the same owner (node 0).
-	mid := space.Interval{Lo: 4.5, Hi: 5.5}
-	w0 := miniWorld(t, g, mid, space.Interval{Lo: 0, Hi: 1})
-	w1 := miniWorld(t, g, mid, space.Interval{Lo: 9, Hi: 10})
-	train := mkEvents(0.5, 5.0, 9.5, 4.8, 5.2)
-	for i, w := range []*workload.World{w0, w1} {
-		b, err := broker.New(miniEngine(t, w, train), broker.WithWorkers(1), broker.WithObserver(r.ShardObserver(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Attach(i, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	evs := mkEvents(5.0, 4.7, 5.3, 4.9, 5.1)
-	for i := range evs {
-		if err := r.Publish(evs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := r.Stats()
-	if st.Fanout != 2*st.Published {
-		t.Errorf("Fanout = %d for %d overlap publishes, want %d", st.Fanout, st.Published, 2*st.Published)
-	}
-	if st.Suppressed == 0 {
-		t.Error("overlapping shards produced no suppressed duplicates")
-	}
-	for _, ev := range evs {
-		// w1's owner numbering puts the mid sub at node 0 too, so both
-		// shard copies target the same node: exactly one must survive.
-		if n := o.count(0, ev); n != 1 {
-			t.Errorf("event %v delivered %d times to overlap subscriber, want 1", ev.Point, n)
-		}
 	}
 }
 
@@ -372,12 +314,16 @@ func TestFencedLeaderRerouted(t *testing.T) {
 		t.Fatal(err)
 	}
 	ldr.Close() // drains the ex-leader's in-flight deliveries
-	checkExactlyOnce(t, w, evs, acked, o)
+	checkExactlyOnce(t, w, evs, acked, o, r)
 }
 
 func TestRouterValidation(t *testing.T) {
 	if _, err := NewRouter(Config{}); err == nil {
 		t.Error("NewRouter accepted an empty partition")
+	}
+	overlap := Partition{{{Lo: inf(-1), Hi: 6}}, {{Lo: 4, Hi: inf(1)}}}
+	if _, err := NewRouter(Config{Tiles: overlap}); err == nil {
+		t.Error("NewRouter accepted overlapping tiles")
 	}
 	tiles := Partition{{{Lo: 0, Hi: 5}}} // deliberately bounded: points outside have no owner
 	r, err := NewRouter(Config{Tiles: tiles, MaxRetries: 1, RetryBackoff: time.Millisecond, RetryTimeout: 50 * time.Millisecond})
@@ -388,7 +334,7 @@ func TestRouterValidation(t *testing.T) {
 	if err := r.Publish(workload.Event{Point: space.Point{7}}); err == nil {
 		t.Error("publish outside every tile succeeded")
 	}
-	if _, err := r.SubscribeID(workload.Subscription{Owner: 1, Rect: space.Rect{{Lo: 8, Hi: 9}}}); err == nil {
+	if _, err := r.Subscribe(workload.Subscription{Owner: 1, Rect: space.Rect{{Lo: 8, Hi: 9}}}); err == nil {
 		t.Error("subscribe outside every tile succeeded")
 	}
 	// No shard attached: the retry loop must bottom out on ErrNoShard.

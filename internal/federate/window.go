@@ -5,103 +5,86 @@ import (
 	"sync"
 )
 
-// windowEmpty marks an unused ring slot in both window types. Global
-// seqs start at 0 and synthetic replay keys are bit-complements of
-// non-negative values, so MinInt64 collides with neither.
-const windowEmpty = math.MinInt64
+// ringEmpty marks an unused key slot. Global seqs start at 0 and
+// synthetic replay keys are bit-complements of non-negative values, so
+// MinInt64 collides with neither.
+const ringEmpty = math.MinInt64
 
-// dedupWindow remembers the last N keys admitted for one subscriber
-// node and rejects re-admissions. Bounded: when the ring wraps, the
-// oldest key is forgotten (a duplicate older than the window would slip
-// through, so the window must exceed the deliveries a shard can have in
-// flight — see Config.DedupWindow). Callers hold the router's dedup
-// lock; the window itself is not concurrency-safe.
+// ring is a bounded map that forgets by arrival: it holds the n most
+// recently inserted keys, whatever their values, and drops the oldest
+// when a new key needs its slot. It is not concurrency-safe.
+//
+// The router keeps two kinds: a per-subscriber-node dedup window of
+// admitted global seqs (ring[struct{}], under the router's dedup lock),
+// and a per-shard local→global seq translation (ring[int64], inside
+// seqMap).
 //
 // Why not wire.Window, the residue-slot window the broker and transport
 // share: that one forgets by *value* (anything at or below max-size reads
 // as seen), which is right for one dense, nearly in-order seq stream. A
 // node's keys here are neither: global seqs are sparse per node (most
-// events miss it) and arrive merged out of order from several shards, so
-// a lagging shard's first delivery can sit far below the node's highest
-// key — a residue window would drop it as "already seen", turning a
-// duplicate filter into a loss. Synthetic replay keys are negative, which
-// a residue window rejects outright. This ring forgets by *arrival*
-// instead: the N most recent keys, whatever their values.
-// TestDedupWindowIsNotResidue pins both cases.
-type dedupWindow struct {
-	seen map[int64]struct{}
-	ring []int64
+// events miss it) and a node receives from several shards — its
+// straddlers live on several tiles, and it may own subscriptions in
+// several tiles — so its deliveries arrive out of order, and a lagging
+// shard's first delivery can sit far below the node's highest key. A
+// residue window would drop it as "already seen", turning a duplicate
+// filter into a loss. Synthetic replay keys are negative, which a residue
+// window rejects outright. The translation table is no residue window
+// either: it maps each local seq to a value, and concurrent DecideSeq
+// callers record entries out of order. TestDedupWindowIsNotResidue pins
+// the dedup cases.
+type ring[V any] struct {
+	m    map[int64]V
+	keys []int64
 	next int
 }
 
-func newDedupWindow(n int) *dedupWindow {
-	w := &dedupWindow{
-		seen: make(map[int64]struct{}, n),
-		ring: make([]int64, n),
+func newRing[V any](n int) *ring[V] {
+	r := &ring[V]{m: make(map[int64]V, n), keys: make([]int64, n)}
+	for i := range r.keys {
+		r.keys[i] = ringEmpty
 	}
-	for i := range w.ring {
-		w.ring[i] = windowEmpty
-	}
-	return w
+	return r
 }
 
-// admit reports whether key is new, recording it if so.
-func (w *dedupWindow) admit(key int64) bool {
-	if _, dup := w.seen[key]; dup {
-		return false
+// put stores key→v and reports whether key was new. A new key takes the
+// oldest key's slot; a known key keeps its slot and takes the new value.
+func (r *ring[V]) put(key int64, v V) bool {
+	_, known := r.m[key]
+	if !known {
+		if old := r.keys[r.next]; old != ringEmpty {
+			delete(r.m, old)
+		}
+		r.keys[r.next] = key
+		r.next = (r.next + 1) % len(r.keys)
 	}
-	if old := w.ring[w.next]; old != windowEmpty {
-		delete(w.seen, old)
-	}
-	w.ring[w.next] = key
-	w.next = (w.next + 1) % len(w.ring)
-	w.seen[key] = struct{}{}
-	return true
+	r.m[key] = v
+	return !known
 }
 
 // seqMap translates one shard's local publication seqs to router-global
-// seqs. Bounded the same way as dedupWindow, and not a residue window
-// either: it maps each local seq to a value, and concurrent DecideSeq
-// callers record entries out of order. A shard's deliveries race the
-// router's own bookkeeping — the broker can deliver an event before the
-// DecideSeq call that published it returns — so the router's Feed path
-// polls a missing entry briefly before declaring it unmapped.
+// seqs. A shard's deliveries race the router's own bookkeeping — the
+// broker can deliver an event before the DecideSeq call that published
+// it returns — so the router's Feed path polls a missing entry briefly
+// before declaring it unmapped.
 type seqMap struct {
-	mu   sync.Mutex
-	m    map[int64]int64
-	ring []int64
-	next int
+	mu sync.Mutex
+	r  *ring[int64]
 }
 
-func newSeqMap(n int) *seqMap {
-	s := &seqMap{
-		m:    make(map[int64]int64, n),
-		ring: make([]int64, n),
-	}
-	for i := range s.ring {
-		s.ring[i] = windowEmpty
-	}
-	return s
-}
+func newSeqMap(n int) *seqMap { return &seqMap{r: newRing[int64](n)} }
 
 // record stores local→global.
 func (s *seqMap) record(local, global int64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[local]; !ok {
-		if old := s.ring[s.next]; old != windowEmpty {
-			delete(s.m, old)
-		}
-		s.ring[s.next] = local
-		s.next = (s.next + 1) % len(s.ring)
-	}
-	s.m[local] = global
+	s.r.put(local, global)
+	s.mu.Unlock()
 }
 
 // lookup returns the global seq recorded for local, without waiting.
 func (s *seqMap) lookup(local int64) (int64, bool) {
 	s.mu.Lock()
-	g, ok := s.m[local]
+	g, ok := s.r.m[local]
 	s.mu.Unlock()
 	return g, ok
 }

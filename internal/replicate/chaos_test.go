@@ -51,7 +51,7 @@ func runFailover(t *testing.T, seed int64, plan faults.CrashPlan, midCkpt bool) 
 			}
 			acked[n] = true
 		}
-		if err := p.ldr.Checkpoint(); !errors.Is(err, faults.ErrCrashed) {
+		if err := p.ldr.Broker().Checkpoint(); !errors.Is(err, faults.ErrCrashed) {
 			t.Fatalf("mid-checkpoint crash: err = %v, want ErrCrashed", err)
 		}
 	} else {

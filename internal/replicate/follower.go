@@ -14,7 +14,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/health"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // FollowerConfig tunes the warm-standby half of a replicated pair.
@@ -76,8 +75,8 @@ func (c *FollowerConfig) setDefaults() {
 // — a warm standby. It detects leader death through its failure detector
 // and exposes the event; promotion (Promote / PromoteLeader) persists a
 // higher fencing epoch and runs ordinary crash-restart recovery over the
-// mirrored directory. As a broker.Shard it rejects all writes with
-// ErrNotLeader until promoted.
+// mirrored directory. It serves no publishes or subscriptions until
+// promoted.
 type Follower struct {
 	cfg     FollowerConfig
 	rep     *durable.Replica
@@ -103,8 +102,6 @@ type Follower struct {
 	closeCh    chan struct{}
 	done       chan struct{}
 }
-
-var _ broker.Shard = (*Follower)(nil)
 
 // StartFollower opens the replica directory, loads the persisted fencing
 // epoch, and starts the replication loop: connect, full resync, apply
@@ -502,22 +499,6 @@ func (f *Follower) Close() error {
 		return nil
 	}
 	return f.rep.Close()
-}
-
-// ---- broker.Shard (standby: reject writes) ------------------------------
-
-// DecideSeq rejects publishes: standbys do not serve writes.
-func (f *Follower) DecideSeq(workload.Event) (int64, error) { return -1, ErrNotLeader }
-
-// Apply rejects subscription churn: standbys do not serve writes.
-func (f *Follower) Apply(broker.Mutation) (int, error) { return 0, ErrNotLeader }
-
-// Checkpoint is a no-op: the standby mirrors the leader's checkpoints.
-func (f *Follower) Checkpoint() error { return nil }
-
-// Snapshot reports the mirror state (no decision plane until promoted).
-func (f *Follower) Snapshot() broker.ShardInfo {
-	return broker.ShardInfo{Durable: true}
 }
 
 // ---- accessors ----------------------------------------------------------

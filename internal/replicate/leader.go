@@ -132,8 +132,8 @@ type Leader struct {
 	stats   LeaderStats
 }
 
-// leaderTap adapts Leader to durable.Tap (Shard and Tap both want a
-// Checkpoint method, with different shapes).
+// leaderTap adapts Leader to durable.Tap, so the record hooks it feeds
+// stay unexported on Leader.
 type leaderTap struct{ l *Leader }
 
 var _ durable.Tap = leaderTap{}
@@ -761,15 +761,11 @@ func (l *Leader) Close() error {
 // broker.Shard) so a federation router can dedup the mirrored replay.
 func (l *Leader) DecideSeq(ev workload.Event) (int64, error) { return l.b.PublishSeq(ev) }
 
-// Apply performs one subscription mutation on the underlying broker.
-func (l *Leader) Apply(m broker.Mutation) (int, error) { return l.b.Apply(m) }
+// Subscribe registers s on the underlying broker.
+func (l *Leader) Subscribe(s workload.Subscription) (int, error) { return l.b.Subscribe(s) }
 
-// Checkpoint forces a checkpoint on the underlying broker (the install
-// marker ships to the follower).
-func (l *Leader) Checkpoint() error { return l.b.Checkpoint() }
-
-// Snapshot reports the underlying broker's decision state.
-func (l *Leader) Snapshot() broker.ShardInfo { return l.b.Snapshot() }
+// Unsubscribe releases a slot on the underlying broker.
+func (l *Leader) Unsubscribe(slot int) error { return l.b.Unsubscribe(slot) }
 
 // ---- accessors ----------------------------------------------------------
 

@@ -47,10 +47,6 @@ import (
 // refused to keep the promoted history authoritative.
 var ErrFenced = errors.New("replicate: fenced by a higher epoch (another leader was promoted)")
 
-// ErrNotLeader is returned by a Follower's Shard methods: a warm standby
-// rejects writes until promoted.
-var ErrNotLeader = errors.New("replicate: not the leader")
-
 // peerNode is the sentinel topology.NodeID both sides use to track the
 // remote peer in their health.Tracker (real node ids are ≥ 0).
 const peerNode = topology.NodeID(-1)

@@ -263,7 +263,7 @@ func TestCheckpointShipsToFollower(t *testing.T) {
 	acked := make([]bool, len(evs))
 	for i := range evs {
 		if i == 75 {
-			if err := p.ldr.Checkpoint(); err != nil {
+			if err := p.ldr.Broker().Checkpoint(); err != nil {
 				t.Fatalf("mid-run checkpoint: %v", err)
 			}
 		}
@@ -300,7 +300,7 @@ func TestCheckpointShipsToFollower(t *testing.T) {
 // on a quiet leader it would stay live until the next publish.
 func TestShippedCheckpointNotRetained(t *testing.T) {
 	p := startPair(t, 531, pairOpts{leaderDur: noAutoCkpt(nil)})
-	if err := p.ldr.Checkpoint(); err != nil {
+	if err := p.ldr.Broker().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	freed := tapTrackedCheckpoint(t, p)
@@ -808,26 +808,20 @@ func TestFenceFailsClosedWhenEpochPersistFails(t *testing.T) {
 	}
 }
 
-// TestShardContract pins both halves of the Shard interface: the standby
-// rejects writes with ErrNotLeader, the leader serves them.
+// TestShardContract pins that the leader is a broker.Shard serving
+// writes through its broker.
 func TestShardContract(t *testing.T) {
 	p := startPair(t, 551, pairOpts{leaderDur: noAutoCkpt(nil)})
 	var _ broker.Shard = p.ldr
-	var _ broker.Shard = p.flw
-	if _, err := p.flw.DecideSeq(p.w.Events(1, 1)[0]); !errors.Is(err, ErrNotLeader) {
-		t.Errorf("standby DecideSeq = %v, want ErrNotLeader", err)
-	}
-	if _, err := p.flw.Apply(broker.Mutation{Slot: 0}); !errors.Is(err, ErrNotLeader) {
-		t.Errorf("standby Apply = %v, want ErrNotLeader", err)
-	}
-	if !p.flw.Snapshot().Durable {
-		t.Error("standby Snapshot not durable")
-	}
 	if _, err := p.ldr.DecideSeq(p.w.Events(1, 1)[0]); err != nil {
-		t.Errorf("leader Decide = %v", err)
+		t.Errorf("leader DecideSeq = %v", err)
 	}
-	waitFor(t, 5*time.Second, "published counter", func() bool { return p.ldr.Snapshot().Published > 0 })
-	if info := p.ldr.Snapshot(); !info.Durable || info.Groups == 0 {
-		t.Errorf("leader Snapshot = %+v", info)
+	waitFor(t, 5*time.Second, "published counter", func() bool { return p.ldr.Broker().Stats().Published > 0 })
+	slot, err := p.ldr.Subscribe(p.w.Subs[0])
+	if err != nil {
+		t.Fatalf("leader Subscribe = %v", err)
+	}
+	if err := p.ldr.Unsubscribe(slot); err != nil {
+		t.Errorf("leader Unsubscribe = %v", err)
 	}
 }

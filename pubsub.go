@@ -475,28 +475,25 @@ var (
 	// ErrReplicaFenced reports that a higher fencing epoch was observed:
 	// another leader was promoted and this one must stand down.
 	ErrReplicaFenced = replicate.ErrFenced
-	// ErrReplicaNotLeader is returned by follower publish/apply paths.
-	ErrReplicaNotLeader = replicate.ErrNotLeader
 )
 
-// Federation: the subscription space rectangle-partitioned across N
-// shards behind one Router, which routes subscription churn to the
-// owning shard(s), fans each publish out to every tile overlapping the
-// event point and merges the per-shard delivery streams exactly-once —
-// deduplicating boundary straddlers and chasing replica failovers (see
-// the Federated broker shards section of DESIGN.md).
+// Federation: the subscription space cut into N disjoint rectangle
+// tiles, one shard each, behind one Router. The router registers a
+// subscription on every tile its rectangle intersects, sends each
+// publish to the one shard whose tile owns the event point, and merges
+// the per-shard delivery streams exactly-once — absorbing the replays
+// and retries of a replica failover (see the Federated broker shards
+// section of DESIGN.md).
 type (
 	// FederationPartition is an ordered list of shard tiles covering Ω.
 	FederationPartition = federate.Partition
-	// FederationRouter owns the shards, the fan-out and the merge.
+	// FederationRouter owns the shards, the routing and the merge.
 	FederationRouter = federate.Router
 	// FederationConfig tunes a router: tiles, merged-delivery observer,
-	// shard re-resolution hook, dedup and retry windows.
+	// shard re-resolution hook, retry budget.
 	FederationConfig = federate.Config
-	// FederationSubID names a federated subscription across shards.
-	FederationSubID = federate.SubID
-	// FederationStats counts fan-outs, retries, re-resolutions and
-	// suppressed duplicate deliveries.
+	// FederationStats counts publishes, decide attempts, retries,
+	// re-resolutions and suppressed duplicate deliveries.
 	FederationStats = federate.Stats
 	// FederationRemote is a shard reached over the wire transport.
 	FederationRemote = federate.Remote
