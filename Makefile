@@ -18,11 +18,12 @@ tier1: vet staticcheck alloc-regression
 
 # alloc-regression pins the decide path and the small-frame read loop at
 # zero allocations per operation, and R*-tree changes and churn snapshots at
-# O(path) allocations, via testing.AllocsPerRun. It must run without the
-# race detector (shadow allocations would inflate the counts), which is why
-# it is a separate tier1 prerequisite rather than part of the race suite.
+# O(path) allocations, via testing.AllocsPerRun, and bounds the federation
+# router's dedup state in bytes. It must run without the race detector
+# (shadow allocations would inflate the counts), which is why it is a
+# separate tier1 prerequisite rather than part of the race suite.
 alloc-regression:
-	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/
+	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/
 
 # fuzz-smoke runs every fuzz target for 5 s. go test fuzzes one target
 # per invocation, hence one call per target.
@@ -33,6 +34,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntervalAlgebra$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateNormalize$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressedWastePair$$' -fuzztime 5s ./internal/bitset/
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowMatchesResidue$$' -fuzztime 5s ./internal/wire/
 
 # staticcheck runs honnef.co/go/tools when the binary is on PATH and is a
 # no-op otherwise, so tier1 never depends on tooling the container lacks.

@@ -28,9 +28,14 @@
 //     from the shard-local publication seq to the router-global seq
 //     (shards report the seq they consumed via Shard.DecideSeq, even
 //     when the publish then failed — a journaled-but-unacked publish
-//     replays after a failover) and deduplicated per subscriber node, so
-//     a promoted standby's replay and the router's retry of the same
-//     publish collapse to one delivery.
+//     replays after a failover) and deduplicated per (subscriber node,
+//     tile) in a one-bit-per-seq wire.Window, so a promoted standby's
+//     replay and the router's retry of the same publish collapse to one
+//     delivery. One owner per event makes each (node, tile) stream one
+//     broker's, nearly in order, and a publish takes its global seq as it
+//     enters the shard, which is what a residue window needs; a
+//     half-accepted publish, which keeps its global seq through the
+//     retries, is counted exactly per node instead.
 //
 //   - Fencing interaction: a shard backed by a replicate.Leader returns
 //     replicate.ErrFenced once a standby has been promoted. The router

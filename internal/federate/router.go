@@ -12,6 +12,7 @@ import (
 	"repro/internal/replicate"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -25,13 +26,18 @@ type SlotRef struct {
 }
 
 const (
-	// dedupWindow bounds the per-subscriber duplicate-suppression window,
-	// in deliveries. It must exceed the number of deliveries a shard can
-	// replay after a failover (journaled-but-unacked tail plus
-	// deliveries in flight).
+	// dedupWindow is the size, in seqs, of each (node, tile) duplicate
+	// suppression window (one bit per seq): the window over global seqs
+	// and, on the unmapped-replay path, the one over local seqs. A
+	// delivery more than dedupWindow seqs below the highest its window
+	// admitted reads as a duplicate, so the window must exceed a shard's
+	// failover replay (journaled-but-unacked tail plus deliveries in
+	// flight), the reordering of its per-node fan-out, and the publishes
+	// that take a global seq while another is on its way into the shard.
+	// It is also how many half-accepted publishes each tile remembers.
 	dedupWindow = 4096
-	// mapWindow bounds each shard's local→global seq translation table,
-	// in publications.
+	// mapWindow is the number of local seqs each shard's local→global
+	// translation table remembers, in publications.
 	mapWindow = 65536
 )
 
@@ -79,8 +85,11 @@ type Router struct {
 
 	maps []*seqMap // per-shard local→global seq translation
 
+	// dedup[n][i] is node n's duplicate suppression for tile i, and
+	// half[i] tracks tile i's half-accepted publishes. See Feed.
 	dedupMu sync.Mutex
-	dedup   map[topology.NodeID]*ring[struct{}]
+	dedup   map[topology.NodeID][]tileDedup
+	half    []halfAccepted
 
 	gseq   atomic.Int64
 	closed atomic.Bool
@@ -110,7 +119,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		shards: make([]broker.Shard, len(cfg.Tiles)),
 		subs:   make(map[int][]SlotRef),
 		maps:   make([]*seqMap, len(cfg.Tiles)),
-		dedup:  make(map[topology.NodeID]*ring[struct{}]),
+		dedup:  make(map[topology.NodeID][]tileDedup),
+		half:   make([]halfAccepted, len(cfg.Tiles)),
 	}
 	for i := range r.maps {
 		r.maps[i] = newSeqMap(mapWindow)
@@ -209,10 +219,12 @@ func (r *Router) Publish(ev workload.Event) error {
 	return err
 }
 
-// PublishSeq publishes ev under a fresh router-global seq on the one
-// shard that owns the event point, recording the shard's local seq for
-// delivery translation. The global seq is returned even on error: the
-// shard may have journaled the event (and will deliver it after a
+// PublishSeq publishes ev under a router-global seq on the one shard
+// that owns the event point, recording the shard's local seq for
+// delivery translation. Each DecideSeq attempt takes a fresh global seq
+// until one consumes a local seq; from then on the retries keep it. The
+// global seq is returned even on error (-1 if no shard was reachable):
+// the shard may have journaled the event (and will deliver it after a
 // failover replay) even when its publish call failed, and the recorded
 // translation is what keeps that replay plus the router's retry from
 // double delivering.
@@ -224,18 +236,28 @@ func (r *Router) PublishSeq(ev workload.Event) (int64, error) {
 	if i < 0 {
 		return -1, fmt.Errorf("federate: no tile owns event point %v", ev.Point)
 	}
-	g := r.gseq.Add(1) - 1
 	r.stats.published.Add(1)
-	return g, r.withShard(i, func(s broker.Shard) error {
+	g, consumed := int64(-1), false
+	err := r.withShard(i, func(s broker.Shard) error {
+		if !consumed {
+			// No shard holds this publish yet, so it can take a seq
+			// that is current when it enters the shard (see Feed).
+			g = r.gseq.Add(1) - 1
+		}
 		r.stats.fanout.Add(1)
 		local, err := s.DecideSeq(ev)
 		if local >= 0 {
+			if err != nil {
+				r.markHalfAccepted(i, g)
+			}
 			// Record even on error: the seq was consumed, possibly
 			// journaled, and may resurface as a failover replay.
 			r.maps[i].record(local, g)
+			consumed = true
 		}
 		return err
 	})
+	return g, err
 }
 
 // Subscribe registers s on every shard whose tile intersects its
@@ -323,8 +345,31 @@ const feedWait = 20 * time.Millisecond
 
 // Feed merges one delivery from shard i into the federated stream:
 // translate the shard-local seq to the router-global one, suppress
-// duplicates per subscriber node, forward the survivor. It is the body
-// of ShardObserver(i) and the entry point for remote shard pumps.
+// duplicates per (subscriber node, tile), forward the survivor. It is the
+// body of ShardObserver(i) and the entry point for remote shard pumps.
+//
+// Every event has one owning tile, so node n's deliveries from tile i all
+// come from tile i's broker, in its local seq order up to the reordering
+// among its fan-out workers; a promoted broker enqueues its replay before
+// it serves new publishes. dedup[n][i].global is a residue window over the
+// global seqs of that stream. It reads a seq more than dedupWindow below
+// the highest it admitted as seen, so it relies on this bound: a first
+// delivery to n from tile i lies within dedupWindow global seqs of the
+// highest seq that (n, i) admitted. PublishSeq makes it hold: a publish
+// takes its global seq just before the DecideSeq attempt that gives it a
+// local seq, so a tile's global order departs from its local order only
+// by the publishes that take a global seq while one is on its way into
+// the shard, however long a publish spent retrying before.
+//
+// A half-accepted publish is the exception. Its DecideSeq consumed a local
+// seq and failed, so it keeps its global seq through the retries, and a
+// promoted shard may replay the consumed seq long after. Its copies are
+// counted exactly, per node, in half[i], which is filled before the seq's
+// translation is recorded so that no copy of it misses the set.
+//
+// The windows and sets are keyed by tile, not shard, so they survive
+// Attach: a promoted shard's replay meets the old incarnation's
+// admissions.
 func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 	g, ok := r.maps[i].lookup(d.Seq)
 	if !ok {
@@ -337,29 +382,83 @@ func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 		}
 	}
 	if !ok {
-		// A replay from an incarnation predating this router: no global
-		// seq exists. Dedup under a synthetic per-(shard, local-seq) key
-		// (always negative, so it cannot collide with global seqs) so
-		// repeated replays still collapse.
 		r.stats.unmapped.Add(1)
-		g = ^(int64(i)<<48 | d.Seq)
 	}
 	r.dedupMu.Lock()
-	w := r.dedup[n]
-	if w == nil {
-		w = newRing[struct{}](dedupWindow)
-		r.dedup[n] = w
+	ws := r.dedup[n]
+	if ws == nil {
+		ws = make([]tileDedup, len(r.tiles))
+		r.dedup[n] = ws
 	}
-	fresh := w.put(g, struct{}{})
+	td := &ws[i]
+	var fresh bool
+	if ok {
+		if td.global == nil {
+			td.global = wire.NewWindow(dedupWindow)
+		}
+		fresh = td.global.Admit(g)
+		if held, half := r.half[i].nodes[g]; half {
+			// The window may have slid far past g; the set is exact.
+			_, dup := held[n]
+			held[n] = struct{}{}
+			fresh = !dup
+		}
+	} else {
+		if td.local == nil {
+			td.local = wire.NewWindow(dedupWindow)
+		}
+		fresh = td.local.Admit(d.Seq)
+	}
 	r.dedupMu.Unlock()
 	if !fresh {
 		r.stats.suppressed.Add(1)
 		return
 	}
-	d.Seq = g
+	if ok {
+		d.Seq = g
+	} else {
+		// No global seq exists; forward a synthetic one, negative so it
+		// cannot collide with global seqs.
+		d.Seq = ^(int64(i)<<48 | d.Seq)
+	}
 	r.stats.delivered.Add(1)
 	if r.cfg.Observer != nil {
 		r.cfg.Observer(n, d)
+	}
+}
+
+// tileDedup is one (node, tile) stream's duplicate suppression. global
+// admits mapped deliveries by global seq; local admits unmapped ones — a
+// replay from an incarnation predating this router, for which no global
+// seq exists — by the local seq that tile's broker replays them under.
+// Each window is created on its first use.
+type tileDedup struct{ global, local *wire.Window }
+
+// halfAccepted is one tile's set of half-accepted publishes: the global
+// seq of each publish whose DecideSeq consumed a local seq and failed,
+// with the nodes that have admitted a copy of it. It remembers the last
+// dedupWindow such publishes.
+type halfAccepted struct {
+	nodes map[int64]map[topology.NodeID]struct{}
+	order []int64 // global seqs, oldest first
+}
+
+// markHalfAccepted adds g to tile i's half-accepted set, once.
+func (r *Router) markHalfAccepted(i int, g int64) {
+	r.dedupMu.Lock()
+	defer r.dedupMu.Unlock()
+	h := &r.half[i]
+	if _, known := h.nodes[g]; known {
+		return
+	}
+	if h.nodes == nil {
+		h.nodes = make(map[int64]map[topology.NodeID]struct{})
+	}
+	h.nodes[g] = make(map[topology.NodeID]struct{})
+	h.order = append(h.order, g)
+	if len(h.order) > dedupWindow {
+		delete(h.nodes, h.order[0])
+		h.order = h.order[1:]
 	}
 }
 
