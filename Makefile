@@ -18,12 +18,14 @@ tier1: vet staticcheck alloc-regression
 
 # alloc-regression pins the decide path and the small-frame read loop at
 # zero allocations per operation, and R*-tree changes and churn snapshots at
-# O(path) allocations, via testing.AllocsPerRun, and bounds the federation
-# router's dedup state in bytes. It must run without the race detector
-# (shadow allocations would inflate the counts), which is why it is a
-# separate tier1 prerequisite rather than part of the race suite.
+# O(path) allocations, via testing.AllocsPerRun, bounds the server's wire
+# path at two allocations per published event (TestServerAllocsPerPublish),
+# and bounds the federation router's dedup state in bytes. It must run
+# without the race detector (shadow allocations would inflate the counts),
+# which is why it is a separate tier1 prerequisite rather than part of the
+# race suite.
 alloc-regression:
-	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/
+	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint|TestServerAllocsPerPublish' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/ ./internal/transport/
 
 # fuzz-smoke runs every fuzz target for 5 s. go test fuzzes one target
 # per invocation, hence one call per target.

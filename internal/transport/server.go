@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -126,10 +127,15 @@ type Server struct {
 	b         Backend
 	ln        net.Listener
 	sessions  map[uint64]*session
-	byNode    map[topology.NodeID]map[*session]int // refcount of slots per session
 	nextToken uint64
 	draining  bool
 	closed    bool
+
+	// byNode lists the sessions holding a slot per subscribing node,
+	// under mu. A list is never changed in place: subscribe and
+	// unsubscribe install a new one, so Dispatch can range over the list
+	// it read after releasing mu.
+	byNode map[topology.NodeID][]*session
 
 	// wheel schedules flush-window deadlines for every session on one
 	// goroutine (nil when FlushWindow is disabled).
@@ -147,7 +153,7 @@ func NewServer(cfg Config) *Server {
 		cfg:      cfg,
 		met:      newMetrics(cfg.Registry, "wire"),
 		sessions: make(map[uint64]*session),
-		byNode:   make(map[topology.NodeID]map[*session]int),
+		byNode:   make(map[topology.NodeID][]*session),
 	}
 	if cfg.FlushWindow > 0 {
 		srv.wheel = newFlushWheel(cfg.FlushWindow)
@@ -164,10 +170,7 @@ func (srv *Server) Telemetry() *telemetry.Registry { return srv.cfg.Registry }
 // the backpressure chain the transport exists to extend.
 func (srv *Server) Dispatch(n topology.NodeID, d broker.Delivery) {
 	srv.mu.Lock()
-	var targets []*session
-	for s := range srv.byNode[n] {
-		targets = append(targets, s)
-	}
+	targets := srv.byNode[n]
 	srv.mu.Unlock()
 	if len(targets) == 0 {
 		return
@@ -383,7 +386,7 @@ func (srv *Server) readLoop(sess *session, gen int, conn net.Conn, r *wire.Reade
 				sess.detach(gen)
 				return
 			}
-			sess.sendCtrl(wire.AppendPong(nil, nonce))
+			sess.sendCtrl(ctrlMsg{typ: wire.TypePong, id: int64(nonce)})
 		case wire.TypeGoodbye:
 			srv.endSession(sess)
 			return
@@ -399,55 +402,45 @@ func (srv *Server) readLoop(sess *session, gen int, conn net.Conn, r *wire.Reade
 // replies. Retransmitted request ids return the cached reply without
 // repeating the side effect.
 func (srv *Server) handleSubscribe(sess *session, m wire.Subscribe) {
-	if cached := sess.cachedCtrlReply(m.ReqID); cached != nil {
-		sess.sendCtrl(cached)
+	if !sess.claim(m.ReqID) {
 		return
 	}
-	reply := wire.Subscribed{ReqID: m.ReqID}
+	reply := ctrlMsg{typ: wire.TypeSubscribed, id: m.ReqID}
 	srv.mu.Lock()
 	draining := srv.draining
 	b := srv.b
 	srv.mu.Unlock()
 	if draining {
-		reply.Err = "server draining"
+		reply.err = "server draining"
+	} else if slot, err := b.Subscribe(workloadSub(m)); err != nil {
+		reply.err = err.Error()
 	} else {
-		slot, err := b.Subscribe(workloadSub(m))
-		if err != nil {
-			reply.Err = err.Error()
-		} else {
-			reply.Slot = int64(slot)
-			srv.mu.Lock()
-			sess.mu.Lock()
-			if sess.dead {
-				sess.mu.Unlock()
-				srv.mu.Unlock()
-				// Session died while we were subscribing: undo.
-				b.Unsubscribe(slot)
-				return
-			}
-			sess.slots[int64(slot)] = m.Owner
+		reply.seq = int64(slot)
+		srv.mu.Lock()
+		sess.mu.Lock()
+		if sess.dead {
 			sess.mu.Unlock()
-			set := srv.byNode[m.Owner]
-			if set == nil {
-				set = make(map[*session]int)
-				srv.byNode[m.Owner] = set
-			}
-			set[sess]++
 			srv.mu.Unlock()
+			// Session died while we were subscribing: undo.
+			b.Unsubscribe(slot)
+			return
 		}
+		sess.slots[int64(slot)] = m.Owner
+		srv.addNodeRef(sess, m.Owner)
+		sess.finishLocked(reply, true)
+		sess.mu.Unlock()
+		srv.mu.Unlock()
+		return
 	}
-	frame := wire.AppendSubscribed(nil, reply)
-	sess.cacheCtrlReply(m.ReqID, frame)
-	sess.sendCtrl(frame)
+	sess.finish(reply, true)
 }
 
 // handleUnsubscribe releases a slot owned by this session.
 func (srv *Server) handleUnsubscribe(sess *session, m wire.Unsubscribe) {
-	if cached := sess.cachedCtrlReply(m.ReqID); cached != nil {
-		sess.sendCtrl(cached)
+	if !sess.claim(m.ReqID) {
 		return
 	}
-	reply := wire.Unsubscribed{ReqID: m.ReqID}
+	reply := ctrlMsg{typ: wire.TypeUnsubscribed, id: m.ReqID}
 	sess.mu.Lock()
 	owner, ok := sess.slots[m.Slot]
 	if ok {
@@ -455,19 +448,17 @@ func (srv *Server) handleUnsubscribe(sess *session, m wire.Unsubscribe) {
 	}
 	sess.mu.Unlock()
 	if !ok {
-		reply.Err = "unknown slot"
+		reply.err = "unknown slot"
 	} else {
 		srv.mu.Lock()
 		b := srv.b
 		srv.dropNodeRef(sess, owner)
 		srv.mu.Unlock()
 		if err := b.Unsubscribe(int(m.Slot)); err != nil {
-			reply.Err = err.Error()
+			reply.err = err.Error()
 		}
 	}
-	frame := wire.AppendUnsubscribed(nil, reply)
-	sess.cacheCtrlReply(m.ReqID, frame)
-	sess.sendCtrl(frame)
+	sess.finish(reply, true)
 }
 
 // workloadSub converts a wire subscribe into the broker's subscription.
@@ -475,67 +466,94 @@ func workloadSub(m wire.Subscribe) workload.Subscription {
 	return workload.Subscription{Owner: m.Owner, Rect: m.Rect}
 }
 
-// dropNodeRef decrements sess's slot refcount under node owner. Caller
-// holds srv.mu.
-func (srv *Server) dropNodeRef(sess *session, owner topology.NodeID) {
-	if set := srv.byNode[owner]; set != nil {
-		if set[sess]--; set[sess] <= 0 {
-			delete(set, sess)
-			if len(set) == 0 {
-				delete(srv.byNode, owner)
-			}
-		}
+// addNodeRef counts one more slot sess holds under node owner and, for
+// its first, installs a new session list for owner. Caller holds srv.mu.
+func (srv *Server) addNodeRef(sess *session, owner topology.NodeID) {
+	sess.nodeRefs[owner]++
+	if sess.nodeRefs[owner] == 1 {
+		srv.byNode[owner] = append(slices.Clip(srv.byNode[owner]), sess)
 	}
+}
+
+// dropNodeRef counts one slot fewer under node owner and, for the last,
+// installs a list for owner without sess. A session that endSession has
+// already unlisted holds no counts, and this is a no-op. Caller holds
+// srv.mu.
+func (srv *Server) dropNodeRef(sess *session, owner topology.NodeID) {
+	switch n := sess.nodeRefs[owner]; {
+	case n > 1:
+		sess.nodeRefs[owner] = n - 1
+	case n == 1:
+		delete(sess.nodeRefs, owner)
+		srv.unlist(sess, owner)
+	}
+}
+
+// unlist installs a list for owner without sess, which holds a count
+// there. Caller holds srv.mu.
+func (srv *Server) unlist(sess *session, owner topology.NodeID) {
+	list := srv.byNode[owner]
+	if len(list) == 1 {
+		delete(srv.byNode, owner)
+		return
+	}
+	i := slices.Index(list, sess)
+	srv.byNode[owner] = slices.Delete(slices.Clone(list), i, i+1)
 }
 
 // handlePublish feeds one client publication into the broker, deduping
 // retransmitted publish sequence numbers so a retry after a reconnect
 // enters the broker exactly once. The dedup window records a pseq only
-// after the broker accepted it — a failed publish stays retryable.
+// after the broker accepted it, so a failed publish stays retryable; a
+// retransmit that arrives while the original is still inside the broker
+// is dropped, and the original's ack answers both.
 func (srv *Server) handlePublish(sess *session, m wire.Publish) {
-	reply := wire.PubAck{PSeq: m.PSeq, Seq: -1}
+	reply := ctrlMsg{typ: wire.TypePubAck, id: m.PSeq, seq: -1}
 	sess.mu.Lock()
-	dup := sess.pubWin.Seen(m.PSeq)
-	sess.mu.Unlock()
-	if dup {
-		srv.met.publishDups.Inc()
+	fresh := false
+	if sess.pubWin.Seen(m.PSeq) {
 		// Replay the original ack when it is still cached, so a client
 		// whose ack was lost in a disconnect still learns the broker seq
 		// its publish consumed.
-		if cached := sess.cachedCtrlReply(m.PSeq); cached != nil {
-			sess.sendCtrl(cached)
-			return
+		if cached, ok := sess.cachedCtrlReply(m.PSeq); ok {
+			reply = cached
 		}
-		sess.sendCtrl(wire.AppendPubAck(nil, reply))
+		sess.sendCtrlLocked(reply)
+	} else {
+		fresh = sess.claimLocked(m.PSeq)
+	}
+	sess.mu.Unlock()
+	if !fresh {
+		srv.met.publishDups.Inc()
 		return
 	}
 	srv.mu.Lock()
 	draining := srv.draining
 	b := srv.b
 	srv.mu.Unlock()
+	accepted := false
 	if draining {
-		reply.Err = "server draining"
+		reply.err = "server draining"
 	} else if seq, err := b.PublishSeq(m.Ev); err != nil {
 		// The seq still reports, even alongside an error: a consumed seq
 		// may have been journaled before the failure, and a federation
 		// router needs it to dedup a recovery replay against its retry.
-		reply.Seq = seq
-		reply.Err = err.Error()
+		reply.seq = seq
+		reply.err = err.Error()
 	} else {
-		reply.Seq = seq
+		reply.seq = seq
+		accepted = true
 		srv.met.publishes.Inc()
-		sess.mu.Lock()
-		sess.pubWin.Admit(m.PSeq)
-		sess.mu.Unlock()
-		// Cache the successful ack for retransmission (pseqs share the
-		// control request-id space on the client, so the one cache serves
-		// both).
-		frame := wire.AppendPubAck(nil, reply)
-		sess.cacheCtrlReply(m.PSeq, frame)
-		sess.sendCtrl(frame)
-		return
 	}
-	sess.sendCtrl(wire.AppendPubAck(nil, reply))
+	sess.mu.Lock()
+	if accepted {
+		sess.pubWin.Admit(m.PSeq)
+	}
+	// Only a successful ack is cached for retransmission (pseqs share the
+	// control request-id space on the client, so the one cache serves
+	// both).
+	sess.finishLocked(reply, accepted)
+	sess.mu.Unlock()
 }
 
 // endSession terminates a session: unsubscribes its slots, drops it from
@@ -547,12 +565,10 @@ func (srv *Server) endSession(sess *session) {
 		delete(srv.sessions, sess.token)
 		srv.met.sessionsActive.Add(-1)
 	}
-	for owner, set := range srv.byNode {
-		delete(set, sess)
-		if len(set) == 0 {
-			delete(srv.byNode, owner)
-		}
+	for owner := range sess.nodeRefs {
+		srv.unlist(sess, owner)
 	}
+	clear(sess.nodeRefs)
 	b := srv.b
 	srv.mu.Unlock()
 	for _, slot := range slots {
@@ -591,9 +607,8 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 	if ln != nil {
 		ln.Close()
 	}
-	drain := wire.AppendDrain(nil)
 	for _, s := range sessions {
-		s.sendCtrl(drain)
+		s.sendCtrl(ctrlMsg{typ: wire.TypeDrain})
 	}
 
 	// Broker close drains its pipeline through Dispatch into the session
@@ -643,9 +658,8 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 
-	goodbye := wire.AppendGoodbye(nil)
 	for _, s := range sessions {
-		s.sendCtrl(goodbye)
+		s.sendCtrl(ctrlMsg{typ: wire.TypeGoodbye})
 	}
 	// Give the writers a moment to push the goodbye out before closing.
 	deadline := time.Now().Add(time.Second)

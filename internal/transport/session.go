@@ -1,10 +1,11 @@
 package transport
 
 import (
+	"fmt"
 	"net"
-	"time"
-
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -29,10 +30,12 @@ type session struct {
 	conn    net.Conn
 	connGen int
 
-	// ctrl holds encoded control frames awaiting the writer. Control
-	// frames are never credit-gated: pongs, pubacks and subscribe replies
-	// flow even when delivery credits are exhausted.
-	ctrl [][]byte
+	// ctrl holds control frames awaiting the writer, as values: the writer
+	// encodes them into its own buffer and hands back the slice it drained
+	// as the next queue, so the two slices alternate and neither re-grows.
+	// Control frames are never credit-gated: pongs, pubacks and subscribe
+	// replies flow even when delivery credits are exhausted.
+	ctrl []ctrlMsg
 
 	// queue holds deliveries not yet written (did-ascending); unacked
 	// holds deliveries written but not yet acknowledged. On resume the
@@ -53,16 +56,30 @@ type session struct {
 	// retransmission after a reconnect idempotent.
 	pubWin *wire.Window
 
-	// ctrlReplies caches encoded replies by control request id, so a
-	// subscribe/unsubscribe retransmitted after a reconnect returns the
-	// cached reply instead of repeating the side effect. Entries more than
-	// ctrlReplyWindow ids behind the newest are pruned.
-	ctrlReplies map[int64][]byte
-	maxCtrlReq  int64
+	// replies caches control replies by request id, so a publish,
+	// subscribe or unsubscribe retransmitted after a reconnect returns the
+	// cached reply instead of repeating the side effect. It is a ring
+	// indexed by id modulo its length, twice ctrlReplyWindow: every id the
+	// cache still answers for, at most ctrlReplyWindow below maxCtrlReq,
+	// has a slot of its own.
+	replies    [2 * ctrlReplyWindow]ctrlMsg
+	maxCtrlReq int64
+
+	// inflight lists the publish and control request ids whose handler is
+	// still inside the backend. A retransmit of one of them, read on a new
+	// connection while the old reader still waits, is dropped: the
+	// original caches and queues its reply when it returns. Each reader has
+	// at most one request in flight, so the list stays short.
+	inflight []int64
 
 	// slots maps broker subscription slots owned by this session to the
 	// subscribing node, for cleanup and byNode maintenance.
 	slots map[int64]topology.NodeID
+
+	// nodeRefs counts this session's slots per subscribing node; the
+	// session is in srv.byNode[n] exactly while nodeRefs[n] > 0. Guarded
+	// by srv.mu, not mu.
+	nodeRefs map[topology.NodeID]int
 
 	// flushDue/flushArmed drive flush-window coalescing via the server's
 	// shared flush wheel: the writer arms the wheel on the first delivery
@@ -81,15 +98,44 @@ type session struct {
 // ctrlReplyWindow bounds the cached control replies per session.
 const ctrlReplyWindow = 128
 
+// ctrlMsg is one control frame awaiting the writer. id is the request id,
+// publish sequence or ping nonce; seq is the broker seq of a pubAck or
+// the slot of a subscribed reply; err is a reply's error text.
+type ctrlMsg struct {
+	typ wire.Type
+	id  int64
+	seq int64
+	err string
+}
+
+// appendTo encodes m as a frame payload onto b.
+func (m ctrlMsg) appendTo(b []byte) []byte {
+	switch m.typ {
+	case wire.TypePubAck:
+		return wire.AppendPubAck(b, wire.PubAck{PSeq: m.id, Seq: m.seq, Err: m.err})
+	case wire.TypeSubscribed:
+		return wire.AppendSubscribed(b, wire.Subscribed{ReqID: m.id, Slot: m.seq, Err: m.err})
+	case wire.TypeUnsubscribed:
+		return wire.AppendUnsubscribed(b, wire.Unsubscribed{ReqID: m.id, Err: m.err})
+	case wire.TypePong:
+		return wire.AppendPong(b, uint64(m.id))
+	case wire.TypeDrain:
+		return wire.AppendDrain(b)
+	case wire.TypeGoodbye:
+		return wire.AppendGoodbye(b)
+	}
+	panic(fmt.Sprintf("transport: no control frame of type %d", m.typ))
+}
+
 func newSession(srv *Server, token uint64, credits uint32) *session {
 	s := &session{
-		srv:         srv,
-		token:       token,
-		credits:     int64(credits),
-		nextDid:     1,
-		pubWin:      wire.NewWindow(srv.cfg.PubDedupWindow),
-		ctrlReplies: make(map[int64][]byte),
-		slots:       make(map[int64]topology.NodeID),
+		srv:      srv,
+		token:    token,
+		credits:  int64(credits),
+		nextDid:  1,
+		pubWin:   wire.NewWindow(srv.cfg.PubDedupWindow),
+		slots:    make(map[int64]topology.NodeID),
+		nodeRefs: make(map[topology.NodeID]int),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -120,15 +166,20 @@ func (s *session) enqueue(d wire.Deliver) {
 	s.cond.Broadcast()
 }
 
-// sendCtrl queues one encoded control frame and wakes the writer. Control
-// frames for dead sessions are dropped.
-func (s *session) sendCtrl(frame []byte) {
+// sendCtrl queues one control frame and wakes the writer. Control frames
+// for dead sessions are dropped.
+func (s *session) sendCtrl(m ctrlMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.sendCtrlLocked(m)
+}
+
+// sendCtrlLocked is sendCtrl with mu held.
+func (s *session) sendCtrlLocked(m ctrlMsg) {
 	if s.dead {
 		return
 	}
-	s.ctrl = append(s.ctrl, frame)
+	s.ctrl = append(s.ctrl, m)
 	s.cond.Broadcast()
 }
 
@@ -158,28 +209,78 @@ func (s *session) grantCredit(n uint32) {
 	s.cond.Broadcast()
 }
 
-// cachedCtrlReply returns the cached reply for a retransmitted control
-// request id, or nil for a fresh id.
-func (s *session) cachedCtrlReply(reqID int64) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctrlReplies[reqID]
+// cachedCtrlReply returns the cached reply for a retransmitted request
+// id. ok is false for an id never cached, and for one more than
+// ctrlReplyWindow below the newest cached id. Caller holds mu.
+func (s *session) cachedCtrlReply(id int64) (m ctrlMsg, ok bool) {
+	if id < s.maxCtrlReq-ctrlReplyWindow {
+		return ctrlMsg{}, false
+	}
+	m = s.replies[replySlot(id)]
+	return m, m.typ != 0 && m.id == id
 }
 
-// cacheCtrlReply remembers a control reply for retransmission dedup,
-// pruning ids that have fallen ctrlReplyWindow behind.
-func (s *session) cacheCtrlReply(reqID int64, frame []byte) {
+// cacheCtrlReply remembers a reply for retransmission dedup. A reply
+// already more than ctrlReplyWindow below the newest is not kept. The
+// slot it takes last held an id at least twice the window away, which
+// has fallen out of the window either way. Caller holds mu.
+func (s *session) cacheCtrlReply(m ctrlMsg) {
+	if m.id > s.maxCtrlReq {
+		s.maxCtrlReq = m.id
+	}
+	if m.id >= s.maxCtrlReq-ctrlReplyWindow {
+		s.replies[replySlot(m.id)] = m
+	}
+}
+
+// replySlot maps a request id to its slot in the reply ring.
+func replySlot(id int64) int {
+	return int(uint64(id) % (2 * ctrlReplyWindow))
+}
+
+// claimLocked decides whether a request read from the wire needs its
+// handler. A request with a cached reply gets that reply again; one whose
+// original is still in flight is dropped, since the original answers when
+// it returns. Otherwise the id is marked in flight and the caller must
+// hand it to finishLocked. Caller holds mu.
+func (s *session) claimLocked(id int64) bool {
+	if m, ok := s.cachedCtrlReply(id); ok {
+		s.sendCtrlLocked(m)
+		return false
+	}
+	if slices.Contains(s.inflight, id) {
+		return false
+	}
+	s.inflight = append(s.inflight, id)
+	return true
+}
+
+// claim is claimLocked, taking mu.
+func (s *session) claim(id int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ctrlReplies[reqID] = frame
-	if reqID > s.maxCtrlReq {
-		s.maxCtrlReq = reqID
+	return s.claimLocked(id)
+}
+
+// finishLocked ends a request claimed by claimLocked: it clears the id
+// from the in-flight list, caches the reply when cache is set, and queues
+// it. Clearing and caching in one section means a retransmit either finds
+// the id in flight or finds its reply. Caller holds mu.
+func (s *session) finishLocked(reply ctrlMsg, cache bool) {
+	if i := slices.Index(s.inflight, reply.id); i >= 0 {
+		s.inflight = slices.Delete(s.inflight, i, i+1)
 	}
-	for id := range s.ctrlReplies {
-		if id < s.maxCtrlReq-ctrlReplyWindow {
-			delete(s.ctrlReplies, id)
-		}
+	if cache {
+		s.cacheCtrlReply(reply)
 	}
+	s.sendCtrlLocked(reply)
+}
+
+// finish is finishLocked, taking mu.
+func (s *session) finish(reply ctrlMsg, cache bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finishLocked(reply, cache)
 }
 
 // attach binds a new connection to the session, requeues the unacked
@@ -216,7 +317,10 @@ func (s *session) attach(conn net.Conn, w *wire.Writer, lastDid int64, credits u
 	}
 	s.unacked = s.unacked[:0]
 	s.credits = int64(credits)
-	s.ctrl = nil // stale control replies are retransmission-deduped anyway
+	// Queued replies were meant for the old connection. The client
+	// retransmits every request it holds no reply for, and the reply cache
+	// or the in-flight list answers each one on this connection.
+	s.ctrl = nil
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
@@ -301,7 +405,11 @@ func (s *session) flushed() bool {
 // exits when the connection is replaced, the session dies, or a write
 // fails.
 func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
-	var scratch []byte
+	var (
+		scratch []byte         // the frame payload being encoded
+		ctrl    []ctrlMsg      // control frames taken on this wake
+		batch   []wire.Deliver // deliveries taken on this wake
+	)
 	met := s.srv.met
 	for {
 		s.mu.Lock()
@@ -318,11 +426,11 @@ func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
 			s.mu.Unlock()
 			return
 		}
-		ctrl := s.ctrl
-		s.ctrl = nil
-		var batch []wire.Deliver
+		// The slice drained on the last wake becomes the next queue.
+		ctrl, s.ctrl = s.ctrl, ctrl[:0]
+		batch = batch[:0]
 		if s.deliveriesReadyLocked() {
-			batch = s.takeBatchLocked()
+			batch = s.takeBatchLocked(batch)
 			s.flushDue = false
 		}
 		if len(batch) == 0 && len(s.queue) > 0 && s.credits <= 0 {
@@ -333,8 +441,9 @@ func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
 		t0 := time.Now()
 		frames := 0
 		err := error(nil)
-		for _, f := range ctrl {
-			if err = w.WriteFrame(f); err != nil {
+		for _, m := range ctrl {
+			scratch = m.appendTo(scratch[:0])
+			if err = w.WriteFrame(scratch); err != nil {
 				break
 			}
 			frames++
@@ -387,19 +496,18 @@ func (s *session) flushFire() {
 }
 
 // takeBatchLocked moves up to credits deliveries from queue to unacked
-// and returns them. Caller holds mu.
-func (s *session) takeBatchLocked() []wire.Deliver {
+// and appends them to batch, the writer's reused buffer. Caller holds mu.
+func (s *session) takeBatchLocked(batch []wire.Deliver) []wire.Deliver {
 	n := len(s.queue)
 	if int64(n) > s.credits {
 		n = int(s.credits)
 	}
 	if n <= 0 {
-		return nil
+		return batch
 	}
-	batch := make([]wire.Deliver, n)
-	copy(batch, s.queue[:n])
+	batch = append(batch, s.queue[:n]...)
+	s.unacked = append(s.unacked, s.queue[:n]...)
 	s.queue = append(s.queue[:0], s.queue[n:]...)
 	s.credits -= int64(n)
-	s.unacked = append(s.unacked, batch...)
 	return batch
 }
