@@ -1,6 +1,6 @@
 // Broker runs the pub-sub system "for real": instead of pricing delivery
-// paths, it spins up an in-process delivery fabric (one inbox goroutine per
-// subscriber node, a decision stage, a fan-out worker pool) and pushes an
+// paths, it spins up an in-process delivery fabric (a decision stage and a
+// fan-out worker pool that accepts every copy) and pushes an
 // event stream through it. It contrasts a grid-clustered engine — fast,
 // but some multicast copies land on uninterested nodes — with a No-Loss
 // engine, whose groups by construction never waste a single copy.

@@ -108,8 +108,8 @@ func setupBig1M(b *testing.B) (*core.Engine, []workload.Event, int) {
 // subscribers: concurrent workers, each with its own SPT view and reused
 // DecideScratch, draining a shared event feed through
 // DecisionSnapshot.DecideInto — exactly what the broker's decision workers
-// run, minus the delivery fabric (a full Broker at this scale would need
-// one inbox goroutine per subscriber node). Run it via `make bench-1m`;
+// run, minus the fan-out stage (whose workers accept every copy inline,
+// so a full Broker's goroutines do not grow with subscriber nodes). Run it via `make bench-1m`;
 // -short drops to 65,536 subscribers for the CI smoke.
 func BenchmarkPublishDecide1M(b *testing.B) {
 	eng, evs, subs := setupBig1M(b)

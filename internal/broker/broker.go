@@ -1,9 +1,10 @@
 // Package broker turns the Engine's per-event delivery *decisions* into
-// actual message deliveries over an in-process fabric: every network node
-// gets an inbox goroutine, publications flow through a sharded decision
-// plane, and a fan-out worker pool places one copy of each event in every
-// destination inbox (group members, remainder top-ups, or unicast
-// targets).
+// actual message deliveries over an in-process fabric: publications flow
+// through a sharded decision plane, and a fan-out worker pool delivers one
+// copy of each event to every destination node (group members, remainder
+// top-ups, or unicast targets), accepting each copy inline — dedup, ack,
+// accounting and observer run on the fan-out worker, so no node has its
+// own queue or goroutine.
 //
 // The broker exists to validate delivery *semantics* end to end — the cost
 // model in internal/sim prices paths, this package checks who actually
@@ -36,8 +37,7 @@
 // Pipeline shape (all stdlib, structured shutdown):
 //
 //	Publish() → seq assignment → publishCh → N decision workers (snapshot reads)
-//	          → fanoutCh → M fan-out workers → per-node inboxes
-//	          → per-node consumer goroutines → Stats
+//	          → fanoutCh → M fan-out workers → accept per copy → Stats
 //	Subscribe()/Unsubscribe()/quarantines/auto-refresh → writer goroutine
 //	          → engine mutation → snapshot swap
 //
@@ -92,7 +92,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -117,15 +116,11 @@ type Delivery struct {
 	// top-up after the primary route exhausted its retries.
 	Degraded bool
 
-	// born is the decision-stage timestamp; the consumer turns it into the
+	// born is the decision-stage timestamp; accept turns it into the
 	// end-to-end delivery-latency histogram.
 	born time.Time
 	// trace is the event's sampled lifecycle trace, nil when untraced.
 	trace *telemetry.EventTrace
-	// pending counts this publication's copies still in flight (durable
-	// brokers only); the consumer that retires the last copy removes the
-	// publication from the checkpoint carry-forward set.
-	pending *atomic.Int64
 }
 
 // queued is one admitted publication in flight to the decision plane.
@@ -194,7 +189,7 @@ type routed struct {
 	// tok is the admission token carried from Publish.
 	tok *health.Token
 	// nodes are the delivery targets beyond Remainder/Interested: the
-	// routed group's members (NetworkMulticast) or every inbox node
+	// routed group's members (NetworkMulticast) or every subscriber node
 	// (Broadcast), captured at decision time from the snapshot so fan-out
 	// never reads mutable state. Read-only.
 	nodes []topology.NodeID
@@ -204,10 +199,9 @@ type routed struct {
 	// budget is the event's remaining retry allowance, shared across
 	// destinations.
 	budget *atomic.Int64
-	// pending refcounts the in-flight copies for durable brokers: it
-	// starts at 1 (the fan-out stage itself), gains 1 per inbox send, and
-	// the publication leaves the in-flight set when it hits zero.
-	pending *atomic.Int64
+	// acks collects the event's admitted copies for its one ack barrier
+	// (durable brokers only); owned by the fan-out worker.
+	acks *ackBatch
 }
 
 // Stats aggregates delivery accounting. Snapshot via Broker.Stats; the
@@ -217,7 +211,7 @@ type Stats struct {
 	Multicast  int64 // events delivered via a group
 	Unicast    int64 // events delivered by unicast only
 	Broadcast  int64 // events flooded (DynamicMethod engines only)
-	Deliveries int64 // message copies accepted at inboxes (post-dedup)
+	Deliveries int64 // message copies accepted at nodes (post-dedup)
 	Wasted     int64 // copies delivered to uninterested nodes
 
 	// Churn / snapshot counters.
@@ -274,12 +268,10 @@ type metrics struct {
 	offline     *telemetry.Counter
 	lost        *telemetry.Counter
 
-	// deliverLatency is decision→inbox-accept wall time per copy, ns.
+	// deliverLatency is decision→accept wall time per copy, ns.
 	deliverLatency *telemetry.Histogram
 	// backoffWait is time slept in retry backoff, ns.
 	backoffWait *telemetry.Histogram
-	// queueDepth samples the destination inbox depth at each enqueue.
-	queueDepth *telemetry.Histogram
 }
 
 func newMetrics(s *telemetry.Scope) metrics {
@@ -304,7 +296,6 @@ func newMetrics(s *telemetry.Scope) metrics {
 		lost:           s.Counter("lost"),
 		deliverLatency: s.Histogram("deliver_latency_ns", telemetry.LatencyBuckets()),
 		backoffWait:    s.Histogram("backoff_wait_ns", telemetry.LatencyBuckets()),
-		queueDepth:     s.Histogram("queue_depth", telemetry.LinearBuckets(0, 2, 16)),
 	}
 }
 
@@ -326,12 +317,12 @@ type ReliabilityConfig struct {
 	// deterministic jitter.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// DedupWindow is the per-consumer dedup memory, in sequence numbers
+	// DedupWindow is the per-node dedup memory, in sequence numbers
 	// (default 4096): a receiver remembers the last DedupWindow seqs and
 	// treats anything older as already seen. Duplicates only arise from
 	// immediate retransmission, so the window bounds dedup memory at
-	// 8·DedupWindow bytes per consumer instead of growing for the life of
-	// the broker.
+	// DedupWindow bits per node instead of growing for the life of the
+	// broker.
 	DedupWindow int
 }
 
@@ -384,14 +375,20 @@ func (rc *ReliabilityConfig) setDefaults() {
 	}
 }
 
-// routeTable is the immutable inbox/counter directory published through an
-// atomic pointer. The writer goroutine replaces it wholesale when a
-// Subscribe introduces a node that had no inbox at start — the counters
-// grow dynamically instead of being frozen at New (which would nil-deref
-// for post-start subscribers).
+// nodeState is one subscriber node's receiving end: its delivered counter
+// and, when the broker is durable or fault-injected, its dedup window.
+type nodeState struct {
+	delivered atomic.Int64
+	win       *lockedWindow
+}
+
+// routeTable is the immutable node directory published through an atomic
+// pointer. The writer goroutine replaces it wholesale when a Subscribe
+// introduces a node that had no state at start — the directory grows
+// dynamically instead of being frozen at New (which would nil-deref for
+// post-start subscribers).
 type routeTable struct {
-	inboxes map[topology.NodeID]chan Delivery
-	perNode map[topology.NodeID]*atomic.Int64
+	nodes map[topology.NodeID]*nodeState
 }
 
 // churnReq is one Subscribe/Unsubscribe request bound for the writer.
@@ -424,7 +421,7 @@ type Broker struct {
 	// seq numbers publications at ingress, so sequence order matches
 	// publish order even across concurrent decision workers.
 	seq atomic.Int64
-	// routes is the current inbox/counter directory (see routeTable).
+	// routes is the current node directory (see routeTable).
 	routes atomic.Pointer[routeTable]
 
 	publishCh    chan queued
@@ -474,7 +471,6 @@ type Broker struct {
 	decisionWG sync.WaitGroup
 	fanoutWG   sync.WaitGroup
 	writerWG   sync.WaitGroup
-	consumerWG sync.WaitGroup
 	closeOnce  sync.Once
 
 	// controlStop ends the control-loop goroutine; nil without WithHealth
@@ -500,8 +496,9 @@ func WithDecideWorkers(n int) Option {
 }
 
 // WithObserver registers a callback invoked for every accepted delivery
-// (after accounting and dedup). The callback runs on consumer goroutines
-// and must be safe for concurrent use.
+// (after accounting and dedup). The callback runs on the fan-out workers,
+// possibly for one node from two workers at once, and must be safe for
+// concurrent use; per-node order across events is not guaranteed.
 func WithObserver(fn func(topology.NodeID, Delivery)) Option {
 	return func(b *Broker) { b.observer = fn }
 }
@@ -607,35 +604,23 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 		b.initDurable()
 	}
 
-	// Initial snapshot and route table. Consumers only ever see fully
-	// populated, immutable tables.
+	// Initial snapshot and route table. Fan-out workers only ever see
+	// fully populated, immutable tables.
 	snap := engine.Snapshot()
 	b.snap.Store(snap)
 	b.ctr.snapVersion.Set(snap.Version())
 	b.lastSwap = time.Now()
-	rt := &routeTable{
-		inboxes: make(map[topology.NodeID]chan Delivery, len(engine.World().SubscriberNodes)),
-		perNode: make(map[topology.NodeID]*atomic.Int64, len(engine.World().SubscriberNodes)),
-	}
-	for _, n := range engine.World().SubscriberNodes {
-		rt.inboxes[n] = make(chan Delivery, 32)
-		rt.perNode[n] = new(atomic.Int64)
-	}
+	owners := engine.World().SubscriberNodes
 	if b.dur != nil {
 		// Recovered churned subscriptions were applied to the engine before
-		// New, bypassing ensureRoutes — give their owners inboxes now.
+		// New, bypassing ensureRoutes — give their owners state now.
+		owners = append([]topology.NodeID(nil), owners...)
 		for _, rec := range b.dur.subs {
-			if _, ok := rt.inboxes[rec.Owner]; !ok {
-				rt.inboxes[rec.Owner] = make(chan Delivery, 32)
-				rt.perNode[rec.Owner] = new(atomic.Int64)
-			}
+			owners = append(owners, rec.Owner)
 		}
 	}
-	b.routes.Store(rt)
-	for n, ch := range rt.inboxes {
-		b.consumerWG.Add(1)
-		go b.consume(n, ch, rt.perNode[n], b.consumerWindow(n))
-	}
+	b.routes.Store(&routeTable{nodes: map[topology.NodeID]*nodeState{}})
+	b.ensureRoutes(owners)
 
 	for i := 0; i < b.decideWorkers; i++ {
 		b.decisionWG.Add(1)
@@ -722,8 +707,8 @@ func (b *Broker) PublishSeq(ev workload.Event) (int64, error) {
 // the published decision snapshot: every event published afterwards that
 // matches it will be delivered (by unicast top-up until the next group
 // rebuild folds the subscriber into a group — never lost). A subscriber
-// node that had no inbox gets one, with its delivery counter grown
-// dynamically.
+// node the broker had no state for gets it, with its delivery counter
+// grown dynamically.
 func (b *Broker) Subscribe(s workload.Subscription) (int, error) {
 	b.closeMu.RLock()
 	defer b.closeMu.RUnlock()
@@ -783,11 +768,6 @@ func (b *Broker) Close() error {
 		// quarantines before exiting, then hands the engine back.
 		close(b.writerStop)
 		b.writerWG.Wait()
-		rt := b.routes.Load()
-		for _, ch := range rt.inboxes {
-			close(ch)
-		}
-		b.consumerWG.Wait()
 		if b.dur != nil {
 			// Everything is quiescent: a clean-shutdown checkpoint leaves
 			// nothing in the journal tail, so the next Open replays zero
@@ -838,7 +818,7 @@ func (b *Broker) Stats() Stats {
 		Quarantined:   b.ctr.quarantined.Value(),
 		Offline:       b.ctr.offline.Value(),
 		Lost:          b.ctr.lost.Value(),
-		PerNode:       make(map[topology.NodeID]int64, len(rt.perNode)),
+		PerNode:       make(map[topology.NodeID]int64, len(rt.nodes)),
 	}
 	if b.health != nil {
 		hc := b.health.CounterSnapshot()
@@ -851,8 +831,8 @@ func (b *Broker) Stats() Stats {
 		out.Probes = hc.Probes
 		out.AutoRefreshes = hc.Refreshes
 	}
-	for n, c := range rt.perNode {
-		out.PerNode[n] = c.Load()
+	for n, ns := range rt.nodes {
+		out.PerNode[n] = ns.delivered.Load()
 	}
 	return out
 }
@@ -932,9 +912,9 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.Model) {
 		if sc != nil {
 			nodes = sc.nodes[:0]
 		} else {
-			nodes = make([]topology.NodeID, 0, len(rt.inboxes))
+			nodes = make([]topology.NodeID, 0, len(rt.nodes))
 		}
-		for n := range rt.inboxes {
+		for n := range rt.nodes {
 			nodes = append(nodes, n)
 		}
 		if sc != nil {
@@ -1072,7 +1052,7 @@ apply:
 		b.journalChurn(reqs, resps)
 	}
 	// Routes first, snapshot second: once a decision can match the new
-	// subscriber, its inbox must already exist.
+	// subscriber, its node state must already exist.
 	b.ensureRoutes(newOwners)
 	b.publishSnapshot()
 	for i, r := range reqs {
@@ -1080,36 +1060,28 @@ apply:
 	}
 }
 
-// ensureRoutes grows the route table (copy-on-write) with inboxes,
-// counters and consumer goroutines for owners not yet present.
+// ensureRoutes grows the route table (copy-on-write) with node state for
+// owners not yet present.
 func (b *Broker) ensureRoutes(owners []topology.NodeID) {
 	rt := b.routes.Load()
 	var missing []topology.NodeID
 	for _, n := range owners {
-		if _, ok := rt.inboxes[n]; !ok {
+		if _, ok := rt.nodes[n]; !ok {
 			missing = append(missing, n)
 		}
 	}
 	if len(missing) == 0 {
 		return
 	}
-	nrt := &routeTable{
-		inboxes: make(map[topology.NodeID]chan Delivery, len(rt.inboxes)+len(missing)),
-		perNode: make(map[topology.NodeID]*atomic.Int64, len(rt.perNode)+len(missing)),
-	}
-	for n, ch := range rt.inboxes {
-		nrt.inboxes[n] = ch
-		nrt.perNode[n] = rt.perNode[n]
+	nrt := &routeTable{nodes: make(map[topology.NodeID]*nodeState, len(rt.nodes)+len(missing))}
+	for n, ns := range rt.nodes {
+		nrt.nodes[n] = ns
 	}
 	for _, n := range missing {
-		if _, ok := nrt.inboxes[n]; ok {
+		if _, ok := nrt.nodes[n]; ok {
 			continue // duplicate owner within one batch
 		}
-		ch := make(chan Delivery, 32)
-		nrt.inboxes[n] = ch
-		nrt.perNode[n] = new(atomic.Int64)
-		b.consumerWG.Add(1)
-		go b.consume(n, ch, nrt.perNode[n], b.consumerWindow(n))
+		nrt.nodes[n] = &nodeState{win: b.nodeWindow(n)}
 	}
 	b.routes.Store(nrt)
 }
@@ -1309,25 +1281,37 @@ func routePaths(view *multicast.Model, r *routed) map[topology.NodeID][]topology
 	return paths
 }
 
-// fanout places one copy per destination inbox. Each fully fanned-out
-// event releases its admission token — the point where the inflight bound
-// stops counting it.
+// ackBatch holds a durable event's admitted copies until one ack barrier
+// covers them all, so a fan-out worker waits once per event rather than
+// once per copy. Each fan-out worker owns one and reuses it.
+type ackBatch struct {
+	copies []ackedCopy
+	ticket int64 // highest ack ticket appended for the event
+}
+
+// ackedCopy is one admitted copy waiting for its event's ack barrier.
+type ackedCopy struct {
+	n  topology.NodeID
+	ns *nodeState
+	d  Delivery
+}
+
+// fanout delivers one copy per destination node and accepts each inline.
+// Each fully fanned-out event releases its admission token — the point
+// where the inflight bound stops counting it.
 func (b *Broker) fanout() {
 	defer b.fanoutWG.Done()
+	var acks ackBatch
 	for r := range b.fanoutCh {
-		if b.dur != nil {
-			// Refcount the copies: start at 1 for the fan-out stage itself
-			// so the count cannot hit zero until every send has happened.
-			r.pending = new(atomic.Int64)
-			r.pending.Store(1)
-		}
+		r.acks = &acks
 		b.fanoutOne(r)
-		if r.pending != nil && r.pending.Add(-1) == 0 {
+		if b.dur != nil {
+			b.flushAcks(&acks)
 			b.dur.inflight.Delete(r.seq)
 		}
 		r.tok.Release()
 		if r.scratch != nil {
-			// Every copy is in its inbox (Delivery holds values, not the
+			// Every copy is accepted (Delivery holds values, not the
 			// decision's slices), so the event no longer references the
 			// scratch-backed buffers.
 			decideScratchPool.Put(r.scratch)
@@ -1340,7 +1324,7 @@ func (b *Broker) fanoutOne(r routed) {
 	rt := b.routes.Load()
 	if r.d.Method == multicast.Broadcast {
 		// Flooding: every subscriber node captured at decision time
-		// receives a copy (non-subscriber nodes have no inbox and are
+		// receives a copy (non-subscriber nodes have no state and are
 		// represented by waste accounting at the cost level, not the
 		// delivery level).
 		for _, n := range r.nodes {
@@ -1386,13 +1370,13 @@ func (b *Broker) fanoutOne(r routed) {
 	}
 }
 
-// deliver places a copy in a node's inbox; unknown nodes (non-subscribers)
-// are counted but have no inbox. Under fault injection it runs the
+// deliver hands a copy to node n; unknown nodes (non-subscribers) are
+// counted but have no state. Under fault injection it runs the
 // reliability protocol.
 func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery) {
 	d.born = r.t0
 	d.trace = r.trace
-	ch, ok := rt.inboxes[n]
+	ns, ok := rt.nodes[n]
 	if !ok {
 		// A group may reference a node that stopped subscribing between
 		// refreshes; count the waste, nothing to deliver to.
@@ -1403,20 +1387,15 @@ func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery
 		return
 	}
 	if b.inj == nil {
-		b.ctr.queueDepth.Observe(float64(len(ch)))
-		if r.pending != nil {
-			r.pending.Add(1)
-			d.pending = r.pending
-		}
-		ch <- d
+		b.accept(r, n, ns, d)
 		return
 	}
-	b.deliverReliable(r, n, ch, d)
+	b.deliverReliable(r, n, ns, d)
 }
 
 // deliverReliable runs the retry → degrade → quarantine ladder for one
 // delivery over the lossy fabric.
-func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery, d Delivery) {
+func (b *Broker) deliverReliable(r routed, n topology.NodeID, ns *nodeState, d Delivery) {
 	if b.health != nil && !b.health.Tracker.AllowDest(n) {
 		// Open breaker: skip the destination outright instead of burning
 		// the event's retry budget on a known-dead path. The routed group
@@ -1462,7 +1441,7 @@ func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery
 			if b.health != nil {
 				b.health.Tracker.ReportPath(path, true)
 			}
-			b.complete(r, n, ch, d, attempt)
+			b.complete(r, n, ns, d, attempt)
 			return
 		}
 		r.trace.Add("retry", time.Now(), 0, int64(n), d.Group, attempt, "dropped")
@@ -1495,7 +1474,7 @@ func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery
 		}
 		if !b.inj.DropAttempt(r.seq, n, attempt+la, apath) {
 			b.ctr.degraded.Add(1)
-			b.complete(r, n, ch, d, attempt+la)
+			b.complete(r, n, ns, d, attempt+la)
 			return
 		}
 	}
@@ -1504,8 +1483,8 @@ func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery
 }
 
 // complete hands a successful (possibly retransmitted, possibly
-// duplicated, possibly delayed) copy to the destination inbox.
-func (b *Broker) complete(r routed, n topology.NodeID, ch chan<- Delivery, d Delivery, attempt int) {
+// duplicated, possibly delayed) copy to the destination node.
+func (b *Broker) complete(r routed, n topology.NodeID, ns *nodeState, d Delivery, attempt int) {
 	d.Attempt = attempt
 	if attempt > 0 {
 		b.ctr.redelivered.Add(1)
@@ -1513,17 +1492,83 @@ func (b *Broker) complete(r routed, n topology.NodeID, ch chan<- Delivery, d Del
 	if delay := b.inj.Delay(r.seq, n); delay > 0 {
 		time.Sleep(delay)
 	}
-	b.ctr.queueDepth.Observe(float64(len(ch)))
-	if r.pending != nil {
-		r.pending.Add(1)
-		d.pending = r.pending
-	}
-	ch <- d
+	b.accept(r, n, ns, d)
 	if b.inj.Duplicate(r.seq, n) {
-		if r.pending != nil {
-			r.pending.Add(1)
+		b.accept(r, n, ns, d) // receiver-side dedup suppresses the copy
+	}
+}
+
+// accept is node n's receiving end for one copy: dedup on the sequence
+// number, the durable ack append, then accounting and the observer. A
+// durable copy waits in r.acks for its event's ack barrier (flushAcks);
+// every other copy is observed at once.
+func (b *Broker) accept(r routed, n topology.NodeID, ns *nodeState, d Delivery) {
+	if ns.win != nil {
+		var store *durable.Store
+		if b.dur != nil {
+			store = b.dur.store
 		}
-		ch <- d // receiver-side dedup suppresses the copy
+		fresh, ticket, err := ns.win.admit(n, d.Seq, store)
+		if err != nil {
+			// Store crashed mid-ack: drop the copy unobserved — the next
+			// incarnation redelivers it unless the ack reached the journal
+			// first (the output-commit window; recorded for chaos oracles).
+			if errors.Is(err, faults.ErrCrashed) {
+				b.dur.noteLost(n, d.Seq)
+			}
+			return
+		}
+		if !fresh {
+			b.ctr.deduped.Add(1)
+			d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
+			return
+		}
+		if store != nil {
+			r.acks.copies = append(r.acks.copies, ackedCopy{n: n, ns: ns, d: d})
+			r.acks.ticket = max(r.acks.ticket, ticket)
+			return
+		}
+	}
+	b.observe(n, ns, d)
+}
+
+// flushAcks waits out one ack barrier covering every copy the event
+// admitted, then observes them. A failed barrier drops them unobserved,
+// recorded as lost when the store crashed, as a failed ack append is.
+func (b *Broker) flushAcks(a *ackBatch) {
+	if len(a.copies) == 0 {
+		return
+	}
+	err := b.dur.store.AckBarrier(a.ticket)
+	for _, c := range a.copies {
+		switch {
+		case err == nil:
+			b.observe(c.n, c.ns, c.d)
+		case errors.Is(err, faults.ErrCrashed):
+			b.dur.noteLost(c.n, c.d.Seq)
+		}
+	}
+	clear(a.copies)
+	a.copies, a.ticket = a.copies[:0], 0
+}
+
+// observe accounts one accepted copy and hands it to the observer.
+func (b *Broker) observe(n topology.NodeID, ns *nodeState, d Delivery) {
+	b.ctr.deliveries.Add(1)
+	ns.delivered.Add(1)
+	if !d.born.IsZero() {
+		lat := time.Since(d.born)
+		b.ctr.deliverLatency.ObserveDuration(lat)
+		if b.health != nil {
+			b.health.Tracker.ReportSuccess(n, lat)
+		}
+	}
+	d.trace.Add("ack", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
+	if !d.Interested {
+		b.ctr.wasted.Add(1)
+	}
+	if b.observer != nil {
+		b.observer(n, d)
 	}
 }
 
@@ -1554,70 +1599,4 @@ func (b *Broker) backoff(seq int64, n topology.NodeID, attempt int) {
 	wait := time.Duration(float64(d) * jitter)
 	time.Sleep(wait)
 	b.ctr.backoffWait.ObserveDuration(wait)
-}
-
-// consume drains one node's inbox, dedups on sequence number within a
-// bounded sliding window, and accounts deliveries. Durable brokers pass a
-// locked window (lw) that checkpoints can capture and journal each
-// admission as an ack record; otherwise a private window is used when
-// fault injection makes duplicates possible.
-func (b *Broker) consume(n topology.NodeID, ch <-chan Delivery, pn *atomic.Int64, lw *lockedWindow) {
-	defer b.consumerWG.Done()
-	var seen *wire.Window
-	if lw == nil && b.inj != nil {
-		seen = wire.NewWindow(b.rel.DedupWindow)
-	}
-	for d := range ch {
-		fresh := true
-		if lw != nil {
-			// Journal the ack before the seq enters the window, and do both
-			// under the window lock: a checkpoint capture must never see an
-			// admitted seq whose ack record failed to append (the copy is
-			// dropped unobserved and the persisted window would suppress its
-			// redelivery), and an ack that landed in a journal the checkpoint
-			// deletes must already be in the captured window.
-			var ack func() error
-			if b.dur != nil {
-				ack = func() error { return b.dur.store.AppendAck(n, d.Seq) }
-			}
-			var err error
-			fresh, err = lw.admitDurable(d.Seq, ack)
-			if err != nil {
-				// Store crashed mid-ack: drop the copy unobserved — the
-				// next incarnation redelivers it unless the ack reached
-				// the journal first (the output-commit window; recorded
-				// for chaos oracles).
-				if errors.Is(err, faults.ErrCrashed) && b.dur != nil {
-					b.dur.noteLost(n, d.Seq)
-				}
-				b.durDone(d)
-				continue
-			}
-		} else if seen != nil {
-			fresh = seen.Admit(d.Seq)
-		}
-		if !fresh {
-			b.ctr.deduped.Add(1)
-			d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
-			b.durDone(d)
-			continue
-		}
-		b.ctr.deliveries.Add(1)
-		pn.Add(1)
-		if !d.born.IsZero() {
-			lat := time.Since(d.born)
-			b.ctr.deliverLatency.ObserveDuration(lat)
-			if b.health != nil {
-				b.health.Tracker.ReportSuccess(n, lat)
-			}
-		}
-		d.trace.Add("ack", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
-		if !d.Interested {
-			b.ctr.wasted.Add(1)
-		}
-		if b.observer != nil {
-			b.observer(n, d)
-		}
-		b.durDone(d)
-	}
 }

@@ -24,8 +24,8 @@ func fullRect(dim int) space.Rect {
 }
 
 // nonSubscriber returns a node with no subscription at world build time —
-// the broker has no inbox or counter for it, so subscribing it exercises
-// the dynamic route-table growth (the old broker froze both at New and
+// the broker has no node state for it, so subscribing it exercises the
+// dynamic route-table growth (the old broker froze the table at New and
 // would nil-deref).
 func nonSubscriber(t *testing.T, e *core.Engine, w *workload.World) topology.NodeID {
 	t.Helper()

@@ -8,10 +8,11 @@ package broker
 //     replay order equals snapshot swap order;
 //   - publish records appended (and fsync-batched) before Publish returns,
 //     so an acknowledged publish survives any crash;
-//   - delivery-ack records appended before a consumed copy is counted, so
-//     recovery knows which copies already arrived;
+//   - delivery-ack records appended before an accepted copy is counted, so
+//     recovery knows which copies already arrived; under replication one
+//     ack barrier per event covers its copies before any is observed;
 //   - periodic checkpoints — journal rotation, in-flight publishes carried
-//     into the fresh epoch, then engine churn state + per-consumer dedup
+//     into the fresh epoch, then engine churn state + per-node dedup
 //     windows + preserved counters installed atomically — after which the
 //     previous epochs' journals are deleted.
 //
@@ -50,38 +51,39 @@ var preservedCounters = []string{
 	"deliveries", "wasted", "subscribes", "unsubscribes",
 }
 
-// lockedWindow pairs a consumer's dedup window with a mutex so checkpoints
-// can capture it while the consumer keeps admitting. Only durable brokers
-// pay for the lock; fault-injection-only consumers keep a private window.
+// lockedWindow pairs a node's dedup window with a mutex: two fan-out
+// workers may accept copies for one node at once, and checkpoints capture
+// the window while they do.
 type lockedWindow struct {
 	mu sync.Mutex
 	w  *wire.Window
 }
 
-// admitDurable performs duplicate-check → ack append → admission as one
-// atomic step with respect to checkpoint capture. The ordering is
-// load-bearing for exactly-once across a crash: if the seq entered the
-// window before its ack record existed, a checkpoint could capture the
-// window mid-gap and persist "seen" for a copy that is then dropped when
-// the append fails — the next incarnation would suppress the redelivery
-// and the publish would be lost. Holding the lock across the append also
-// guarantees that an ack landing in the pre-rotation epoch (whose journal
-// the checkpoint deletes) is always visible to the subsequent capture.
-// Returns fresh=false for duplicates (nothing appended) and a non-nil err
-// when the store refused the ack (caller drops the copy unobserved).
-func (lw *lockedWindow) admitDurable(seq int64, ack func() error) (fresh bool, err error) {
+// admit performs duplicate check → ack append (when store is non-nil) →
+// admission as one atomic step with respect to checkpoint capture. The
+// ordering is load-bearing for exactly-once across a crash: if the seq
+// entered the window before its ack record existed, a checkpoint could
+// capture the window mid-gap and persist "seen" for a copy that is then
+// dropped when the append fails — the next incarnation would suppress the
+// redelivery and the publish would be lost. Holding the lock across the
+// append also guarantees that an ack landing in the pre-rotation epoch
+// (whose journal the checkpoint deletes) is always visible to the
+// subsequent capture. Returns fresh=false for duplicates (nothing
+// appended), the ack's barrier ticket, and a non-nil err when the store
+// refused the ack (caller drops the copy unobserved).
+func (lw *lockedWindow) admit(n topology.NodeID, seq int64, store *durable.Store) (fresh bool, ticket int64, err error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	if lw.w.Seen(seq) {
-		return false, nil
+		return false, 0, nil
 	}
-	if ack != nil {
-		if err := ack(); err != nil {
-			return false, err
+	if store != nil {
+		if ticket, err = store.AppendAck(n, seq); err != nil {
+			return false, 0, err
 		}
 	}
 	lw.w.Admit(seq)
-	return true, nil
+	return true, ticket, nil
 }
 
 func (lw *lockedWindow) capture() (int64, []int64) {
@@ -102,8 +104,7 @@ type recoveredInit struct {
 
 // durState is the broker's durability bookkeeping. The identity maps are
 // owned by the writer goroutine (churn, refresh remaps and checkpoints all
-// run there); inflight and the windows' contents are shared with
-// publishers and consumers.
+// run there); inflight is shared with publishers and fan-out workers.
 type durState struct {
 	store *durable.Store
 
@@ -114,16 +115,12 @@ type durState struct {
 	subs        map[int64]durable.SubRecord // live churned subs (id ≥ baseCount)
 	removedBase map[int64]bool
 
-	// inflight maps seq → workload.Event for publishes not yet consumed by
-	// every addressed copy; checkpoints re-append these into the fresh
-	// journal epoch so truncation never drops an undelivered publish.
+	// inflight maps seq → workload.Event for publishes whose fan-out has
+	// not finished; checkpoints re-append these into the fresh journal
+	// epoch so truncation never drops an undelivered publish.
 	inflight sync.Map
 
-	// windows holds each consumer's locked dedup window (written at
-	// consumer spawn — New or the writer's ensureRoutes — read by
-	// checkpoints on the same goroutine or after quiescence in Close).
-	windows map[topology.NodeID]*lockedWindow
-	// recovered seeds windows for consumers not yet spawned.
+	// recovered seeds the windows of nodes not yet in the route table.
 	recovered map[topology.NodeID]*wire.Window
 
 	// lost records copies dropped unobserved because a simulated crash
@@ -144,11 +141,12 @@ func (d *durState) noteLost(n topology.NodeID, seq int64) {
 }
 
 // CrashDroppedCopies lists the (node, seq) copies this incarnation dropped
-// unobserved because a simulated crash interrupted the ack append. For
-// each listed pair the delivery count across incarnations is 0 or 1 —
-// whether the suppressing ack reached the journal before the crash is
-// exactly what the crash made unknowable — so chaos oracles assert "never
-// 2" there and "exactly 1" everywhere else. Empty without fault injection.
+// unobserved because a simulated crash interrupted the ack append or the
+// ack barrier of the copy's event. For each listed pair the delivery count
+// across incarnations is 0 or 1 — whether the suppressing ack reached the
+// journal (or the replica) before the crash is exactly what the crash made
+// unknowable — so chaos oracles assert "never 2" there and "exactly 1"
+// everywhere else. Empty without fault injection.
 func (b *Broker) CrashDroppedCopies() []durable.AckRecord {
 	if b.dur == nil {
 		return nil
@@ -277,7 +275,6 @@ func Open(dir string, engine *core.Engine, opts ...Option) (*Broker, error) {
 // counters, and position the sequence allocator past everything journaled.
 func (b *Broker) initDurable() {
 	d := b.dur
-	d.windows = map[topology.NodeID]*lockedWindow{}
 	d.recovered = map[topology.NodeID]*wire.Window{}
 	d.store.Instrument(b.reg)
 	if d.init == nil {
@@ -303,34 +300,22 @@ func (b *Broker) initDurable() {
 	b.seq.Store(in.nextSeq)
 }
 
-// consumerWindow builds node n's dedup window holder at consumer spawn:
-// nil without durability (fault-injection consumers keep a private,
-// lock-free window), otherwise a locked window seeded from recovery.
-func (b *Broker) consumerWindow(n topology.NodeID) *lockedWindow {
-	if b.dur == nil {
+// nodeWindow builds node n's dedup window when n enters the route table:
+// nil unless the broker is durable or fault-injected (only then can a copy
+// arrive twice), seeded from recovery on a durable broker.
+func (b *Broker) nodeWindow(n topology.NodeID) *lockedWindow {
+	if b.dur == nil && b.inj == nil {
 		return nil
 	}
-	w, ok := b.dur.recovered[n]
-	if ok {
+	var w *wire.Window
+	if b.dur != nil {
+		w = b.dur.recovered[n]
 		delete(b.dur.recovered, n)
-	} else {
+	}
+	if w == nil {
 		w = wire.NewWindow(b.rel.DedupWindow)
 	}
-	lw := &lockedWindow{w: w}
-	b.dur.windows[n] = lw
-	return lw
-}
-
-// durDone retires one consumed (or skipped) copy of a publication; when
-// the last copy retires, the publication leaves the in-flight set and
-// future checkpoints stop carrying its journal record forward.
-func (b *Broker) durDone(d Delivery) {
-	if d.pending == nil {
-		return
-	}
-	if d.pending.Add(-1) == 0 {
-		b.dur.inflight.Delete(d.Seq)
-	}
+	return &lockedWindow{w: w}
 }
 
 // journalChurn appends one record per applied churn request, then issues a
@@ -447,8 +432,10 @@ func (b *Broker) doCheckpoint() error {
 		cp.Subs = append(cp.Subs, rec)
 	}
 	sort.Slice(cp.Subs, func(i, j int) bool { return cp.Subs[i].ID < cp.Subs[j].ID })
-	for n, lw := range d.windows {
-		max, seqs := lw.capture()
+	// Only the writer grows the route table (and Close runs quiescent);
+	// every node of a durable broker has a window.
+	for n, ns := range b.routes.Load().nodes {
+		max, seqs := ns.win.capture()
 		if max < 0 {
 			continue // nothing admitted yet
 		}

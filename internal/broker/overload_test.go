@@ -24,7 +24,7 @@ func matches(w *workload.World, ev workload.Event) bool {
 	return false
 }
 
-// slowBroker builds a broker whose consumers sleep per delivery, so the
+// slowBroker builds a broker whose observer sleeps per delivery, so the
 // pipeline congests under a fast publisher. Returns the broker and a
 // function reporting the distinct sequence numbers delivered.
 func slowBroker(t *testing.T, e *core.Engine, delay time.Duration, hc health.Config) (*Broker, func() map[int64]bool) {

@@ -84,7 +84,7 @@ func TestDurableJournalRoundTrip(t *testing.T) {
 	if err := s.AppendPublish(1, testEvent(2, 0.75)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendAck(5, 0); err != nil {
+	if _, err := s.AppendAck(5, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

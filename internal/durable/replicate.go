@@ -37,8 +37,8 @@ import (
 //   - Barrier blocks until every record with ticket ≤ idx is acknowledged
 //     by the replica, the tap decides to proceed without one (replica
 //     declared dead), or the leader is fenced (error). It is called
-//     outside the store locks, after the local fsync, by both publish
-//     barriers and delivery-ack appends.
+//     outside the store locks, after the local fsync, by publish barriers
+//     and by AckBarrier, once per event's delivery acks.
 type Tap interface {
 	AppendRecord(idx int64, payload []byte)
 	Rotate(journalEpoch int64)

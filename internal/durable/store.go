@@ -614,18 +614,21 @@ func (s *Store) AppendPublishes(recs []PublishRecord) error {
 	return nil
 }
 
-// AppendAck journals a delivery admission (buffered; rides the next
-// fsync barrier locally). With a replication tap installed it does wait
-// for the replica's acknowledgement: a delivery may only be observed once
-// the ack record that suppresses its replay exists on both sides —
-// otherwise a promoted follower would deliver the copy again.
-func (s *Store) AppendAck(node topology.NodeID, seq int64) error {
-	t, err := s.append(encodeAckRecord(nil, AckRecord{Node: node, Seq: seq}))
-	if err != nil {
-		return err
-	}
+// AppendAck journals a delivery admission and returns its barrier ticket
+// (buffered; rides the next fsync barrier locally). With a replication tap
+// installed the copy may only be observed once AckBarrier has covered the
+// ticket: the ack record that suppresses its replay must exist on both
+// sides, or a promoted follower would deliver the copy again.
+func (s *Store) AppendAck(node topology.NodeID, seq int64) (int64, error) {
+	return s.append(encodeAckRecord(nil, AckRecord{Node: node, Seq: seq}))
+}
+
+// AckBarrier waits until the replica has acknowledged every record with
+// ticket ≤ the argument; without a tap it returns nil at once. One call
+// covers every ack appended before it, so a broker waits once per event.
+func (s *Store) AckBarrier(ticket int64) error {
 	if s.tap != nil {
-		return s.tap.Barrier(t)
+		return s.tap.Barrier(ticket)
 	}
 	return nil
 }

@@ -48,7 +48,8 @@ type Config struct {
 
 	// Observer receives every federated delivery exactly once, with
 	// Delivery.Seq rewritten to the router-global publication seq.
-	// Called from shard consumer goroutines; may be nil.
+	// Called from the shards' fan-out workers, possibly for one node from
+	// several at once; may be nil.
 	Observer func(topology.NodeID, broker.Delivery)
 
 	// Resolve, when non-nil, is asked for a replacement shard after a

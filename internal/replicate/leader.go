@@ -130,6 +130,10 @@ type Leader struct {
 	sess    *feed
 	ln      net.Listener
 	stats   LeaderStats
+
+	// soloFrom..soloTo is the latest run of consecutive tickets appended
+	// with no session on a live leader (see Barrier).
+	soloFrom, soloTo int64
 }
 
 // leaderTap adapts Leader to durable.Tap, so the record hooks it feeds
@@ -191,6 +195,11 @@ func (l *Leader) tapAppend(idx int64, payload []byte) {
 	if l.sess != nil {
 		l.buf = append(l.buf, entry{idx: idx, rec: payload})
 		l.cond.Broadcast()
+	} else if !l.killed {
+		if l.soloTo != idx-1 {
+			l.soloFrom = idx
+		}
+		l.soloTo = idx
 	}
 	l.mu.Unlock()
 }
@@ -219,7 +228,10 @@ func (l *Leader) tapCheckpoint(journalEpoch int64, raw []byte) {
 // Barrier blocks until the follower has acknowledged every record with
 // ticket ≤ idx, there is no follower to wait for, or the wait times out —
 // in which case the follower is declared dead and the leader continues
-// solo. Returns ErrFenced once a higher epoch has been observed.
+// solo. Returns ErrFenced once a higher epoch has been observed. Records
+// appended solo on a live leader are released even once it is dying: a
+// barrier reached at append time would have released them, and the
+// broker may wait on a whole event's acks after its last append.
 func (l *Leader) Barrier(idx int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -242,6 +254,12 @@ func (l *Leader) Barrier(idx int64) error {
 		dying := l.killed || (l.store != nil && l.store.Crashed())
 		if l.sess == nil || l.sess.dead {
 			if dying {
+				if l.soloFrom <= l.acked+1 && idx <= l.soloTo {
+					// Every unacknowledged ticket up to idx was appended
+					// solo on a live leader, so a barrier at append time
+					// would have released it.
+					return nil
+				}
 				// No follower and this leader is dying: the op must not be
 				// acknowledged or observed here — the promoted side never
 				// saw its record, so proceeding would lose an ack or mint

@@ -3,6 +3,7 @@ package replicate
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -411,6 +412,61 @@ func TestBarrierTimeoutDropsHungFollower(t *testing.T) {
 	}
 	if got := p.ldr.Stats().SoloDrops; got == 0 {
 		t.Error("SoloDrops = 0 after barrier timeout")
+	}
+}
+
+// TestBarrierReleasesSoloTicketAfterDeath: a barrier reached after the
+// leader died must still release a ticket appended while it ran solo and
+// alive — a barrier at append time would have — but not one appended
+// after death, nor one appended with a follower attached that never
+// acknowledged it, even when a solo ticket follows it.
+func TestBarrierReleasesSoloTicketAfterDeath(t *testing.T) {
+	open := func() *Leader {
+		e, _ := testEngine(t, core.Config{Groups: 25, CellBudget: 500}, 591)
+		l, err := OpenLeader(t.TempDir(), e, LeaderConfig{
+			AckTimeout: 5 * time.Second, Heartbeat: 10 * time.Millisecond,
+			Health: fastHealth(), Durable: noAutoCkpt(nil),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	ack := func(l *Leader, seq int64) int64 {
+		t.Helper()
+		ticket, err := l.Broker().Store().AppendAck(1, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ticket
+	}
+
+	l := open()
+	solo := ack(l, 0)
+	l.Kill()
+	if err := l.Barrier(solo); err != nil {
+		t.Errorf("Barrier(%d) on a solo ticket after Kill = %v, want nil", solo, err)
+	}
+	late := ack(l, 1)
+	if err := l.Barrier(late); !errors.Is(err, faults.ErrCrashed) {
+		t.Errorf("Barrier(%d) on a ticket appended after Kill = %v, want ErrCrashed", late, err)
+	}
+
+	// A mute follower: it takes the stream and never acknowledges.
+	l = open()
+	conn, peer := net.Pipe()
+	go io.Copy(io.Discard, peer)
+	go l.Accept(conn, wire.NewReader(conn, wire.DefaultMaxFrame), wire.NewWriter(conn, wire.DefaultMaxFrame),
+		wire.ReplHello{Version: wire.Version, Term: 1})
+	waitFor(t, 5*time.Second, "mute session to attach", func() bool { return !l.Solo() })
+	shipped := ack(l, 0)
+	peer.Close()
+	waitFor(t, 5*time.Second, "mute session to drop", l.Solo)
+	solo = ack(l, 1)
+	l.Kill()
+	if err := l.Barrier(solo); !errors.Is(err, faults.ErrCrashed) {
+		t.Errorf("Barrier(%d) over unacknowledged session ticket %d after Kill = %v, want ErrCrashed", solo, shipped, err)
 	}
 }
 

@@ -30,7 +30,7 @@ type Span struct {
 }
 
 // EventTrace accumulates the spans of one sampled publication. Spans may be
-// added concurrently (the broker's fan-out workers and consumers all touch
+// added concurrently (the broker's decision and fan-out workers all touch
 // the same event).
 type EventTrace struct {
 	Seq int64 `json:"seq"`

@@ -165,8 +165,8 @@ func NewServer(cfg Config) *Server {
 func (srv *Server) Telemetry() *telemetry.Registry { return srv.cfg.Registry }
 
 // Dispatch is the broker observer: it forwards an accepted delivery to
-// every session subscribed as node n. It runs on broker consumer
-// goroutines and blocks when a session's buffer is full, which is exactly
+// every session subscribed as node n. It runs on the broker's fan-out
+// workers and blocks when a session's buffer is full, which is exactly
 // the backpressure chain the transport exists to extend.
 func (srv *Server) Dispatch(n topology.NodeID, d broker.Delivery) {
 	srv.mu.Lock()

@@ -210,7 +210,7 @@ var (
 // Delivery fabric.
 type (
 	// Broker executes Engine decisions over an in-process delivery fabric
-	// with per-node inboxes and delivery accounting.
+	// whose fan-out workers accept and account every copy.
 	Broker = broker.Broker
 	// BrokerStats aggregates broker delivery accounting.
 	BrokerStats = broker.Stats
