@@ -20,12 +20,15 @@ tier1: vet staticcheck alloc-regression
 # zero allocations per operation, and R*-tree changes and churn snapshots at
 # O(path) allocations, via testing.AllocsPerRun, bounds the server's wire
 # path at two allocations per published event (TestServerAllocsPerPublish),
-# and bounds the federation router's dedup state in bytes. It must run
+# a dedup-window snapshot at one allocation (TestWindowSnapshotAllocs), a
+# durable broker's allocations per event as flat in the event's copies
+# (TestDurableAllocsFlatInCopies), and bounds the federation router's
+# dedup state in bytes. It must run
 # without the race detector (shadow allocations would inflate the counts),
 # which is why it is a separate tier1 prerequisite rather than part of the
 # race suite.
 alloc-regression:
-	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint|TestServerAllocsPerPublish' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/ ./internal/transport/
+	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint|TestServerAllocsPerPublish|TestWindowSnapshotAllocs|TestDurableAllocsFlatInCopies' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/ ./internal/transport/
 
 # fuzz-smoke runs every fuzz target for 5 s. go test fuzzes one target
 # per invocation, hence one call per target.
@@ -37,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateNormalize$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressedWastePair$$' -fuzztime 5s ./internal/bitset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowMatchesResidue$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/durable/
 
 # staticcheck runs honnef.co/go/tools when the binary is on PATH and is a
 # no-op otherwise, so tier1 never depends on tooling the container lacks.

@@ -199,8 +199,8 @@ type routed struct {
 	// budget is the event's remaining retry allowance, shared across
 	// destinations.
 	budget *atomic.Int64
-	// acks collects the event's admitted copies for its one ack barrier
-	// (durable brokers only); owned by the fan-out worker.
+	// acks collects the event's accepted copies for its one ack record
+	// and barrier (durable brokers only); owned by the fan-out worker.
 	acks *ackBatch
 }
 
@@ -1281,15 +1281,16 @@ func routePaths(view *multicast.Model, r *routed) map[topology.NodeID][]topology
 	return paths
 }
 
-// ackBatch holds a durable event's admitted copies until one ack barrier
-// covers them all, so a fan-out worker waits once per event rather than
-// once per copy. Each fan-out worker owns one and reuses it.
+// ackBatch holds a durable event's accepted copies until flushAcks admits
+// them, journals them as one ack record and waits out one ack barrier, so
+// a fan-out worker appends and waits once per event rather than once per
+// copy. Each fan-out worker owns one and reuses it.
 type ackBatch struct {
 	copies []ackedCopy
-	ticket int64 // highest ack ticket appended for the event
+	nodes  []topology.NodeID // the fresh copies' nodes: the record's body
 }
 
-// ackedCopy is one admitted copy waiting for its event's ack barrier.
+// ackedCopy is one accepted copy waiting for its event's ack record.
 type ackedCopy struct {
 	n  topology.NodeID
 	ns *nodeState
@@ -1306,7 +1307,7 @@ func (b *Broker) fanout() {
 		r.acks = &acks
 		b.fanoutOne(r)
 		if b.dur != nil {
-			b.flushAcks(&acks)
+			b.flushAcks(r.seq, &acks)
 			b.dur.inflight.Delete(r.seq)
 		}
 		r.tok.Release()
@@ -1498,58 +1499,74 @@ func (b *Broker) complete(r routed, n topology.NodeID, ns *nodeState, d Delivery
 	}
 }
 
-// accept is node n's receiving end for one copy: dedup on the sequence
-// number, the durable ack append, then accounting and the observer. A
-// durable copy waits in r.acks for its event's ack barrier (flushAcks);
-// every other copy is observed at once.
+// accept is node n's receiving end for one copy. A durable copy waits in
+// r.acks for its event's ack record (flushAcks); any other copy is
+// deduplicated on its sequence number when the node keeps a window, then
+// accounted and observed at once.
 func (b *Broker) accept(r routed, n topology.NodeID, ns *nodeState, d Delivery) {
-	if ns.win != nil {
-		var store *durable.Store
-		if b.dur != nil {
-			store = b.dur.store
-		}
-		fresh, ticket, err := ns.win.admit(n, d.Seq, store)
-		if err != nil {
-			// Store crashed mid-ack: drop the copy unobserved — the next
-			// incarnation redelivers it unless the ack reached the journal
-			// first (the output-commit window; recorded for chaos oracles).
-			if errors.Is(err, faults.ErrCrashed) {
-				b.dur.noteLost(n, d.Seq)
-			}
-			return
-		}
-		if !fresh {
-			b.ctr.deduped.Add(1)
-			d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
-			return
-		}
-		if store != nil {
-			r.acks.copies = append(r.acks.copies, ackedCopy{n: n, ns: ns, d: d})
-			r.acks.ticket = max(r.acks.ticket, ticket)
-			return
-		}
+	if b.dur != nil {
+		r.acks.copies = append(r.acks.copies, ackedCopy{n: n, ns: ns, d: d})
+		return
+	}
+	if ns.win != nil && !ns.win.admit(d.Seq) {
+		b.dedup(n, d)
+		return
 	}
 	b.observe(n, ns, d)
 }
 
-// flushAcks waits out one ack barrier covering every copy the event
-// admitted, then observes them. A failed barrier drops them unobserved,
-// recorded as lost when the store crashed, as a failed ack append is.
-func (b *Broker) flushAcks(a *ackBatch) {
+// dedup counts and traces a copy its node's window already admitted.
+func (b *Broker) dedup(n topology.NodeID, d Delivery) {
+	b.ctr.deduped.Add(1)
+	d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
+}
+
+// flushAcks settles a durable event's accepted copies. Under the read side
+// of ackGate it admits each copy into its node's window (a duplicate is
+// deduplicated here) and journals the fresh ones as one ack record; then
+// one ack barrier covers the record and the fresh copies are observed.
+// Admitting before appending is safe against checkpoints because a
+// capture takes ackGate's write side, so it sees an event's admissions
+// only once their record is appended. A failed append or barrier drops
+// the fresh copies unobserved. They are recorded for the chaos oracles
+// when the crash fired at this append or failed the barrier: the next
+// incarnation redelivers them unless the record reached the journal (or
+// the replica) first — the output-commit window. An append refused
+// because the store had crashed before it began wrote nothing, so its
+// copies are redelivered exactly once and not recorded. A failed append
+// leaves its admissions in the windows; no checkpoint can persist them,
+// because every append failure (dead crash injector, sticky write error,
+// closed store) also fails every later BeginCheckpoint.
+func (b *Broker) flushAcks(seq int64, a *ackBatch) {
 	if len(a.copies) == 0 {
 		return
 	}
-	err := b.dur.store.AckBarrier(a.ticket)
+	d := b.dur
+	fresh := a.copies[:0]
+	d.ackGate.RLock()
 	for _, c := range a.copies {
+		if !c.ns.win.admit(seq) {
+			b.dedup(c.n, c.d)
+			continue
+		}
+		fresh = append(fresh, c)
+		a.nodes = append(a.nodes, c.n)
+	}
+	ticket, err := d.store.AppendAcks(seq, a.nodes)
+	d.ackGate.RUnlock()
+	if err == nil && len(fresh) > 0 {
+		err = d.store.AckBarrier(ticket)
+	}
+	for _, c := range fresh {
 		switch {
 		case err == nil:
 			b.observe(c.n, c.ns, c.d)
-		case errors.Is(err, faults.ErrCrashed):
-			b.dur.noteLost(c.n, c.d.Seq)
+		case errors.Is(err, faults.ErrCrashed) && !errors.Is(err, durable.ErrAlreadyCrashed):
+			d.noteLost(c.n, seq)
 		}
 	}
 	clear(a.copies)
-	a.copies, a.ticket = a.copies[:0], 0
+	a.copies, a.nodes = a.copies[:0], a.nodes[:0]
 }
 
 // observe accounts one accepted copy and hands it to the observer.

@@ -1,15 +1,22 @@
 package broker
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/space"
 	"repro/internal/topology"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -148,14 +155,28 @@ func runCrashRestart(t *testing.T, plan faults.CrashPlan, midCkpt bool) (durable
 	if plan.Point != faults.CrashMidCheckpoint && !crashed {
 		t.Fatalf("crash plan %v never fired during publishing", plan)
 	}
-	// Copies whose ack append raced the crash sit in the output-commit
-	// window: the ack may or may not have reached the journal, so their
-	// delivery count is legitimately 0 or 1 — never 2.
-	uncertain := map[ckey]bool{}
-	for _, a := range b1.CrashDroppedCopies() {
-		uncertain[ckey{a.Node, a.Seq}] = true
-	}
+	// The copies named by the ack record the crash fired at sit in the
+	// output-commit window. Only an after-append crash leaves that record
+	// on disk, so only there is their delivery count legitimately 0 or 1 —
+	// never 2; a before-append or torn record never reaches recovery, so
+	// its copies are redelivered exactly once, like those of every ack
+	// append the dead store refused. Read after Close: fan-out workers may
+	// still be recording the copies when Publish returns.
 	b1.Close()
+	dropped := b1.CrashDroppedCopies()
+	droppedSeqs := map[int64]bool{}
+	for _, a := range dropped {
+		droppedSeqs[a.Seq] = true
+	}
+	if len(droppedSeqs) > 1 {
+		t.Errorf("crash dropped copies of %d events, want only those of the ack record it fired at", len(droppedSeqs))
+	}
+	uncertain := map[ckey]bool{}
+	if plan.Point == faults.CrashAfterAppend {
+		for _, a := range dropped {
+			uncertain[ckey{a.Node, a.Seq}] = true
+		}
+	}
 
 	// Incarnation 2: identical engine from the same seeds, recover, drain.
 	e2, _ := testEngine(t, cfg, seed)
@@ -204,9 +225,10 @@ func TestCrashRestartExactlyOnce(t *testing.T) {
 				name += "-after-checkpoint"
 			}
 			t.Run(name, func(t *testing.T) {
-				// The append counter covers publish, ack and churn records,
-				// so 400 appends land mid-stream of 150 events.
-				rec, ckptOK := runCrashRestart(t, faults.CrashPlan{AtAppend: 400, Point: p}, midCkpt)
+				// The append counter covers publish, ack and churn records.
+				// An event appends its publish record and at most one ack
+				// record, so append 100 lands mid-stream of 150 events.
+				rec, ckptOK := runCrashRestart(t, faults.CrashPlan{AtAppend: 100, Point: p}, midCkpt)
 				if rec.RecordsReplayed == 0 {
 					t.Error("recovery replayed nothing; crash plan misfired")
 				}
@@ -498,5 +520,204 @@ func TestDurableFreshDirIsJustNew(t *testing.T) {
 		if err := b.Publish(evs[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRecoverLegacyAckRecords: a journal written partly by an older binary
+// — one kind-4 ack record per delivered copy — and partly by this one — one
+// ack record per event — recovers both kinds, and both suppress the replay
+// of the copies they name. The legacy frames are written by hand, since
+// nothing in the tree writes kind 4 any more.
+func TestRecoverLegacyAckRecords(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Groups: 10, CellBudget: 300}
+	e, w := testEngine(t, cfg, 995)
+	base := durable.BaseInfo{Hash: durable.HashBase(w.Subs), Count: int64(len(w.Subs))}
+	evs := w.Events(6, 996)
+
+	// ackedAt picks every other node interested in evs[seq] as one whose
+	// copy arrived before the restart.
+	ackedAt := func(seq int64) []topology.NodeID {
+		var ns []topology.NodeID
+		for n := range interestedNodes(w, evs[seq]) {
+			ns = append(ns, n)
+		}
+		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		var out []topology.NodeID
+		for i := 0; i < len(ns); i += 2 {
+			out = append(out, ns[i])
+		}
+		return out
+	}
+	legacy, current := ackedAt(0), ackedAt(1)
+	if len(legacy) == 0 || len(current) == 0 {
+		t.Fatal("events 0 and 1 interest no node: pick another seed")
+	}
+
+	// The older binary: publishes, then one kind-4 frame per acked copy.
+	s, _, err := durable.Open(dir, base, noAutoCkpt(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, ev := range evs {
+		if err := s.AppendPublish(int64(seq), ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journals, err := filepath.Glob(filepath.Join(dir, "journal.*.log"))
+	if err != nil || len(journals) != 1 {
+		t.Fatalf("journals %v (%v), want one", journals, err)
+	}
+	f, err := os.OpenFile(journals[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range legacy {
+		payload := []byte{4} // kind 4: node, seq
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(n))
+		payload = binary.LittleEndian.AppendUint64(payload, 0)
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		if _, err := f.Write(append(frame, payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// This binary resumes the same journal with a per-event ack record.
+	s, st, err := durable.Open(dir, base, noAutoCkpt(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Acks) != len(legacy) {
+		t.Fatalf("recovered %d acks from %d legacy records", len(st.Acks), len(legacy))
+	}
+	if _, err := s.AppendAcks(1, current); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o := newObs()
+	b, err := Open(dir, e, WithWorkers(2), o.observer(), WithDurableOptions(noAutoCkpt(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Recovery().Outstanding; got != len(evs) {
+		t.Fatalf("redelivered %d publishes, want %d", got, len(evs))
+	}
+	suppressed := map[ckey]bool{}
+	for _, n := range legacy {
+		suppressed[ckey{n, 0}] = true
+	}
+	for _, n := range current {
+		suppressed[ckey{n, 1}] = true
+	}
+	for seq, ev := range evs {
+		for n := range interestedNodes(w, ev) {
+			k := ckey{n, int64(seq)}
+			want := 1
+			if suppressed[k] {
+				want = 0
+			}
+			if got := o.inter[k]; got != want {
+				t.Errorf("node %d seq %d delivered %d times after recovery, want %d", n, seq, got, want)
+			}
+		}
+	}
+}
+
+// TestCheckpointWaitsForAckRecord pins the ack-ordering invariant: no
+// checkpoint captures a window admission whose ack record is not yet
+// appended. flushAcks admits an event's copies before it appends their
+// one record; here it is held between the two — node a admitted, the
+// batch's second copy stuck on a window lock the test holds — while a
+// checkpoint runs. The checkpoint must wait. If it captured a's admission
+// and committed, the append failing afterwards would leave a checkpoint
+// that suppresses the redelivery of a copy that never arrived.
+func TestCheckpointWaitsForAckRecord(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Groups: 10, CellBudget: 300}
+	e, w := testEngine(t, cfg, 997)
+	b, err := Open(dir, e, WithWorkers(1), WithDurableOptions(noAutoCkpt(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := w.Events(1, 998)[0]
+	var a topology.NodeID = -1
+	for n := range interestedNodes(w, ev) {
+		if a < 0 || n < a {
+			a = n
+		}
+	}
+	if a < 0 {
+		t.Fatal("the event interests no node: pick another seed")
+	}
+	// Journal the publish as Publish would, without letting a fan-out
+	// worker deliver it.
+	d := b.dur
+	seq := b.seq.Add(1) - 1
+	if err := d.store.AppendPublish(seq, ev); err != nil {
+		t.Fatal(err)
+	}
+	d.inflight.Store(seq, ev)
+
+	stuck := &nodeState{win: &lockedWindow{w: wire.NewWindow(16)}}
+	stuck.win.mu.Lock()
+	batch := &ackBatch{copies: []ackedCopy{
+		{n: a, ns: b.routes.Load().nodes[a], d: Delivery{Event: ev, Seq: seq, Interested: true}},
+		{n: -2, ns: stuck, d: Delivery{Event: ev, Seq: seq}},
+	}}
+	flushed := make(chan struct{})
+	go func() {
+		b.flushAcks(seq, batch)
+		close(flushed)
+	}()
+	for admitted := false; !admitted; {
+		time.Sleep(100 * time.Microsecond)
+		lw := b.routes.Load().nodes[a].win
+		lw.mu.Lock()
+		admitted = lw.w.Seen(seq)
+		lw.mu.Unlock()
+	}
+
+	ckpt := make(chan error, 1)
+	go func() {
+		ckpt <- b.Checkpoint()
+		close(ckpt)
+	}()
+	select {
+	case err := <-ckpt:
+		t.Errorf("checkpoint finished (err %v) while an admitted copy's ack record was pending", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	// The pending append now fails, as at a crash; so does the checkpoint.
+	d.store.Close()
+	stuck.win.mu.Unlock()
+	<-flushed
+	for range ckpt {
+	}
+	b.Close() // the store is closed: the final checkpoint fails, as intended
+
+	e2, _ := testEngine(t, cfg, 997)
+	o := newObs()
+	b2, err := Open(dir, e2, WithWorkers(1), o.observer(), WithDurableOptions(noAutoCkpt(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.all[ckey{a, seq}]; got != 1 {
+		t.Errorf("node %d received seq %d %d times across the restart, want 1", a, seq, got)
 	}
 }

@@ -8,9 +8,10 @@ package broker
 //     replay order equals snapshot swap order;
 //   - publish records appended (and fsync-batched) before Publish returns,
 //     so an acknowledged publish survives any crash;
-//   - delivery-ack records appended before an accepted copy is counted, so
-//     recovery knows which copies already arrived; under replication one
-//     ack barrier per event covers its copies before any is observed;
+//   - one delivery-ack record per event, naming every node that admitted
+//     a copy, appended before any of them is counted, so recovery knows
+//     which copies already arrived; under replication one ack barrier per
+//     event covers the record before any copy is observed;
 //   - periodic checkpoints — journal rotation, in-flight publishes carried
 //     into the fresh epoch, then engine churn state + per-node dedup
 //     windows + preserved counters installed atomically — after which the
@@ -53,37 +54,18 @@ var preservedCounters = []string{
 
 // lockedWindow pairs a node's dedup window with a mutex: two fan-out
 // workers may accept copies for one node at once, and checkpoints capture
-// the window while they do.
+// the window while they do. On a durable broker the lock does not order an
+// admission against its ack record; durState.ackGate does (see flushAcks).
 type lockedWindow struct {
 	mu sync.Mutex
 	w  *wire.Window
 }
 
-// admit performs duplicate check → ack append (when store is non-nil) →
-// admission as one atomic step with respect to checkpoint capture. The
-// ordering is load-bearing for exactly-once across a crash: if the seq
-// entered the window before its ack record existed, a checkpoint could
-// capture the window mid-gap and persist "seen" for a copy that is then
-// dropped when the append fails — the next incarnation would suppress the
-// redelivery and the publish would be lost. Holding the lock across the
-// append also guarantees that an ack landing in the pre-rotation epoch
-// (whose journal the checkpoint deletes) is always visible to the
-// subsequent capture. Returns fresh=false for duplicates (nothing
-// appended), the ack's barrier ticket, and a non-nil err when the store
-// refused the ack (caller drops the copy unobserved).
-func (lw *lockedWindow) admit(n topology.NodeID, seq int64, store *durable.Store) (fresh bool, ticket int64, err error) {
+// admit reports whether seq is new to the window and, if so, admits it.
+func (lw *lockedWindow) admit(seq int64) bool {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
-	if lw.w.Seen(seq) {
-		return false, 0, nil
-	}
-	if store != nil {
-		if ticket, err = store.AppendAck(n, seq); err != nil {
-			return false, 0, err
-		}
-	}
-	lw.w.Admit(seq)
-	return true, ticket, nil
+	return lw.w.Admit(seq)
 }
 
 func (lw *lockedWindow) capture() (int64, []int64) {
@@ -120,6 +102,13 @@ type durState struct {
 	// epoch so truncation never drops an undelivered publish.
 	inflight sync.Map
 
+	// ackGate orders window admissions against their ack records: fan-out
+	// workers hold the read side from an event's first admission until its
+	// ack record is appended, and a checkpoint holds the write side while
+	// it captures the windows — so no capture sees an admission whose
+	// record is not yet in the journal.
+	ackGate sync.RWMutex
+
 	// recovered seeds the windows of nodes not yet in the route table.
 	recovered map[topology.NodeID]*wire.Window
 
@@ -141,12 +130,15 @@ func (d *durState) noteLost(n topology.NodeID, seq int64) {
 }
 
 // CrashDroppedCopies lists the (node, seq) copies this incarnation dropped
-// unobserved because a simulated crash interrupted the ack append or the
-// ack barrier of the copy's event. For each listed pair the delivery count
-// across incarnations is 0 or 1 — whether the suppressing ack reached the
-// journal (or the replica) before the crash is exactly what the crash made
-// unknowable — so chaos oracles assert "never 2" there and "exactly 1"
-// everywhere else. Empty without fault injection.
+// unobserved because a simulated crash fired at the ack append of the
+// copy's event or failed its ack barrier. For each listed pair the
+// delivery count across incarnations is 0 or 1 — whether the suppressing
+// ack reached the journal (or the replica) before the crash is exactly
+// what the crash made unknowable — so chaos oracles assert "never 2" there
+// and "exactly 1" everywhere else. Copies whose ack append the dead store
+// refused are not listed: nothing of it was written. The list is complete
+// once Close returns; fan-out workers may still add to it after the
+// Publish that saw the crash. Empty without fault injection.
 func (b *Broker) CrashDroppedCopies() []durable.AckRecord {
 	if b.dur == nil {
 		return nil
@@ -433,7 +425,10 @@ func (b *Broker) doCheckpoint() error {
 	}
 	sort.Slice(cp.Subs, func(i, j int) bool { return cp.Subs[i].ID < cp.Subs[j].ID })
 	// Only the writer grows the route table (and Close runs quiescent);
-	// every node of a durable broker has a window.
+	// every node of a durable broker has a window. The write side of
+	// ackGate keeps out admissions whose ack record is not yet appended;
+	// one appended before BeginCheckpoint's rotation is already visible.
+	d.ackGate.Lock()
 	for n, ns := range b.routes.Load().nodes {
 		max, seqs := ns.win.capture()
 		if max < 0 {
@@ -441,6 +436,7 @@ func (b *Broker) doCheckpoint() error {
 		}
 		cp.Windows = append(cp.Windows, durable.WindowState{Node: n, Size: b.rel.DedupWindow, Max: max, Seqs: seqs})
 	}
+	d.ackGate.Unlock()
 	sort.Slice(cp.Windows, func(i, j int) bool { return cp.Windows[i].Node < cp.Windows[j].Node })
 	scope := b.reg.Scope("broker")
 	for _, name := range preservedCounters {

@@ -18,8 +18,10 @@ func BenchmarkJournalAppend(b *testing.B) {
 	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
+	nodes := make([]topology.NodeID, 1)
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AppendAck(topology.NodeID(i%64), int64(i)); err != nil {
+		nodes[0] = topology.NodeID(i % 64)
+		if _, err := s.AppendAcks(int64(i), nodes); err != nil {
 			b.Fatal(err)
 		}
 	}

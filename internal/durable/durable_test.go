@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -84,7 +85,7 @@ func TestDurableJournalRoundTrip(t *testing.T) {
 	if err := s.AppendPublish(1, testEvent(2, 0.75)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendAck(5, 0); err != nil {
+	if _, err := s.AppendAcks(0, []topology.NodeID{5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -216,7 +217,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	if !s.Crashed() {
 		t.Fatal("store not dead after crash point")
 	}
-	if err := s.AppendPublish(3, testEvent(1, 0.4)); err != faults.ErrCrashed {
+	if err := s.AppendPublish(3, testEvent(1, 0.4)); err != ErrAlreadyCrashed || !errors.Is(err, faults.ErrCrashed) {
 		t.Fatalf("append after death returned %v", err)
 	}
 	s.Close()
@@ -469,15 +470,19 @@ func TestDurableTornTailVsCheckpointRotation(t *testing.T) {
 	// Appends serialize under the store lock, so exactly four more succeed
 	// before the torn one kills the store; which seqs survive is the race.
 	var wg sync.WaitGroup
-	var okCount atomic.Int64
+	var okCount, dyingCount atomic.Int64
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(seqBase int64) {
 			defer wg.Done()
 			for i := int64(0); i < 6; i++ {
-				if err := s.AppendPublish(seqBase+i, testEvent(1, 0.2)); err == nil {
+				switch err := s.AppendPublish(seqBase+i, testEvent(1, 0.2)); err {
+				case nil:
 					okCount.Add(1)
-				} else if err != faults.ErrCrashed {
+				case faults.ErrCrashed:
+					dyingCount.Add(1)
+				case ErrAlreadyCrashed:
+				default:
 					t.Errorf("append: %v", err)
 				}
 			}
@@ -489,6 +494,9 @@ func TestDurableTornTailVsCheckpointRotation(t *testing.T) {
 	}
 	if got := okCount.Load(); got != 4 {
 		t.Fatalf("%d concurrent appends acknowledged, want 4", got)
+	}
+	if got := dyingCount.Load(); got != 1 {
+		t.Fatalf("%d appends returned the crash itself, want 1 (the rest were refused)", got)
 	}
 	// The crash fired between the rotation and the rename: the commit must
 	// refuse rather than install a checkpoint the journals contradict.

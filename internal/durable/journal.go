@@ -1,6 +1,7 @@
 // Package durable persists broker state: an append-only, CRC-framed,
 // fsync-batched write-ahead journal of subscription churn, publish and
-// delivery-ack records, plus periodic checkpoints that serialize the
+// delivery-ack records (one ack record per event, naming every node that
+// admitted a copy), plus periodic checkpoints that serialize the
 // engine's decision inputs and per-consumer dedup windows. A broker
 // restarted over the same directory rebuilds its state from the newest
 // checkpoint and the journal tail, redelivering the outstanding publishes
@@ -12,6 +13,10 @@
 //	journal.NNNNNN.log   one per checkpoint epoch; 32-byte header
 //	                     (magic, epoch, base-subscription hash, base count)
 //	                     followed by frames [4B len][4B crc32c(payload)][payload]
+//	                     whose first payload byte is the record kind:
+//	                     1 subscribe, 2 unsubscribe, 3 publish, 5 acks
+//	                     (seq + every admitting node); 4, a single ack,
+//	                     is only read, from journals of older binaries
 //	checkpoint.ckpt      newest checkpoint: magic, 8B body length,
 //	                     4B crc32c(body), body — installed by atomic rename
 //	checkpoint.tmp       in-progress checkpoint; ignored and removed at Open
@@ -25,6 +30,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,8 +60,21 @@ const (
 	kindSubscribe   byte = 1
 	kindUnsubscribe byte = 2
 	kindPublish     byte = 3
-	kindAck         byte = 4
+	// kindAck is one (node, seq) admission. Nothing writes it any more;
+	// recovery still reads it so journals of older binaries replay.
+	kindAck byte = 4
+	// kindAcks is one event's admissions: seq, u32 count, count node ids.
+	kindAcks byte = 5
 )
+
+// acksHeaderLen is a kindAcks payload's size before its node ids.
+const acksHeaderLen = 1 + 8 + 4
+
+// maxAckNodes caps the node ids in one kindAcks record, keeping its
+// payload near 64 KiB: far below maxPayloadLen, and small enough that a
+// replication frame (wire.DefaultMaxFrame, 1 MiB) always carries one.
+// AppendAcks splits larger sets.
+const maxAckNodes = 8192
 
 // SubRecord is a durably-identified subscription. IDs are assigned once
 // and never reused: the engine's base subscriptions own ids 0..BaseCount-1
@@ -76,7 +95,8 @@ type PublishRecord struct {
 }
 
 // AckRecord marks one (consumer node, seq) delivery as admitted into the
-// consumer's dedup window.
+// consumer's dedup window. Recovery expands each journaled ack record into
+// one AckRecord per node.
 type AckRecord struct {
 	Node topology.NodeID
 	Seq  int64
@@ -130,7 +150,9 @@ type record struct {
 	sub   SubRecord     // kindSubscribe
 	unsub int64         // kindUnsubscribe
 	pub   PublishRecord // kindPublish
-	ack   AckRecord     // kindAck
+	// kindAck (one node) and kindAcks: the admitting nodes of one seq.
+	ackSeq   int64
+	ackNodes []topology.NodeID
 }
 
 func encodeSubRecord(b []byte, r SubRecord) []byte {
@@ -161,10 +183,17 @@ func encodePublishRecord(b []byte, p PublishRecord) []byte {
 	return b
 }
 
-func encodeAckRecord(b []byte, a AckRecord) []byte {
-	b = append(b, kindAck)
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(a.Node)))
-	return binary.LittleEndian.AppendUint64(b, uint64(a.Seq))
+// encodeAcksRecord encodes one event's admissions into a payload of
+// exactly its length: the caller hands it on, so nothing reuses it.
+func encodeAcksRecord(seq int64, nodes []topology.NodeID) []byte {
+	b := make([]byte, 0, acksHeaderLen+8*len(nodes))
+	b = append(b, kindAcks)
+	b = binary.LittleEndian.AppendUint64(b, uint64(seq))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
+	for _, n := range nodes {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(n)))
+	}
+	return b
 }
 
 // cursor is a bounds-checked little-endian reader over a payload.
@@ -254,8 +283,20 @@ func decodeRecord(payload []byte) (record, error) {
 			r.pub.Ev.Point[i] = c.f64()
 		}
 	case kindAck:
-		r.ack.Node = c.node()
-		r.ack.Seq = c.i64()
+		r.ackNodes = []topology.NodeID{c.node()}
+		r.ackSeq = c.i64()
+	case kindAcks:
+		r.ackSeq = c.i64()
+		n := int64(c.u32())
+		// Checked before allocating: a corrupt count must not size a
+		// slice the payload cannot fill.
+		if n > int64(len(c.b)-c.off)/8 {
+			return r, fmt.Errorf("durable: ack record claims %d nodes in %d bytes", n, len(c.b)-c.off)
+		}
+		r.ackNodes = make([]topology.NodeID, n)
+		for i := range r.ackNodes {
+			r.ackNodes[i] = c.node()
+		}
 	default:
 		return r, fmt.Errorf("durable: unknown record kind %d", r.kind)
 	}
@@ -265,11 +306,17 @@ func decodeRecord(payload []byte) (record, error) {
 	return r, nil
 }
 
-// appendFrame frames a payload: [4B len][4B crc32c(payload)][payload].
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// writeFrame writes the frame [4B len][4B crc32c(payload)][payload] to w,
+// cut after keep payload bytes (a simulated torn write keeps half). The
+// header is built in hdr, scratch the caller owns, so framing allocates
+// nothing. A failed write leaves w's error sticky, so later flushes fail
+// too.
+func writeFrame(w *bufio.Writer, hdr *[frameHeaderLen]byte, payload []byte, keep int) error {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	w.Write(hdr[:])
+	_, err := w.Write(payload[:keep])
+	return err
 }
 
 func journalName(epoch int64) string { return fmt.Sprintf("journal.%06d.log", epoch) }

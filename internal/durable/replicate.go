@@ -38,7 +38,7 @@ import (
 //     by the replica, the tap decides to proceed without one (replica
 //     declared dead), or the leader is fenced (error). It is called
 //     outside the store locks, after the local fsync, by publish barriers
-//     and by AckBarrier, once per event's delivery acks.
+//     and by AckBarrier, once per event's delivery-ack record.
 type Tap interface {
 	AppendRecord(idx int64, payload []byte)
 	Rotate(journalEpoch int64)
@@ -223,12 +223,13 @@ type Replica struct {
 	base  BaseInfo
 	crash *faults.CrashInjector
 
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	epoch   int64
-	applied int64
-	closed  bool
+	mu       sync.Mutex
+	f        *os.File
+	bw       *bufio.Writer
+	epoch    int64
+	applied  int64
+	closed   bool
+	frameHdr [frameHeaderLen]byte // scratch for the frame being written
 }
 
 // OpenReplica prepares dir to receive a replicated stream. Any previous
@@ -337,18 +338,17 @@ func (r *Replica) AppendRaw(payload []byte) error {
 		r.bw.Flush()
 		return faults.ErrCrashed
 	case faults.CrashTornAppend:
-		frame := appendFrame(nil, payload)
-		r.bw.Write(frame[:frameHeaderLen+len(payload)/2])
+		writeFrame(r.bw, &r.frameHdr, payload, len(payload)/2)
 		r.bw.Flush()
 		r.f.Sync()
 		return faults.ErrCrashed
 	case faults.CrashAfterAppend:
-		r.bw.Write(appendFrame(nil, payload))
+		writeFrame(r.bw, &r.frameHdr, payload, len(payload))
 		r.bw.Flush()
 		r.f.Sync()
 		return faults.ErrCrashed
 	}
-	if _, err := r.bw.Write(appendFrame(nil, payload)); err != nil {
+	if err := writeFrame(r.bw, &r.frameHdr, payload, len(payload)); err != nil {
 		return fmt.Errorf("durable: replica append: %w", err)
 	}
 	r.applied++

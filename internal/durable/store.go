@@ -21,6 +21,12 @@ import (
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("durable: store closed")
 
+// ErrAlreadyCrashed is returned, wrapping faults.ErrCrashed, by an append
+// refused because an injected crash fired before it began: none of it
+// reached the journal. The append the crash fired at returns
+// faults.ErrCrashed itself, and with CrashAfterAppend its record survives.
+var ErrAlreadyCrashed = fmt.Errorf("%w: store already dead", faults.ErrCrashed)
+
 // Options tunes a Store. The zero value takes the defaults.
 type Options struct {
 	// CheckpointRecords triggers an automatic checkpoint once this many
@@ -68,7 +74,7 @@ type State struct {
 	RemovedBase []int64 // base subscription ids removed before the crash
 	Subs        []SubRecord
 	Windows     []WindowState // checkpointed dedup windows
-	Acks        []AckRecord   // journal-tail acks, in append order
+	Acks        []AckRecord   // journal-tail acks, one per node, in append order
 	Counters    map[string]int64
 	Outstanding []PublishRecord // journal-tail publishes, ascending seq
 	Stats       RecoveryStats
@@ -79,7 +85,8 @@ type State struct {
 // blocks on a sync barrier that one flush+fsync satisfies for every record
 // written before it. Churn and ack records are buffered and ride the next
 // barrier (the broker issues one per churn batch, before it swaps the
-// decision snapshot, so replay order equals swap order).
+// decision snapshot, so replay order equals swap order). An event's
+// delivery acks are one record, however many copies it had.
 //
 // Simulated-crash contract: the injected crash points flush everything
 // appended before the dying operation to the OS, so a record whose append
@@ -101,6 +108,7 @@ type Store struct {
 	writeSeq int64 // records appended (ever); sync barrier tickets
 	appended int64 // records appended since the last checkpoint
 	closed   bool
+	frameHdr [frameHeaderLen]byte // scratch for the frame being written
 
 	syncMu sync.Mutex // serialises fsync; guards synced
 	synced int64      // highest ticket known flushed+fsynced
@@ -203,8 +211,10 @@ func Open(dir string, base BaseInfo, opts Options) (*Store, *State, error) {
 				if r.pub.Seq >= st.NextSeq {
 					st.NextSeq = r.pub.Seq + 1
 				}
-			case kindAck:
-				st.Acks = append(st.Acks, r.ack)
+			case kindAck, kindAcks:
+				for _, n := range r.ackNodes {
+					st.Acks = append(st.Acks, AckRecord{Node: n, Seq: r.ackSeq})
+				}
 			}
 		})
 		if err != nil {
@@ -485,32 +495,34 @@ func (s *Store) append(payload []byte) (int64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
+	dead := s.crash.Dead()
 	switch s.crash.OnAppend() {
 	case faults.CrashBeforeAppend:
 		// The dying write never happens; earlier buffered records reach
 		// the OS (see the simulated-crash contract).
 		s.bw.Flush()
+		if dead {
+			return 0, ErrAlreadyCrashed
+		}
 		return 0, faults.ErrCrashed
 	case faults.CrashTornAppend:
-		frame := appendFrame(nil, payload)
-		s.bw.Write(frame[:frameHeaderLen+len(payload)/2])
+		writeFrame(s.bw, &s.frameHdr, payload, len(payload)/2)
 		s.bw.Flush()
 		s.f.Sync()
 		return 0, faults.ErrCrashed
 	case faults.CrashAfterAppend:
-		s.bw.Write(appendFrame(nil, payload))
+		writeFrame(s.bw, &s.frameHdr, payload, len(payload))
 		s.bw.Flush()
 		s.f.Sync()
 		return 0, faults.ErrCrashed
 	}
-	frame := appendFrame(nil, payload)
-	if _, err := s.bw.Write(frame); err != nil {
+	if err := writeFrame(s.bw, &s.frameHdr, payload, len(payload)); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
 	s.writeSeq++
 	s.appended++
 	s.ctr.appends.Inc()
-	s.ctr.appendBytes.Add(int64(len(frame)))
+	s.ctr.appendBytes.Add(int64(frameHeaderLen + len(payload)))
 	if s.tap != nil {
 		// Enqueue-only (the tap must not block): crashed appends never get
 		// here, so a record that ships always returned its ticket locally.
@@ -614,18 +626,36 @@ func (s *Store) AppendPublishes(recs []PublishRecord) error {
 	return nil
 }
 
-// AppendAck journals a delivery admission and returns its barrier ticket
-// (buffered; rides the next fsync barrier locally). With a replication tap
-// installed the copy may only be observed once AckBarrier has covered the
-// ticket: the ack record that suppresses its replay must exist on both
-// sides, or a promoted follower would deliver the copy again.
-func (s *Store) AppendAck(node topology.NodeID, seq int64) (int64, error) {
-	return s.append(encodeAckRecord(nil, AckRecord{Node: node, Seq: seq}))
+// AppendAcks journals the delivery admissions of event seq at nodes as one
+// record and returns its barrier ticket (buffered; rides the next fsync
+// barrier locally). A set too large for one frame is split across
+// records, and the last ticket covers them all; an empty set appends
+// nothing. With a replication tap installed the copies may only be
+// observed once AckBarrier has covered the ticket: the record that
+// suppresses their replay must exist on both sides, or a promoted
+// follower would deliver them again.
+func (s *Store) AppendAcks(seq int64, nodes []topology.NodeID) (int64, error) {
+	var ticket int64
+	for len(nodes) > 0 {
+		k := min(len(nodes), maxAckNodes)
+		t, err := s.append(encodeAcksRecord(seq, nodes[:k]))
+		if err != nil {
+			if ticket != 0 && errors.Is(err, ErrAlreadyCrashed) {
+				// Part of the set is journaled: its fate is as uncertain
+				// as at the append the crash fired at.
+				err = faults.ErrCrashed
+			}
+			return 0, err
+		}
+		ticket, nodes = t, nodes[k:]
+	}
+	return ticket, nil
 }
 
 // AckBarrier waits until the replica has acknowledged every record with
 // ticket ≤ the argument; without a tap it returns nil at once. One call
-// covers every ack appended before it, so a broker waits once per event.
+// covers every record appended before it, so a broker waits once per
+// event.
 func (s *Store) AckBarrier(ticket int64) error {
 	if s.tap != nil {
 		return s.tap.Barrier(ticket)

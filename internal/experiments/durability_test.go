@@ -9,7 +9,7 @@ func TestRunDurableTimeline(t *testing.T) {
 	env := smallEnv(t, 92)
 	var registered int
 	res, err := RunDurable(env, t.TempDir(), DurableConfig{
-		Groups: 12, CellBudget: 300, CrashAtAppend: 80,
+		Groups: 12, CellBudget: 300, CrashAtAppend: 5,
 		RegisterCloser: func(func()) { registered++ },
 	})
 	if err != nil {

@@ -86,9 +86,10 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	}
 	for i, pt := range points {
 		t.Run(pt.String(), func(t *testing.T) {
-			// ~13 appends per publish (1 record + its delivery acks), so
-			// append 150 lands mid-traffic with deliveries in flight.
-			runFailover(t, 601+int64(i)*10, faults.CrashPlan{AtAppend: 150, Point: pt}, false)
+			// 1–2 appends per publish (its record, then one record for its
+			// delivery acks), so append 100 lands mid-traffic of 120 events
+			// with deliveries in flight.
+			runFailover(t, 601+int64(i)*10, faults.CrashPlan{AtAppend: 100, Point: pt}, false)
 		})
 	}
 	t.Run(faults.CrashMidCheckpoint.String(), func(t *testing.T) {
@@ -123,10 +124,13 @@ func TestFailoverDuringCatchup(t *testing.T) {
 	defer ln.Close()
 	go ldr.Serve(ln)
 
-	// Build up a journal worth catching up on before any follower exists.
-	evs := w.Events(120, seed+10)
+	// Build up a journal worth catching up on before any follower exists:
+	// 300 publishes journal about 600 records (each publish and its one
+	// ack record), so catch-up takes several shipBatch batches.
+	const backlog = 300
+	evs := w.Events(backlog+40, seed+10)
 	acked := make([]bool, len(evs))
-	for i := range evs[:80] {
+	for i := range evs[:backlog] {
 		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("solo publish %d: %v", i, err)
 		}
@@ -134,7 +138,7 @@ func TestFailoverDuringCatchup(t *testing.T) {
 	}
 
 	// First connection dies after 8 KiB — mid-catch-up, long before the
-	// ~80-publish backlog fits through. Later connections are never cut.
+	// backlog fits through. Later connections are never cut.
 	ci, err := faults.NewConnInjector(faults.ConnConfig{Seed: seed, CutAfterBytes: []int64{8 << 10}})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +164,7 @@ func TestFailoverDuringCatchup(t *testing.T) {
 	}
 
 	// Live traffic replicates after the wound heals.
-	for i := 80; i < len(evs); i++ {
+	for i := backlog; i < len(evs); i++ {
 		if _, err := ldr.DecideSeq(evs[i]); err != nil {
 			t.Fatalf("post-resync publish %d: %v", i, err)
 		}
@@ -237,7 +241,7 @@ func TestCrashDuringFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover chaos suite is slow; run without -short")
 	}
-	crash1 := faults.NewCrashInjector(faults.CrashPlan{AtAppend: 150, Point: faults.CrashAfterAppend})
+	crash1 := faults.NewCrashInjector(faults.CrashPlan{AtAppend: 100, Point: faults.CrashAfterAppend})
 	p := startPair(t, 671, pairOpts{leaderDur: noAutoCkpt(crash1)})
 	evs := p.w.Events(120, p.seed+10)
 	acked := make([]bool, len(evs))

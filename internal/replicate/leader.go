@@ -179,8 +179,11 @@ func OpenLeader(dir string, engine *core.Engine, cfg LeaderConfig, opts ...broke
 	if err != nil {
 		return nil, err
 	}
-	l.b = b
-	l.store = b.Store()
+	// Under l.mu: Open's recovery redelivery already runs fan-out workers
+	// whose ack barriers read l.store.
+	l.mu.Lock()
+	l.b, l.store = b, b.Store()
+	l.mu.Unlock()
 	return l, nil
 }
 

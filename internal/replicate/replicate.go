@@ -17,8 +17,9 @@
 //
 //   - a Publish is only acknowledged once its record is fsynced on BOTH
 //     sides (Store.syncTo → Tap.Barrier), and
-//   - a delivery is only observable once its suppressing ack record
-//     exists on both sides (Store.AppendAck → Tap.Barrier),
+//   - a delivery is only observable once its suppressing ack record —
+//     one per event, naming every node that admitted a copy — exists on
+//     both sides (Store.AppendAcks → Store.AckBarrier → Tap.Barrier),
 //
 // so a promoted follower neither loses acknowledged publishes nor
 // redelivers observed copies. If the follower stops acknowledging within

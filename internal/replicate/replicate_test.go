@@ -435,7 +435,7 @@ func TestBarrierReleasesSoloTicketAfterDeath(t *testing.T) {
 	}
 	ack := func(l *Leader, seq int64) int64 {
 		t.Helper()
-		ticket, err := l.Broker().Store().AppendAck(1, seq)
+		ticket, err := l.Broker().Store().AppendAcks(seq, []topology.NodeID{1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func TestFencingRejectsStaleLeader(t *testing.T) {
 // follower with its stale directory and must adopt the higher epoch and
 // resync from scratch.
 func TestStaleLeaderRejoinsAsFollower(t *testing.T) {
-	crash := faults.NewCrashInjector(faults.CrashPlan{AtAppend: 200, Point: faults.CrashAfterAppend})
+	crash := faults.NewCrashInjector(faults.CrashPlan{AtAppend: 100, Point: faults.CrashAfterAppend})
 	p := startPair(t, 541, pairOpts{leaderDur: noAutoCkpt(crash)})
 	evs := p.w.Events(120, p.seed+10)
 	acked := make([]bool, len(evs))

@@ -57,8 +57,7 @@ func (w *Window) Admit(seq int64) bool {
 // recording it. Pairs with Admit in check-then-act protocols where the
 // act can fail: the server checks Seen before handing a publish to the
 // broker and only Admits once the broker accepted it, so a failed
-// publish stays retryable; a durable consumer checks Seen, journals the
-// ack, and only then Admits.
+// publish stays retryable.
 func (w *Window) Seen(seq int64) bool {
 	if seq < 0 {
 		return true
@@ -107,7 +106,16 @@ func (w *Window) clearBits(lo, hi int64) {
 // Snapshot returns the window's durable form: the highest sequence number
 // admitted (-1 before the first) and the seqs still inside the window,
 // ascending. Everything at or below max-size is already implied by max.
+// It allocates the result once, and not at all for an empty window.
 func (w *Window) Snapshot() (max int64, seqs []int64) {
+	n := 0
+	for _, word := range w.slots {
+		n += bits.OnesCount64(word)
+	}
+	if n == 0 {
+		return w.max, nil
+	}
+	seqs = make([]int64, 0, n)
 	top := w.max % w.size
 	for i, word := range w.slots {
 		for word != 0 {

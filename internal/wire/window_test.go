@@ -143,6 +143,28 @@ func TestWindowFixedFootprint(t *testing.T) {
 	}
 }
 
+// TestWindowSnapshotAllocs: Snapshot sizes its result before filling it —
+// one allocation for a non-empty window, none for an empty one. A
+// checkpoint captures every node's window, so a growing slice here shows
+// up once per node per checkpoint.
+func TestWindowSnapshotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector shadow allocations")
+	}
+	empty := NewWindow(4096)
+	if allocs := testing.AllocsPerRun(100, func() { empty.Snapshot() }); allocs != 0 {
+		t.Errorf("empty Snapshot allocates %.1f times, want 0", allocs)
+	}
+	w := NewWindow(4096)
+	for seq := int64(0); seq < 10000; seq += 3 {
+		w.Admit(seq)
+	}
+	_, seqs := w.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() { w.Snapshot() }); allocs > 1 {
+		t.Errorf("Snapshot of %d seqs allocates %.1f times, want ≤ 1", len(seqs), allocs)
+	}
+}
+
 func TestWindowTinySize(t *testing.T) {
 	w := NewWindow(0) // clamps to 1: "remember only the latest"
 	if !w.Admit(10) || w.Admit(10) {
