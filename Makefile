@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressedWastePair$$' -fuzztime 5s ./internal/bitset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowMatchesResidue$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/durable/
 
 # staticcheck runs honnef.co/go/tools when the binary is on PATH and is a
 # no-op otherwise, so tier1 never depends on tooling the container lacks.

@@ -106,8 +106,10 @@ func decodeCheckpoint(b []byte) (*Checkpoint, int64, BaseInfo, error) {
 		Counters: map[string]int64{},
 	}
 
-	nRemoved := int(c.u32())
-	if c.bad || nRemoved > maxPayloadLen {
+	// Every count is checked against the bytes left before it sizes
+	// anything: each element takes at least the given bytes.
+	nRemoved := c.count(8)
+	if c.bad {
 		return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (removed-base)")
 	}
 	cp.RemovedBase = make([]int64, nRemoved)
@@ -115,17 +117,14 @@ func decodeCheckpoint(b []byte) (*Checkpoint, int64, BaseInfo, error) {
 		cp.RemovedBase[i] = c.i64()
 	}
 
-	nSubs := int(c.u32())
-	if c.bad || nSubs > maxPayloadLen {
+	nSubs := c.count(4 + 1)
+	if c.bad {
 		return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (subs)")
 	}
 	cp.Subs = make([]SubRecord, 0, nSubs)
 	for i := 0; i < nSubs; i++ {
 		n := int(c.u32())
-		if c.bad || n > maxPayloadLen {
-			return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (sub record)")
-		}
-		if c.off+n > len(c.b) {
+		if c.bad || n > len(c.b)-c.off {
 			return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (sub record)")
 		}
 		rec, err := decodeRecord(c.b[c.off : c.off+n])
@@ -136,15 +135,15 @@ func decodeCheckpoint(b []byte) (*Checkpoint, int64, BaseInfo, error) {
 		cp.Subs = append(cp.Subs, rec.sub)
 	}
 
-	nWin := int(c.u32())
-	if c.bad || nWin > maxPayloadLen {
+	nWin := c.count(8 + 4 + 8 + 4)
+	if c.bad {
 		return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (windows)")
 	}
 	cp.Windows = make([]WindowState, 0, nWin)
 	for i := 0; i < nWin; i++ {
 		w := WindowState{Node: c.node(), Size: int(c.u32()), Max: c.i64()}
-		nSeqs := int(c.u32())
-		if c.bad || nSeqs > maxPayloadLen {
+		nSeqs := c.count(8)
+		if c.bad {
 			return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (window seqs)")
 		}
 		w.Seqs = make([]int64, nSeqs)
@@ -154,8 +153,8 @@ func decodeCheckpoint(b []byte) (*Checkpoint, int64, BaseInfo, error) {
 		cp.Windows = append(cp.Windows, w)
 	}
 
-	nCtr := int(c.u32())
-	if c.bad || nCtr > maxPayloadLen {
+	nCtr := c.count(2 + 8)
+	if c.bad {
 		return nil, 0, BaseInfo{}, errors.New("durable: corrupt checkpoint (counters)")
 	}
 	for i := 0; i < nCtr; i++ {
@@ -172,6 +171,17 @@ func decodeCheckpoint(b []byte) (*Checkpoint, int64, BaseInfo, error) {
 		return nil, 0, BaseInfo{}, fmt.Errorf("durable: corrupt checkpoint: %w", err)
 	}
 	return cp, epoch, base, nil
+}
+
+// count reads a u32 element count and marks the cursor bad when that many
+// elements of at least min bytes each cannot fit in the bytes left.
+func (c *cursor) count(min int) int {
+	n := int64(c.u32())
+	if n > int64(len(c.b)-c.off)/int64(min) {
+		c.bad = true
+		return 0
+	}
+	return int(n)
 }
 
 func (c *cursor) u32() uint32 {

@@ -21,6 +21,12 @@
 //	                     4B crc32c(body), body — installed by atomic rename
 //	checkpoint.tmp       in-progress checkpoint; ignored and removed at Open
 //
+// One Store writes both ends of a replicated pair: Open recovers a
+// broker's directory, OpenMirror opens a standby's, which then applies
+// the leader's shipped stream with Reset, AppendRaw, Rotate and
+// InstallCheckpoint — the same append, rotation and checkpoint installer
+// the leader ran.
+//
 // A checkpoint names the first journal epoch it does NOT cover; recovery
 // loads the checkpoint and replays every journal with epoch ≥ that number
 // in order. Replay is idempotent, so records that straddle a checkpoint
@@ -287,13 +293,9 @@ func decodeRecord(payload []byte) (record, error) {
 		r.ackSeq = c.i64()
 	case kindAcks:
 		r.ackSeq = c.i64()
-		n := int64(c.u32())
-		// Checked before allocating: a corrupt count must not size a
-		// slice the payload cannot fill.
-		if n > int64(len(c.b)-c.off)/8 {
-			return r, fmt.Errorf("durable: ack record claims %d nodes in %d bytes", n, len(c.b)-c.off)
-		}
-		r.ackNodes = make([]topology.NodeID, n)
+		// A count the payload cannot fill marks the cursor bad and sizes
+		// nothing.
+		r.ackNodes = make([]topology.NodeID, c.count(8))
 		for i := range r.ackNodes {
 			r.ackNodes[i] = c.node()
 		}

@@ -1,6 +1,7 @@
 // Replication support: the record-stream tap a leader store feeds, the
-// raw-apply Replica store a follower mirrors the stream into, a streamable
-// record iterator for catch-up, and the persisted fencing epoch.
+// mirror methods a follower's Store applies that stream with, a
+// streamable record iterator for catch-up, and the persisted fencing
+// epoch.
 //
 // The division of labour with internal/replicate: this file knows the
 // on-disk format (frames, journal headers, checkpoint files, the epoch
@@ -11,15 +12,12 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/faults"
 )
@@ -108,47 +106,13 @@ func IterateRecords(dir string, fromEpoch int64, base BaseInfo, fn func(journalE
 	var scratch []byte
 	for i, epoch := range epochs {
 		last := i == len(epochs)-1
-		if err := iterateJournal(dir, epoch, base, last, &scratch, fn); err != nil {
+		if _, _, _, err := readJournal(dir, epoch, base, last, &scratch, func(payload []byte) error {
+			return fn(epoch, payload)
+		}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func iterateJournal(dir string, epoch int64, base BaseInfo, last bool, scratch *[]byte, fn func(int64, []byte) error) error {
-	f, err := os.Open(filepath.Join(dir, journalName(epoch)))
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	defer f.Close()
-	hdr := make([]byte, journalHeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return fmt.Errorf("durable: journal %d header: %w", epoch, err)
-	}
-	gotEpoch, gotBase, err := decodeJournalHeader(hdr)
-	if err != nil {
-		return fmt.Errorf("durable: journal %d: %w", epoch, err)
-	}
-	if gotEpoch != epoch || gotBase != base {
-		return fmt.Errorf("durable: journal %d header mismatch (epoch %d, base %x/%d)",
-			epoch, gotEpoch, gotBase.Hash, gotBase.Count)
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	for {
-		payload, _, err := readFrame(br, scratch)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if last {
-				return nil // torn tail: the live stream covers the rest
-			}
-			return fmt.Errorf("durable: journal %d corrupt mid-stream: %w", epoch, err)
-		}
-		if err := fn(epoch, payload); err != nil {
-			return err
-		}
-	}
 }
 
 // ---- fencing epoch ------------------------------------------------------
@@ -191,321 +155,143 @@ func StoreEpoch(dir string, term int64) error {
 	b = append(b, epochMagic...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(term))
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:16], castagnoli))
-	tmp := filepath.Join(dir, epochTmpName)
-	if err := writeFileSync(tmp, b); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, epochName)); err != nil {
-		return fmt.Errorf("durable: installing epoch: %w", err)
-	}
-	return syncDir(dir)
+	return installFile(dir, epochTmpName, epochName, b, nil)
 }
 
-// ---- follower replica ---------------------------------------------------
+// ---- mirror ------------------------------------------------------------
 
-// ErrNoJournal is returned by Replica appends before a Reset established
-// the journal position — the protocol always opens with a catch-up.
-var ErrNoJournal = errors.New("durable: replica has no journal (catch-up pending)")
+// ErrNoJournal is returned by a mirror's appends and rotations before a
+// Reset established the journal position — the protocol always opens
+// with a catch-up.
+var ErrNoJournal = errors.New("durable: mirror has no journal (catch-up pending)")
 
-// Replica is the follower half of a replicated pair: a raw-apply store
-// that mirrors a leader's record stream into an identical on-disk layout
-// (journals, rotations, checkpoint installs) without interpreting the
-// records. Promotion closes the Replica and runs ordinary recovery —
-// broker.Open — over the directory, so failover reuses the exact
-// crash-restart machinery the chaos suite already proves out.
-//
-// The same simulated-crash contract as Store applies: injected crash
-// points flush previously-applied records to the OS before dying, so a
-// record the follower acknowledged is always visible to the promoted
-// incarnation.
-type Replica struct {
-	dir   string
-	base  BaseInfo
-	crash *faults.CrashInjector
-
-	mu       sync.Mutex
-	f        *os.File
-	bw       *bufio.Writer
-	epoch    int64
-	applied  int64
-	closed   bool
-	frameHdr [frameHeaderLen]byte // scratch for the frame being written
-}
-
-// OpenReplica prepares dir to receive a replicated stream. Any previous
-// contents stay untouched until the leader's catch-up decides the sync
-// point (Reset wipes and re-seeds the directory).
-func OpenReplica(dir string, base BaseInfo, opts Options) (*Replica, error) {
+// OpenMirror opens dir as the standby end of a replicated pair: a Store
+// that writes a leader's shipped record stream into the same on-disk
+// layout with the same code — AppendRaw is append, Rotate is the
+// checkpoint rotation, InstallCheckpoint is the checkpoint installer.
+// It has no journal until the leader's catch-up calls Reset, and any
+// previous contents stay untouched until then. Promotion closes the
+// mirror and runs ordinary recovery — broker.Open — over the directory,
+// so failover reuses the crash-restart machinery the chaos suite proves
+// out. opts.Tap is ignored: a mirror ships nothing.
+func OpenMirror(dir string, base BaseInfo, opts Options) (*Store, error) {
+	opts = opts.withDefaults()
+	opts.Tap = nil
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	os.Remove(filepath.Join(dir, ckptTmpName))
 	os.Remove(filepath.Join(dir, epochTmpName))
-	return &Replica{dir: dir, base: base, crash: opts.Crash}, nil
+	return &Store{dir: dir, base: base, opts: opts, crash: opts.Crash}, nil
 }
 
-// Reset wipes the replica's journals and checkpoint and re-seeds them for
-// a full resync: ckptRaw (leader's current checkpoint file, may be nil)
-// is installed verbatim and a fresh journal is opened at journalEpoch.
-func (r *Replica) Reset(journalEpoch int64, ckptRaw []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+// Reset wipes the store's journals and checkpoint and re-seeds them for a
+// full resync: ckptRaw (the leader's checkpoint file, may be nil) is
+// installed verbatim, with no crash point, and a fresh journal is opened
+// at journalEpoch.
+func (s *Store) Reset(journalEpoch int64, ckptRaw []byte) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return ErrClosed
 	}
-	if r.crash.Dead() {
+	if s.crash.Dead() {
 		return faults.ErrCrashed
 	}
-	if r.f != nil {
-		r.f.Close()
-		r.f, r.bw = nil, nil
+	if s.f != nil {
+		s.f.Close()
+		s.f, s.bw = nil, nil
 	}
-	epochs, err := listJournals(r.dir)
+	// Both counters restart: a synced left at its old value would let
+	// the next Sync skip the flush and fsync of the new journal.
+	s.writeSeq, s.synced, s.appended = 0, 0, 0
+	epochs, err := listJournals(s.dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range epochs {
-		os.Remove(filepath.Join(r.dir, journalName(e)))
+		os.Remove(filepath.Join(s.dir, journalName(e)))
 	}
-	os.Remove(filepath.Join(r.dir, ckptName))
+	os.Remove(filepath.Join(s.dir, ckptName))
 	if len(ckptRaw) > 0 {
-		epoch, base, err := DecodeCheckpointMeta(ckptRaw)
+		epoch, err := s.shippedEpoch(ckptRaw)
 		if err != nil {
 			return err
 		}
-		if base != r.base {
-			return fmt.Errorf("durable: replica checkpoint base mismatch (%x/%d, want %x/%d)",
-				base.Hash, base.Count, r.base.Hash, r.base.Count)
-		}
 		if epoch > journalEpoch {
-			return fmt.Errorf("durable: replica checkpoint epoch %d past journal epoch %d", epoch, journalEpoch)
+			return fmt.Errorf("durable: shipped checkpoint epoch %d past journal epoch %d", epoch, journalEpoch)
 		}
-		tmp := filepath.Join(r.dir, ckptTmpName)
-		if err := writeFileSync(tmp, ckptRaw); err != nil {
+		if err := installFile(s.dir, ckptTmpName, ckptName, ckptRaw, nil); err != nil {
 			return err
 		}
-		if err := os.Rename(tmp, filepath.Join(r.dir, ckptName)); err != nil {
-			return fmt.Errorf("durable: installing checkpoint: %w", err)
-		}
 	}
-	if err := syncDir(r.dir); err != nil {
-		return err
-	}
-	r.applied = 0
-	return r.openJournal(journalEpoch)
+	return s.openJournal(journalEpoch, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, true)
 }
 
-// openJournal creates the journal for epoch and installs it as the apply
-// target. Caller holds r.mu.
-func (r *Replica) openJournal(epoch int64) error {
-	f, err := os.OpenFile(filepath.Join(r.dir, journalName(epoch)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if _, err := f.Write(encodeJournalHeader(epoch, r.base)); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: journal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: journal header: %w", err)
-	}
-	if err := syncDir(r.dir); err != nil {
-		f.Close()
-		return err
-	}
-	r.f = f
-	r.bw = bufio.NewWriterSize(f, 64<<10)
-	r.epoch = epoch
-	return nil
-}
-
-// AppendRaw applies one shipped record payload (buffered; Sync is the
+// AppendRaw appends one shipped record payload (buffered; Sync is the
 // durability barrier before acknowledging the leader). Crash points fire
-// here with the same semantics as leader appends, so the chaos suite can
-// kill the follower mid-catch-up and mid-stream.
-func (r *Replica) AppendRaw(payload []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if r.f == nil {
-		return ErrNoJournal
-	}
-	switch r.crash.OnAppend() {
-	case faults.CrashBeforeAppend:
-		r.bw.Flush()
-		return faults.ErrCrashed
-	case faults.CrashTornAppend:
-		writeFrame(r.bw, &r.frameHdr, payload, len(payload)/2)
-		r.bw.Flush()
-		r.f.Sync()
-		return faults.ErrCrashed
-	case faults.CrashAfterAppend:
-		writeFrame(r.bw, &r.frameHdr, payload, len(payload))
-		r.bw.Flush()
-		r.f.Sync()
-		return faults.ErrCrashed
-	}
-	if err := writeFrame(r.bw, &r.frameHdr, payload, len(payload)); err != nil {
-		return fmt.Errorf("durable: replica append: %w", err)
-	}
-	r.applied++
-	return nil
+// here as on any append.
+func (s *Store) AppendRaw(payload []byte) error {
+	_, err := s.append(payload)
+	return err
 }
 
-// Rotate mirrors a leader checkpoint rotation: sync the current journal,
-// open a fresh one for epoch. Rotations at or below the current epoch are
-// duplicates from a catch-up overlap and are ignored.
-func (r *Replica) Rotate(epoch int64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if r.crash.Dead() {
-		return faults.ErrCrashed
-	}
-	if r.f == nil {
-		return ErrNoJournal
-	}
-	if epoch <= r.epoch {
-		return nil
-	}
-	if err := r.bw.Flush(); err != nil {
-		return fmt.Errorf("durable: flush: %w", err)
-	}
-	if err := r.f.Sync(); err != nil {
-		return fmt.Errorf("durable: fsync: %w", err)
-	}
-	old := r.f
-	if err := r.openJournal(epoch); err != nil {
-		return err
-	}
-	old.Close()
-	return nil
+// Rotate mirrors a leader checkpoint rotation. Rotations at or below the
+// current epoch are duplicates from a catch-up overlap and are ignored.
+func (s *Store) Rotate(epoch int64) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rotateLocked(epoch)
 }
 
-// InstallCheckpoint mirrors a leader checkpoint commit: the encoded file
-// is validated, written and atomically renamed into place, and journals
-// below its epoch are deleted — after the current journal is synced, so
-// nothing the dropped journals held is lost.
-func (r *Replica) InstallCheckpoint(epoch int64, raw []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if r.crash.Dead() {
+// InstallCheckpoint mirrors a leader checkpoint commit: the shipped file
+// is validated, the current journal synced, and the file installed by
+// the installer CommitCheckpoint uses.
+func (s *Store) InstallCheckpoint(epoch int64, raw []byte) error {
+	if s.crash.Dead() {
 		return faults.ErrCrashed
 	}
-	gotEpoch, base, err := DecodeCheckpointMeta(raw)
+	got, err := s.shippedEpoch(raw)
 	if err != nil {
 		return err
 	}
-	if base != r.base {
-		return fmt.Errorf("durable: replica checkpoint base mismatch (%x/%d, want %x/%d)",
-			base.Hash, base.Count, r.base.Hash, r.base.Count)
+	if got != epoch {
+		return fmt.Errorf("durable: shipped checkpoint claims epoch %d, expected %d", got, epoch)
 	}
-	if gotEpoch != epoch {
-		return fmt.Errorf("durable: shipped checkpoint claims epoch %d, expected %d", gotEpoch, epoch)
-	}
-	if r.f != nil {
-		if err := r.bw.Flush(); err != nil {
-			return fmt.Errorf("durable: flush: %w", err)
-		}
-		if err := r.f.Sync(); err != nil {
-			return fmt.Errorf("durable: fsync: %w", err)
-		}
-	}
-	tmp := filepath.Join(r.dir, ckptTmpName)
-	if err := writeFileSync(tmp, raw); err != nil {
+	if err := s.Sync(); err != nil {
 		return err
 	}
-	if r.crash.OnCheckpoint() {
-		return faults.ErrCrashed
-	}
-	if err := os.Rename(tmp, filepath.Join(r.dir, ckptName)); err != nil {
-		return fmt.Errorf("durable: installing checkpoint: %w", err)
-	}
-	if err := syncDir(r.dir); err != nil {
-		return err
-	}
-	for e := epoch - 1; e >= 1; e-- {
-		if err := os.Remove(filepath.Join(r.dir, journalName(e))); err != nil {
-			break
-		}
-	}
-	return nil
-}
-
-// Sync flushes and fsyncs the current journal — the follower's durability
-// barrier before acknowledging applied records to the leader.
-func (r *Replica) Sync() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	if r.crash.Dead() {
-		return faults.ErrCrashed
-	}
-	if r.f == nil {
-		return nil
-	}
-	if err := r.bw.Flush(); err != nil {
-		return fmt.Errorf("durable: flush: %w", err)
-	}
-	if err := r.f.Sync(); err != nil {
-		return fmt.Errorf("durable: fsync: %w", err)
-	}
-	return nil
+	return s.installCheckpoint(epoch, raw)
 }
 
-// Epoch returns the journal epoch currently being applied (0 before the
-// first Reset).
-func (r *Replica) Epoch() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
-// Applied returns the records applied since the last Reset.
-func (r *Replica) Applied() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
-}
-
-// Crashed reports whether an injected crash point has fired.
-func (r *Replica) Crashed() bool { return r.crash.Dead() }
-
-// Close flushes and closes the replica. The directory is left exactly as
-// the stream last synced it — ready for broker.Open to promote.
-func (r *Replica) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	if r.f == nil {
-		return nil
-	}
-	if r.crash.Dead() {
-		r.f.Close()
-		return nil
-	}
-	err := r.bw.Flush()
-	if serr := r.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := r.f.Close(); err == nil {
-		err = cerr
-	}
+// shippedEpoch validates a checkpoint file shipped by the leader against
+// this store's base and returns the journal epoch it belongs to.
+func (s *Store) shippedEpoch(raw []byte) (int64, error) {
+	epoch, base, err := DecodeCheckpointMeta(raw)
 	if err != nil {
-		return fmt.Errorf("durable: replica close: %w", err)
+		return 0, err
 	}
-	return nil
+	if base != s.base {
+		return 0, fmt.Errorf("durable: shipped checkpoint base mismatch (%x/%d, want %x/%d)",
+			base.Hash, base.Count, s.base.Hash, s.base.Count)
+	}
+	return epoch, nil
+}
+
+// Applied returns the records appended since Open or the last Reset — on
+// a mirror, the records applied from the current resync's stream.
+func (s *Store) Applied() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writeSeq
 }

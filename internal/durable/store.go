@@ -290,63 +290,79 @@ func (s *Store) openJournal(epoch int64, flags int, writeHeader bool) error {
 	return nil
 }
 
-// replayJournal reads one journal, applying every intact record. A torn or
-// corrupt final frame in the last journal is truncated away and its byte
-// count returned; the same damage in an earlier journal is a hard error,
-// since only the file being appended to at the moment of a crash can be
-// torn.
+// replayJournal applies every intact record of one journal. A torn or
+// corrupt tail of the last journal is truncated away and its byte count
+// returned.
 func (s *Store) replayJournal(epoch int64, last bool, apply func(record)) (int, int64, error) {
-	path := filepath.Join(s.dir, journalName(epoch))
-	f, err := os.Open(path)
+	var scratch []byte
+	n, end, size, err := readJournal(s.dir, epoch, s.base, last, &scratch, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		apply(rec)
+		return nil
+	})
+	if err != nil || end == size {
+		return n, 0, err
+	}
+	if err := os.Truncate(filepath.Join(s.dir, journalName(epoch)), end); err != nil {
+		return 0, 0, fmt.Errorf("durable: truncating torn tail: %w", err)
+	}
+	return n, size - end, nil
+}
+
+// readJournal passes the payload of every intact record of journal epoch
+// under dir to fn, in append order; the payload is reused between calls.
+// It returns the records read, the offset just past the last intact frame
+// and the file's size. Those differ only when the tail is torn, which
+// ends the read of the last journal; the same damage in an earlier journal
+// is a hard error, since only the file being appended to at the moment of
+// a crash can be torn.
+func readJournal(dir string, epoch int64, base BaseInfo, last bool, scratch *[]byte, fn func([]byte) error) (int, int64, int64, error) {
+	f, err := os.Open(filepath.Join(dir, journalName(epoch)))
 	if err != nil {
-		return 0, 0, fmt.Errorf("durable: %w", err)
+		return 0, 0, 0, fmt.Errorf("durable: %w", err)
 	}
 	defer f.Close()
 
 	hdr := make([]byte, journalHeaderLen)
 	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, 0, fmt.Errorf("durable: journal %d header: %w", epoch, err)
+		return 0, 0, 0, fmt.Errorf("durable: journal %d header: %w", epoch, err)
 	}
 	gotEpoch, gotBase, err := decodeJournalHeader(hdr)
 	if err != nil {
-		return 0, 0, fmt.Errorf("durable: journal %d: %w", epoch, err)
+		return 0, 0, 0, fmt.Errorf("durable: journal %d: %w", epoch, err)
 	}
 	if gotEpoch != epoch {
-		return 0, 0, fmt.Errorf("durable: journal file %d claims epoch %d", epoch, gotEpoch)
+		return 0, 0, 0, fmt.Errorf("durable: journal file %d claims epoch %d", epoch, gotEpoch)
 	}
-	if gotBase != s.base {
-		return 0, 0, fmt.Errorf("durable: journal %d written against a different subscription base (hash %x/count %d, want %x/%d)",
-			epoch, gotBase.Hash, gotBase.Count, s.base.Hash, s.base.Count)
+	if gotBase != base {
+		return 0, 0, 0, fmt.Errorf("durable: journal %d written against a different subscription base (hash %x/count %d, want %x/%d)",
+			epoch, gotBase.Hash, gotBase.Count, base.Hash, base.Count)
 	}
 
 	br := bufio.NewReaderSize(f, 64<<10)
 	off := int64(journalHeaderLen)
 	records := 0
-	var scratch []byte
 	for {
-		payload, frameLen, err := readFrame(br, &scratch)
+		payload, frameLen, err := readFrame(br, scratch)
 		if err == io.EOF {
-			return records, 0, nil
+			return records, off, off, nil
 		}
 		if err != nil {
 			if !last {
-				return 0, 0, fmt.Errorf("durable: journal %d corrupt mid-file at offset %d: %w", epoch, off, err)
+				return 0, 0, 0, fmt.Errorf("durable: journal %d corrupt mid-file at offset %d: %w", epoch, off, err)
 			}
 			info, serr := f.Stat()
 			if serr != nil {
-				return 0, 0, fmt.Errorf("durable: %w", serr)
+				return 0, 0, 0, fmt.Errorf("durable: %w", serr)
 			}
-			torn := info.Size() - off
-			if terr := os.Truncate(path, off); terr != nil {
-				return 0, 0, fmt.Errorf("durable: truncating torn tail: %w", terr)
-			}
-			return records, torn, nil
+			return records, off, info.Size(), nil
 		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return 0, 0, fmt.Errorf("durable: journal %d record at offset %d: %w", epoch, off, err)
+		if err := fn(payload); err != nil {
+			return 0, 0, 0, fmt.Errorf("durable: journal %d record at offset %d: %w", epoch, off, err)
 		}
-		apply(rec)
 		records++
 		off += int64(frameLen)
 	}
@@ -495,6 +511,9 @@ func (s *Store) append(payload []byte) (int64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
+	if s.f == nil {
+		return 0, ErrNoJournal
+	}
 	dead := s.crash.Dead()
 	switch s.crash.OnAppend() {
 	case faults.CrashBeforeAppend:
@@ -565,6 +584,10 @@ func (s *Store) localSyncTo(ticket int64) error {
 	if s.crash.Dead() {
 		s.mu.Unlock()
 		return faults.ErrCrashed
+	}
+	if s.f == nil {
+		s.mu.Unlock()
+		return nil
 	}
 	n := s.writeSeq
 	err := s.bw.Flush()
@@ -672,11 +695,24 @@ func (s *Store) BeginCheckpoint() error {
 	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.rotateLocked(s.epoch + 1)
+}
+
+// rotateLocked syncs the current journal and opens a fresh one for epoch;
+// an epoch at or below the current one is ignored. The caller holds
+// syncMu and mu.
+func (s *Store) rotateLocked(epoch int64) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if s.crash.Dead() {
 		return faults.ErrCrashed
+	}
+	if s.f == nil {
+		return ErrNoJournal
+	}
+	if epoch <= s.epoch {
+		return nil
 	}
 	if err := s.bw.Flush(); err != nil {
 		return fmt.Errorf("durable: flush: %w", err)
@@ -686,7 +722,7 @@ func (s *Store) BeginCheckpoint() error {
 	}
 	s.synced = s.writeSeq
 	old := s.f
-	if err := s.openJournal(s.epoch+1, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, true); err != nil {
+	if err := s.openJournal(epoch, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, true); err != nil {
 		return err // openJournal leaves the old epoch installed on failure
 	}
 	old.Close()
@@ -699,10 +735,8 @@ func (s *Store) BeginCheckpoint() error {
 	return nil
 }
 
-// CommitCheckpoint installs cp for the current epoch (temp write, fsync,
-// atomic rename, directory fsync) and deletes the journals of previous
-// epochs. The mid-checkpoint crash point fires between the temp write and
-// the rename, stranding the temp file.
+// CommitCheckpoint installs cp for the current epoch and deletes the
+// journals of previous epochs.
 func (s *Store) CommitCheckpoint(cp *Checkpoint) error {
 	if s.crash.Dead() {
 		return faults.ErrCrashed
@@ -721,24 +755,9 @@ func (s *Store) CommitCheckpoint(cp *Checkpoint) error {
 	epoch := s.epoch
 	s.mu.Unlock()
 
-	tmp := filepath.Join(s.dir, ckptTmpName)
 	encoded := encodeCheckpoint(cp, epoch, s.base)
-	if err := writeFileSync(tmp, encoded); err != nil {
+	if err := s.installCheckpoint(epoch, encoded); err != nil {
 		return err
-	}
-	if s.crash.OnCheckpoint() {
-		return faults.ErrCrashed
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, ckptName)); err != nil {
-		return fmt.Errorf("durable: installing checkpoint: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	for e := epoch - 1; e >= 1; e-- {
-		if err := os.Remove(filepath.Join(s.dir, journalName(e))); err != nil {
-			break // already gone: previous checkpoint cleaned further back
-		}
 	}
 	s.ctr.checkpoints.Inc()
 	if s.tap != nil {
@@ -750,23 +769,47 @@ func (s *Store) CommitCheckpoint(cp *Checkpoint) error {
 	return nil
 }
 
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// installCheckpoint installs the encoded checkpoint of epoch and deletes
+// the journals it covers. The mid-checkpoint crash point fires between
+// the temp write and the rename, stranding the temp file.
+func (s *Store) installCheckpoint(epoch int64, raw []byte) error {
+	if err := installFile(s.dir, ckptTmpName, ckptName, raw, s.crash); err != nil {
+		return err
+	}
+	for e := epoch - 1; e >= 1; e-- {
+		if err := os.Remove(filepath.Join(s.dir, journalName(e))); err != nil {
+			break // already gone: previous checkpoint cleaned further back
+		}
+	}
+	return nil
+}
+
+// installFile atomically replaces dir/name with b: temp write, fsync,
+// rename, directory fsync. crash, when set, may fire its checkpoint crash
+// point between the temp write and the rename.
+func installFile(dir, tmpName, name string, b []byte, crash *faults.CrashInjector) error {
+	tmp := filepath.Join(dir, tmpName)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: %w", err)
+	if crash.OnCheckpoint() {
+		return faults.ErrCrashed
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: %w", err)
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("durable: installing %s: %w", name, err)
 	}
-	return nil
+	return syncDir(dir)
 }
 
 // Close flushes and closes the journal. After a simulated crash the
@@ -781,6 +824,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.f == nil {
+		return nil
+	}
 	if s.crash.Dead() {
 		s.f.Close()
 		return nil

@@ -46,8 +46,8 @@ type FollowerConfig struct {
 	ReadTimeout time.Duration
 	// Reconnect is the pause between dial attempts. Default 25ms.
 	Reconnect time.Duration
-	// Durable passes the replica's store options (only the crash
-	// injector is used).
+	// Durable passes the mirror store's options (the crash injector is
+	// the one that matters; a Tap is ignored).
 	Durable durable.Options
 	// OnLeaderDead, when set, runs (once, on its own goroutine) when the
 	// leader is declared dead; LeaderDead() exposes the same event as a
@@ -71,15 +71,15 @@ func (c *FollowerConfig) setDefaults() {
 	}
 }
 
-// Follower mirrors a leader's journal stream into a local durable.Replica
-// — a warm standby. It detects leader death through its failure detector
-// and exposes the event; promotion (Promote / PromoteLeader) persists a
-// higher fencing epoch and runs ordinary crash-restart recovery over the
-// mirrored directory. It serves no publishes or subscriptions until
-// promoted.
+// Follower mirrors a leader's journal stream into a local mirror
+// durable.Store (durable.OpenMirror) — a warm standby. It detects leader
+// death through its failure detector and exposes the event; promotion
+// (Promote / PromoteLeader) persists a higher fencing epoch and runs
+// ordinary crash-restart recovery over the mirrored directory. It serves
+// no publishes or subscriptions until promoted.
 type Follower struct {
 	cfg     FollowerConfig
-	rep     *durable.Replica
+	rep     *durable.Store
 	tracker *health.Tracker
 
 	// applyMu is held across every replica mutation; Promote takes it to
@@ -113,7 +113,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := durable.OpenReplica(cfg.Dir, cfg.Base, cfg.Durable)
+	rep, err := durable.OpenMirror(cfg.Dir, cfg.Base, cfg.Durable)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@
 // a leader that ships its journal record stream over the wire protocol
 // and a warm-standby follower that mirrors the stream into an identical
 // on-disk layout, ready to be promoted by ordinary crash-restart
-// recovery.
+// recovery. Both ends write their directory with durable.Store: the
+// follower's is a mirror (durable.OpenMirror) that applies the stream
+// with the append, rotation and checkpoint installer the leader ran.
 //
 // The protocol is deliberately simple. Every (re)connect is a full
 // resync: the leader captures a consistent snapshot of its on-disk state
