@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race chaos chaos-recovery chaos-wire chaos-replicate chaos-federate bench bench-json bench-baseline bench-decide bench-decide-n bench-recovery bench-wire bench-replicate bench-federate bench-smoke bench-1m bench-1m-smoke alloc-regression fuzz-smoke vet staticcheck fmt loc
+.PHONY: all build test tier1 experiments-check race chaos chaos-recovery chaos-wire chaos-replicate chaos-federate bench bench-json bench-baseline bench-decide bench-decide-n bench-recovery bench-wire bench-replicate bench-federate bench-smoke bench-1m bench-1m-smoke alloc-regression fuzz-smoke vet staticcheck fmt loc
 
 # Label recorded next to a bench-baseline entry in BENCH_cluster.json.
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
@@ -29,6 +29,19 @@ tier1: vet staticcheck alloc-regression
 # race suite.
 alloc-regression:
 	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint|TestServerAllocsPerPublish|TestWindowSnapshotAllocs|TestDurableAllocsFlatInCopies' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/ ./internal/transport/
+
+# experiments-check reruns the quick experiment sweep and compares its
+# deterministic CSVs byte for byte with the copies recorded in
+# results/quick/: every table and figure, routed and priced through the
+# broker's own decider, so a change to a decision shows up here. The
+# timing-dependent outputs (fig10, churn, faults, federate, recovery) are
+# not compared. Takes about 15 s.
+QUICK_CSVS = table1 table2 fig7 fig8 fig9_net1 fig9_net2 scenarios ablation
+experiments-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/pubsub-bench -quick -csv "$$tmp" all > "$$tmp/run.txt" || { cat "$$tmp/run.txt"; exit 1; }; \
+	for f in $(QUICK_CSVS); do cmp "results/quick/$$f.csv" "$$tmp/$$f.csv" || exit 1; done; \
+	echo "experiments-check: $(words $(QUICK_CSVS)) quick CSVs match results/quick/"
 
 # fuzz-smoke runs every fuzz target for 5 s. go test fuzzes one target
 # per invocation, hence one call per target.

@@ -101,7 +101,7 @@ func BenchmarkFig7(b *testing.B) {
 	nl := noloss.Config{PoolSize: 800, Iterations: 3, Seeds: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig7(env, []int{10, 50, 100}, benchSpecs(), nl); err != nil {
+		if _, err := experiments.RunFig7(env, []int{10, 50, 100}, benchSpecs(), nl, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@
 //	-csv DIR     additionally write CSV files into DIR
 //	-metrics F   write a telemetry snapshot (JSON) to F; fig7 additionally
 //	             collects per-algorithm cost distributions with
-//	             p50/p95/p99, clustering times and matcher waste ratios
+//	             p50/p95/p99, clustering times and replayed event counts
 //	-cpuprofile F  write a pprof CPU profile of the run to F
 //	-memprofile F  write a pprof heap profile to F on exit
 package main
@@ -247,7 +247,7 @@ func (o options) algorithms() []experiments.AlgorithmSpec {
 	}
 	// -workers pins the clustering parallelism of every algorithm; with the
 	// flag at its default 0 the algorithms keep their own default, which
-	// already resolves to GOMAXPROCS. RunFig7Parallel re-divides this when
+	// already resolves to GOMAXPROCS. RunFig7 re-divides this when
 	// job-level parallelism is also requested.
 	if o.workers > 0 {
 		for _, s := range specs {
@@ -344,24 +344,22 @@ func runFig7(opt options) error {
 	})
 }
 
-// fig7 dispatches between the sequential, parallel and telemetry-observed
-// Figure 7 runners. The registry is non-nil only when -metrics is set.
+// fig7 runs Figure 7 with -parallel jobs at once (0 = sequential, -1 =
+// GOMAXPROCS). The registry is non-nil only when -metrics is set.
 func (o options) fig7(env *experiments.StockEnv, ks []int) ([]experiments.Fig7Point, *telemetry.Registry, error) {
+	var reg *telemetry.Registry
 	if o.metrics != "" {
-		reg := telemetry.NewRegistry()
-		pts, err := experiments.RunFig7Observed(env, ks, o.algorithms(), o.nolossConfig(), reg)
-		return pts, reg, err
+		reg = telemetry.NewRegistry()
 	}
-	if o.parallel != 0 {
-		workers := o.parallel
-		if workers < 0 {
-			workers = 0 // RunFig7Parallel resolves 0 to GOMAXPROCS
-		}
-		pts, err := experiments.RunFig7Parallel(env, ks, o.algorithms(), o.nolossConfig(), workers)
-		return pts, nil, err
+	workers := o.parallel
+	switch {
+	case workers == 0:
+		workers = 1
+	case workers < 0:
+		workers = 0 // RunFig7 resolves 0 to GOMAXPROCS
 	}
-	pts, err := experiments.RunFig7(env, ks, o.algorithms(), o.nolossConfig())
-	return pts, nil, err
+	pts, err := experiments.RunFig7(env, ks, o.algorithms(), o.nolossConfig(), workers, reg)
+	return pts, reg, err
 }
 
 // writeMetrics dumps a registry snapshot as JSON to the -metrics file.

@@ -103,7 +103,10 @@ func measureBaselines(model *pubsub.CostModel, w *pubsub.World, events []pubsub.
 	}
 	var b baselines
 	for _, ev := range events {
-		d := engine.Decide(ev)
+		d, _, err := engine.Publish(ev)
+		if err != nil {
+			return baselines{}, err
+		}
 		for _, si := range d.MatchedSubs {
 			b.unicast += model.Dist(ev.Pub, w.Subs[si].Owner)
 		}

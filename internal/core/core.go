@@ -85,7 +85,7 @@ type Engine struct {
 
 	world *workload.World
 	grid  *space.Grid
-	// model is the engine's one cost model. Decide prices through it;
+	// model is the engine's one cost model. Publish prices through it;
 	// snapshot decide workers price through views of it (NewSPTView) and
 	// the overlay table builds through it, all sharing one tree cache.
 	model *multicast.Model
@@ -102,7 +102,7 @@ type Engine struct {
 	groupNodes [][]topology.NodeID
 	overlays   *overlayTable
 
-	// quarantined groups are skipped by Decide (fallback to unicast) until
+	// quarantined groups are skipped by decisions (fallback to unicast) until
 	// the next Refresh/rebuild; the broker's fault-tolerance layer marks
 	// groups whose deliveries persistently fail.
 	quarantined map[int]bool
@@ -214,21 +214,61 @@ func (e *Engine) markRebuilt() {
 }
 
 // reindex installs a fresh world and grid and a subscription index over
-// every slot of w, all live. The insertion-built tree is re-laid in
-// depth-first order once: every later snapshot shares these nodes, and
-// every decide searches them.
+// every slot of w, all live.
 func (e *Engine) reindex(w *workload.World, grid *space.Grid) error {
-	tree := rtree.New(w.Dim)
+	tree, err := indexSubs(w)
+	if err != nil {
+		return err
+	}
 	live := make(map[int]bool, len(w.Subs))
-	for i, s := range w.Subs {
-		if err := tree.Insert(s.Rect, i); err != nil {
-			return fmt.Errorf("core: indexing subscription %d: %w", i, err)
-		}
+	for i := range w.Subs {
 		live[i] = true
 	}
-	tree.Relayout()
 	e.world, e.grid, e.tree, e.live = w, grid, tree, live
 	return nil
+}
+
+// indexSubs builds the subscription index over every slot of w. The
+// insertion-built tree is re-laid in depth-first order once: every later
+// snapshot shares these nodes, and every decide searches them.
+func indexSubs(w *workload.World) (*rtree.Tree, error) {
+	tree := rtree.New(w.Dim)
+	for i, s := range w.Subs {
+		if err := tree.Insert(s.Rect, i); err != nil {
+			return nil, fmt.Errorf("core: indexing subscription %d: %w", i, err)
+		}
+	}
+	tree.Relayout()
+	return tree, nil
+}
+
+// gridGroups builds the Fig 5 routing index over a grid clustering and
+// each group's member nodes.
+func gridGroups(w *workload.World, grid *space.Grid, res *cluster.Result) (*matching.GridIndex, [][]topology.NodeID, error) {
+	idx, err := matching.NewGridIndex(grid, res)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: grid index: %w", err)
+	}
+	nodes := make([][]topology.NodeID, len(res.Groups))
+	for i := range res.Groups {
+		nodes[i] = res.Groups[i].NodesOf(w)
+	}
+	return idx, nodes, nil
+}
+
+// noLossGroups builds the Fig 6 routing index over the k densest groups
+// of a No-Loss result and each group's member nodes.
+func noLossGroups(w *workload.World, res *noloss.Result, k int) (*matching.NoLossIndex, [][]topology.NodeID, error) {
+	idx, err := matching.NewNoLossIndex(res, k)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: no-loss index: %w", err)
+	}
+	groups := idx.Groups()
+	nodes := make([][]topology.NodeID, len(groups))
+	for i := range groups {
+		nodes[i] = groups[i].NodesOf(w)
+	}
+	return idx, nodes, nil
 }
 
 // rebuild reconstructs every index and the multicast groups from scratch.
@@ -251,22 +291,13 @@ func (e *Engine) rebuild() error {
 		if err != nil {
 			return fmt.Errorf("core: no-loss: %w", err)
 		}
-		idx, err := matching.NewNoLossIndex(res, e.cfg.Groups)
+		idx, nodes, err := noLossGroups(w, res, e.cfg.Groups)
 		if err != nil {
-			return fmt.Errorf("core: no-loss index: %w", err)
+			return err
 		}
 		e.nlIdx = idx
 		e.gridIdx, e.gridIn, e.gridRes = nil, nil, nil
-		e.groupNodes = make([][]topology.NodeID, len(idx.Groups()))
-		for i := range idx.Groups() {
-			g := idx.Groups()[i]
-			e.groupNodes[i] = g.NodesOf(w)
-		}
-		e.overlays = newOverlayTable(e.model, e.groupNodes)
-		e.clearQuarantines()
-		e.markRebuilt()
-		e.tel.liveGroups.Set(int64(len(e.groupNodes)))
-		e.stale = false
+		e.adoptGroups(nodes)
 		return nil
 	}
 
@@ -294,9 +325,9 @@ func (e *Engine) adoptGridAssignment(in *cluster.Input, assign cluster.Assignmen
 	if err != nil {
 		return fmt.Errorf("core: materialising groups: %w", err)
 	}
-	idx, err := matching.NewGridIndex(e.grid, res)
+	idx, nodes, err := gridGroups(e.world, e.grid, res)
 	if err != nil {
-		return fmt.Errorf("core: grid index: %w", err)
+		return err
 	}
 	// Attach compressed mirrors to the now-frozen group vectors: the decide
 	// plane's membership tests and the snapshot readers go through them for
@@ -304,20 +335,22 @@ func (e *Engine) adoptGridAssignment(in *cluster.Input, assign cluster.Assignmen
 	res.PackMembers()
 	e.gridIn, e.gridRes, e.gridIdx = in, res, idx
 	e.nlIdx = nil
-	e.groupNodes = make([][]topology.NodeID, len(res.Groups))
-	for i := range res.Groups {
-		e.groupNodes[i] = res.Groups[i].NodesOf(e.world)
-	}
-	// Overlays are built lazily on first ALM costing (see overlayTable):
-	// eager per-group Prim over the metric closure made construction
-	// quadratic in group size and is pure waste for runs that never price
-	// app-level multicast.
-	e.overlays = newOverlayTable(e.model, e.groupNodes)
+	e.adoptGroups(nodes)
+	return nil
+}
+
+// adoptGroups installs a fresh group generation's member nodes. Overlays
+// are built lazily on first ALM costing (see overlayTable): eager
+// per-group Prim over the metric closure made construction quadratic in
+// group size and is pure waste for runs that never price app-level
+// multicast.
+func (e *Engine) adoptGroups(nodes [][]topology.NodeID) {
+	e.groupNodes = nodes
+	e.overlays = newOverlayTable(e.model, nodes)
 	e.clearQuarantines()
 	e.markRebuilt()
-	e.tel.liveGroups.Set(int64(len(e.groupNodes)))
+	e.tel.liveGroups.Set(int64(len(nodes)))
 	e.stale = false
-	return nil
 }
 
 // World exposes the engine's current world view. Treat it as read-only;
@@ -345,7 +378,7 @@ type GroupInfo struct {
 	OverlayCost float64
 }
 
-// Quarantine marks multicast group g unusable: Decide stops routing events
+// Quarantine marks multicast group g unusable: decisions stop routing events
 // through it (falling back to unicast for its members) until the next
 // Refresh or rebuild clears the quarantine. The broker invokes this when
 // deliveries to a group member persistently fail (node down, link

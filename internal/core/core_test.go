@@ -29,6 +29,17 @@ func testWorld(t *testing.T, subs int, seed int64) (*workload.World, []workload.
 	return w, w.Events(1000, seed+2)
 }
 
+// decide returns the delivery plan Publish makes for ev, for tests that
+// inspect only the plan.
+func decide(t *testing.T, e *Engine, ev workload.Event) Decision {
+	t.Helper()
+	d, _, err := e.Publish(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestConfigValidation(t *testing.T) {
 	w, train := testWorld(t, 50, 80)
 	if _, err := NewFromWorld(w, train, Config{Groups: 0}); err == nil {
@@ -166,10 +177,10 @@ func TestEngineThresholdForcesUnicast(t *testing.T) {
 	evs := w.Events(150, 87)
 	alwaysMC, strictMC := 0, 0
 	for _, ev := range evs {
-		if d := always.Decide(ev); d.Method == multicast.NetworkMulticast {
+		if d := decide(t, always, ev); d.Method == multicast.NetworkMulticast {
 			alwaysMC++
 		}
-		if d := strict.Decide(ev); d.Method == multicast.NetworkMulticast {
+		if d := decide(t, strict, ev); d.Method == multicast.NetworkMulticast {
 			strictMC++
 		}
 	}
@@ -212,7 +223,7 @@ func TestEngineDynamicsAddNeverLoses(t *testing.T) {
 	// remainder.
 	evs := w.Events(100, 89)
 	for _, ev := range evs {
-		d := e.Decide(ev)
+		d := decide(t, e, ev)
 		delivered := false
 		for _, n := range d.Interested {
 			if n == newcomer {
@@ -252,7 +263,7 @@ func TestEngineDynamicsAddNeverLoses(t *testing.T) {
 		t.Fatal("newcomer not indexed after refresh")
 	}
 	for _, ev := range evs[:30] {
-		d := e.Decide(ev)
+		d := decide(t, e, ev)
 		if d.Method == multicast.NetworkMulticast && len(d.Remainder) != 0 {
 			t.Fatal("remainder persists after refresh")
 		}

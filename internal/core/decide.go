@@ -31,11 +31,12 @@ type Decision struct {
 }
 
 // decider is the frozen state one delivery decision reads: the
-// subscription index, the group tables and the quarantine set. The Engine
-// builds a decider over its live state for the single-threaded path;
-// DecisionSnapshot freezes one (structurally shared tree clone, frozen
-// subscription slice, copied quarantine map) for lock-free concurrent
-// reads.
+// subscription index, the group tables and the quarantine set. It lives
+// only inside a DecisionSnapshot: Engine.Snapshot freezes one over the
+// engine's live state (structurally shared tree clone, frozen subscription
+// slice, copied quarantine map) for lock-free concurrent reads, and
+// GridSnapshot and NoLossSnapshot build one over a grouping computed
+// outside an Engine.
 //
 // Invariant: decision code must never read world.Subs — a writer may be
 // appending to it concurrently — only the frozen subs slice.
@@ -67,37 +68,6 @@ type DecideScratch struct {
 	hits  []int
 	nodes []topology.NodeID
 	rem   []topology.NodeID
-}
-
-// dec builds a decider over the engine's live state.
-func (e *Engine) dec() decider {
-	return decider{
-		threshold:   e.cfg.Threshold,
-		dynamic:     e.cfg.DynamicMethod,
-		world:       e.world,
-		subs:        e.world.Subs,
-		tree:        e.tree,
-		gridIdx:     e.gridIdx,
-		gridRes:     e.gridRes,
-		nlIdx:       e.nlIdx,
-		groupNodes:  e.groupNodes,
-		overlays:    e.overlays,
-		quarantined: e.quarantined,
-	}
-}
-
-// Decide matches the event and plans its delivery per Figures 5/6. With
-// Config.DynamicMethod it additionally compares the group-multicast,
-// unicast and broadcast prices and downgrades or upgrades the method to
-// the cheapest (the §1 distribution-method decision).
-func (e *Engine) Decide(ev workload.Event) Decision {
-	// Guard the clock read so an uninstrumented engine pays nothing.
-	if e.tel.decideNs != nil {
-		defer e.tel.decideNs.Start()()
-		e.tel.decides.Inc()
-	}
-	dc := e.dec()
-	return dc.decide(ev, e.model, nil)
 }
 
 // decide runs the full decision: static routing plus (when enabled) the
@@ -256,13 +226,9 @@ func (dc *decider) costOf(ev workload.Event, d Decision, cost *multicast.Model) 
 	}
 }
 
-// CostOf prices a decision for the given event.
-func (e *Engine) CostOf(ev workload.Event, d Decision) Costs {
-	dc := e.dec()
-	return dc.costOf(ev, d, e.model)
-}
-
-// Publish decides and prices one event in a single call.
+// Publish decides and prices one event in a single call, through the
+// engine's current snapshot (see Snapshot), so it runs exactly the decision
+// a broker's decide workers run. Only the decision is timed.
 func (e *Engine) Publish(ev workload.Event) (Decision, Costs, error) {
 	if len(ev.Point) != e.world.Dim {
 		return Decision{}, Costs{}, fmt.Errorf("core: event dim %d, world dim %d", len(ev.Point), e.world.Dim)
@@ -270,6 +236,18 @@ func (e *Engine) Publish(ev workload.Event) (Decision, Costs, error) {
 	if ev.Pub < 0 || int(ev.Pub) >= e.graph.NumNodes() {
 		return Decision{}, Costs{}, fmt.Errorf("core: publisher %d out of range", ev.Pub)
 	}
-	d := e.Decide(ev)
-	return d, e.CostOf(ev, d), nil
+	s := e.Snapshot()
+	d := e.timedDecide(s, ev)
+	return d, s.CostOf(ev, d, e.model), nil
+}
+
+// timedDecide is s.Decide, counted into core.decides and timed into
+// core.decide_ns when the engine is instrumented.
+func (e *Engine) timedDecide(s *DecisionSnapshot, ev workload.Event) Decision {
+	// Guard the clock read so an uninstrumented engine pays nothing.
+	if e.tel.decideNs != nil {
+		defer e.tel.decideNs.Start()()
+		e.tel.decides.Inc()
+	}
+	return s.Decide(ev, e.model)
 }

@@ -87,7 +87,7 @@ func TestRefreshAfterRemovingWholeGroup(t *testing.T) {
 	// Former group members no longer subscribe: no decision may list them
 	// as interested, and every interested node must still be covered.
 	for _, ev := range w.Events(100, 98) {
-		d := e.Decide(ev)
+		d := decide(t, e, ev)
 		for _, n := range d.Interested {
 			if victims[n] {
 				t.Fatalf("removed subscriber %d still matched", n)
@@ -149,7 +149,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	// Find an event routed through a group.
 	var grp = -1
 	for _, ev := range evs {
-		if d := e.Decide(ev); d.Method == multicast.NetworkMulticast {
+		if d := decide(t, e, ev); d.Method == multicast.NetworkMulticast {
 			grp = d.Group
 			break
 		}
@@ -162,7 +162,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 		t.Fatal("group not quarantined")
 	}
 	for _, ev := range evs {
-		if d := e.Decide(ev); d.Method == multicast.NetworkMulticast && d.Group == grp {
+		if d := decide(t, e, ev); d.Method == multicast.NetworkMulticast && d.Group == grp {
 			t.Fatalf("quarantined group %d still routed", grp)
 		}
 	}

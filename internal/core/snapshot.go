@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/multicast"
+	"repro/internal/noloss"
+	"repro/internal/space"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -19,15 +22,20 @@ import (
 //
 // Cost queries need per-goroutine scratch state, so Decide and CostOf take
 // the calling worker's view of the engine's cost model (create one per
-// goroutine with Engine.NewSPTView). Decisions are byte-identical to
-// Engine.Decide against the same state, for every worker count.
+// goroutine with Engine.NewSPTView or multicast.Model.View). Decisions are
+// byte-identical for every worker count.
+//
+// An Engine builds its snapshots with Snapshot. GridSnapshot and
+// NoLossSnapshot build one over a grouping computed outside an Engine, so
+// the paper's experiments replay through the same decision code the
+// broker runs.
 type DecisionSnapshot struct {
 	version int64
 	dec     decider
 }
 
 // Version is the snapshot's monotone build number (1 for the first
-// snapshot an engine builds).
+// snapshot an engine builds, 0 for GridSnapshot and NoLossSnapshot).
 func (s *DecisionSnapshot) Version() int64 { return s.version }
 
 // NumGroups returns the number of multicast groups in the snapshot.
@@ -104,13 +112,22 @@ func (e *Engine) Snapshot() *DecisionSnapshot {
 		// Quarantine-only change: share everything structural.
 		dec = e.lastSnap.dec
 	} else {
-		dec = e.dec()
-		dec.tree = e.tree.Clone()
-		// Freeze the slice length: writer-side appends only ever write at
-		// indices ≥ this length, which the snapshot never reads. Capping
-		// the capacity too keeps any accidental append on the snapshot
-		// side from aliasing the live array.
-		dec.subs = e.world.Subs[:len(e.world.Subs):len(e.world.Subs)]
+		dec = decider{
+			threshold: e.cfg.Threshold,
+			dynamic:   e.cfg.DynamicMethod,
+			world:     e.world,
+			// Freeze the slice length: writer-side appends only ever write
+			// at indices ≥ this length, which the snapshot never reads.
+			// Capping the capacity too keeps any accidental append on the
+			// snapshot side from aliasing the live array.
+			subs:       e.world.Subs[:len(e.world.Subs):len(e.world.Subs)],
+			tree:       e.tree.Clone(),
+			gridIdx:    e.gridIdx,
+			gridRes:    e.gridRes,
+			nlIdx:      e.nlIdx,
+			groupNodes: e.groupNodes,
+			overlays:   e.overlays,
+		}
 	}
 	if len(e.quarantined) == 0 {
 		dec.quarantined = nil
@@ -125,4 +142,58 @@ func (e *Engine) Snapshot() *DecisionSnapshot {
 	e.lastSnap = s
 	e.dirtySubs, e.dirtyGroups, e.dirtyQuar = false, false, false
 	return s
+}
+
+// GridSnapshot builds a decision snapshot over a grid clustering computed
+// outside an Engine: Fig 5 routing of w's subscriptions to res's groups.
+// Of cfg it reads only Threshold and DynamicMethod. Overlays are built
+// lazily through model. w, grid and res must not change while the
+// snapshot is in use.
+func GridSnapshot(w *workload.World, grid *space.Grid, res *cluster.Result, model *multicast.Model, cfg Config) (*DecisionSnapshot, error) {
+	idx, nodes, err := gridGroups(w, grid, res)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := detachedDecider(w, nodes, model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	dec.gridIdx, dec.gridRes = idx, res
+	return &DecisionSnapshot{dec: dec}, nil
+}
+
+// NoLossSnapshot is GridSnapshot for Fig 6 routing to the k densest
+// groups of a No-Loss result.
+func NoLossSnapshot(w *workload.World, res *noloss.Result, k int, model *multicast.Model, cfg Config) (*DecisionSnapshot, error) {
+	idx, nodes, err := noLossGroups(w, res, k)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := detachedDecider(w, nodes, model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	dec.nlIdx = idx
+	return &DecisionSnapshot{dec: dec}, nil
+}
+
+// detachedDecider builds the strategy-independent part of a decider over
+// w for GridSnapshot and NoLossSnapshot.
+func detachedDecider(w *workload.World, nodes [][]topology.NodeID, model *multicast.Model, cfg Config) (decider, error) {
+	if cfg.Threshold < 0 || cfg.Threshold > 1 {
+		return decider{}, fmt.Errorf("core: Threshold = %v, need [0,1]", cfg.Threshold)
+	}
+	tree, err := indexSubs(w)
+	if err != nil {
+		return decider{}, err
+	}
+	return decider{
+		threshold:  cfg.Threshold,
+		dynamic:    cfg.DynamicMethod,
+		world:      w,
+		subs:       w.Subs[:len(w.Subs):len(w.Subs)],
+		tree:       tree,
+		groupNodes: nodes,
+		overlays:   newOverlayTable(model, nodes),
+	}, nil
 }

@@ -6,33 +6,64 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/multicast"
+	"repro/internal/noloss"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-// TestSnapshotDecisionEquivalence: a snapshot must reproduce the engine's
-// own decisions and costs bit-for-bit, including under the dynamic method
-// comparison (which exercises every cost query).
-func TestSnapshotDecisionEquivalence(t *testing.T) {
+// TestGridSnapshotMatchesEngine pins the seam the paper's experiments
+// replay through: a GridSnapshot (or NoLossSnapshot) over an engine's own
+// world and grouping must decide and price every event exactly as the
+// engine's Publish does, including under the threshold rule and the
+// dynamic method comparison (which exercises every cost query).
+func TestGridSnapshotMatchesEngine(t *testing.T) {
 	w, train := testWorld(t, 300, 400)
-	e, err := NewFromWorld(w, train, Config{
-		Groups: 30, CellBudget: 600, DynamicMethod: true,
-	})
+	evs := w.Events(300, 401)
+	check := func(name string, e *Engine, snap *DecisionSnapshot, model *multicast.Model) {
+		t.Helper()
+		for _, ev := range evs {
+			want, wc, err := e.Publish(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := snap.Decide(ev, model)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: decision diverged: engine %+v, snapshot %+v", name, want, got)
+			}
+			if gc := snap.CostOf(ev, got, model); wc != gc {
+				t.Fatalf("%s: costs diverged: engine %+v, snapshot %+v", name, wc, gc)
+			}
+		}
+	}
+
+	cfg := Config{Groups: 30, CellBudget: 600, Threshold: 0.05, DynamicMethod: true}
+	e, err := NewFromWorld(w, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
-	view := e.NewSPTView()
-	for _, ev := range w.Events(300, 401) {
-		want := e.Decide(ev)
-		got := snap.Decide(ev, view)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("decision diverged: engine %+v, snapshot %+v", want, got)
-		}
-		if wc, gc := e.CostOf(ev, want), snap.CostOf(ev, got, view); wc != gc {
-			t.Fatalf("costs diverged: engine %+v, snapshot %+v", wc, gc)
-		}
+	model := multicast.NewModel(w.Graph)
+	snap, err := GridSnapshot(e.world, e.grid, e.gridRes, model, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("grid", e, snap, model)
+	if _, err := GridSnapshot(e.world, e.grid, e.gridRes, model, Config{Threshold: 1.5}); err == nil {
+		t.Error("GridSnapshot accepted Threshold 1.5")
+	}
+
+	cfg = Config{Groups: 30, NoLoss: &noloss.Config{PoolSize: 600, Iterations: 3, Seeds: 24},
+		Threshold: 0.05, DynamicMethod: true}
+	e, err = NewFromWorld(w, train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nres := &noloss.Result{Groups: e.nlIdx.Groups()}
+	snap, err = NoLossSnapshot(e.world, nres, cfg.Groups, model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("no-loss", e, snap, model)
 }
 
 // TestSnapshotCaching: Snapshot() must return the identical object until

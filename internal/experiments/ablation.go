@@ -31,7 +31,7 @@ func RunThresholdAblation(env *StockEnv, k int, thresholds []float64) ([]Ablatio
 	spec := AlgorithmSpec{Alg: &cluster.KMeans{Variant: cluster.Forgy}, Budget: 3000}
 	var out []AblationPoint
 	for _, th := range thresholds {
-		costs, _, err := env.runGrid(spec, k, sim.Options{Threshold: th})
+		costs, _, err := env.runGrid(spec, k, core.Config{Threshold: th})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: threshold %v: %w", th, err)
 		}
@@ -67,15 +67,11 @@ func RunOutlierAblation(env *StockEnv, k, budget int, fracs []float64) ([]Ablati
 		if err != nil {
 			return nil, fmt.Errorf("experiments: outlier frac %v: %w", frac, err)
 		}
-		assign, err := alg.Cluster(in, k)
+		res, _, err := clusterGrid(in, alg, k)
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.BuildResult(in, assign)
-		if err != nil {
-			return nil, err
-		}
-		costs, err := sim.EvaluateGrid(env.Model, env.World, env.Grid, res, env.Matcher, env.Eval, sim.Options{})
+		costs, err := replayGrid(env.World, env.Grid, res, env.Model, env.Eval, core.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +104,7 @@ func RunLastMileAblation(base StockEnvConfig, k int, factors []float64) ([]Ablat
 			return nil, fmt.Errorf("experiments: last-mile %v: %w", f, err)
 		}
 		spec := AlgorithmSpec{Alg: &cluster.KMeans{Variant: cluster.Forgy}, Budget: 3000}
-		costs, _, err := env.runGrid(spec, k, sim.Options{})
+		costs, _, err := env.runGrid(spec, k, core.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +147,7 @@ func RunProbAblation(env *StockEnv, k, budget int, sampleSizes []int) ([]Ablatio
 		if err != nil {
 			return AblationPoint{}, err
 		}
-		costs, err := sim.EvaluateGrid(env.Model, env.World, env.Grid, res, env.Matcher, env.Eval, sim.Options{})
+		costs, err := replayGrid(env.World, env.Grid, res, env.Model, env.Eval, core.Config{})
 		if err != nil {
 			return AblationPoint{}, err
 		}
@@ -195,34 +191,31 @@ func RunProbAblation(env *StockEnv, k, budget int, sampleSizes []int) ([]Ablatio
 // RunDynamicMethodAblation compares the static Fig 5 routing (always
 // multicast a routed group) against the §1 dynamic distribution-method
 // decision (per-event cheapest of group multicast / unicast / broadcast),
-// across group counts. Param is K; Network is the static improvement and
-// Extra the dynamic improvement.
+// across group counts: one clustering per K, replayed once under each
+// rule. Param is K; Network is the static improvement and Extra the
+// dynamic improvement.
 func RunDynamicMethodAblation(env *StockEnv, ks []int) ([]AblationPoint, error) {
 	if len(ks) == 0 {
 		ks = []int{10, 25, 50, 100}
 	}
+	in, err := cluster.BuildInput(env.World, env.Grid, env.Train, 3000)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: dynamic-method: %w", err)
+	}
+	alg := &cluster.KMeans{Variant: cluster.Forgy}
 	var out []AblationPoint
 	for _, k := range ks {
+		res, _, err := clusterGrid(in, alg, k)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: dynamic-method k=%d: %w", k, err)
+		}
 		var impr [2]float64
-		for mode := 0; mode < 2; mode++ {
-			eng, err := core.NewFromWorld(env.World, env.Train, core.Config{
-				Groups:        k,
-				Algorithm:     &cluster.KMeans{Variant: cluster.Forgy},
-				CellBudget:    3000,
-				DynamicMethod: mode == 1,
-			})
+		for mode := range impr {
+			costs, err := replayGrid(env.World, env.Grid, res, env.Model, env.Eval, core.Config{DynamicMethod: mode == 1})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: dynamic-method k=%d: %w", k, err)
 			}
-			total := 0.0
-			for _, ev := range env.Eval {
-				_, c, err := eng.Publish(ev)
-				if err != nil {
-					return nil, err
-				}
-				total += c.Network
-			}
-			impr[mode] = sim.Improvement(env.Baselines, total/float64(len(env.Eval)))
+			impr[mode] = sim.Improvement(env.Baselines, costs.Network)
 		}
 		out = append(out, AblationPoint{
 			Study:   "dynamic-method",

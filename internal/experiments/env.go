@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/noloss"
@@ -166,23 +167,41 @@ func DefaultNoLoss() noloss.Config {
 	return noloss.Config{PoolSize: 5000, Iterations: 8}
 }
 
-// runGrid clusters with one algorithm at one K and evaluates it; it
-// reports costs and the clustering wall time.
-func (env *StockEnv) runGrid(spec AlgorithmSpec, k int, opts sim.Options) (sim.Costs, time.Duration, error) {
+// runGrid clusters with one algorithm at one K and replays the evaluation
+// events through a snapshot of the result decided under cfg; it reports
+// costs and the clustering wall time.
+func (env *StockEnv) runGrid(spec AlgorithmSpec, k int, cfg core.Config) (sim.Costs, time.Duration, error) {
 	in, err := cluster.BuildInput(env.World, env.Grid, env.Train, spec.Budget)
 	if err != nil {
 		return sim.Costs{}, 0, err
 	}
+	res, elapsed, err := clusterGrid(in, spec.Alg, k)
+	if err != nil {
+		return sim.Costs{}, 0, err
+	}
+	costs, err := replayGrid(env.World, env.Grid, res, env.Model, env.Eval, cfg)
+	return costs, elapsed, err
+}
+
+// clusterGrid clusters a clustering input into k groups; it reports the
+// result and the clustering wall time.
+func clusterGrid(in *cluster.Input, alg cluster.Algorithm, k int) (*cluster.Result, time.Duration, error) {
 	start := time.Now()
-	assign, err := spec.Alg.Cluster(in, k)
+	assign, err := alg.Cluster(in, k)
 	elapsed := time.Since(start)
 	if err != nil {
-		return sim.Costs{}, 0, err
+		return nil, 0, err
 	}
 	res, err := cluster.BuildResult(in, assign)
+	return res, elapsed, err
+}
+
+// replayGrid replays events through a grid snapshot of res decided under
+// cfg, pricing through model.
+func replayGrid(w *workload.World, grid *space.Grid, res *cluster.Result, model *multicast.Model, events []workload.Event, cfg core.Config) (sim.Costs, error) {
+	snap, err := core.GridSnapshot(w, grid, res, model, cfg)
 	if err != nil {
-		return sim.Costs{}, 0, err
+		return sim.Costs{}, err
 	}
-	costs, err := sim.EvaluateGrid(env.Model, env.World, env.Grid, res, env.Matcher, env.Eval, opts)
-	return costs, elapsed, err
+	return sim.Evaluate(snap, model, events, nil)
 }

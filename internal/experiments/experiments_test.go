@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/noloss"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -126,7 +128,7 @@ func TestRunBaseline(t *testing.T) {
 func TestRunFig7Small(t *testing.T) {
 	env := smallEnv(t, 63)
 	ks := []int{10, 40, 80}
-	pts, err := RunFig7(env, ks, smallSpecs(), noloss.Config{PoolSize: 800, Iterations: 3, Seeds: 32})
+	pts, err := RunFig7(env, ks, smallSpecs(), noloss.Config{PoolSize: 800, Iterations: 3, Seeds: 32}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +295,11 @@ func TestRunFig7ParallelMatchesSequential(t *testing.T) {
 	ks := []int{15, 45}
 	specs := smallSpecs()[:2]
 	nl := noloss.Config{PoolSize: 400, Iterations: 2, Seeds: 16}
-	seq, err := RunFig7(env, ks, specs, nl)
+	seq, err := RunFig7(env, ks, specs, nl, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFig7Parallel(env, ks, specs, nl, 4)
+	par, err := RunFig7(env, ks, specs, nl, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,14 +315,67 @@ func TestRunFig7ParallelMatchesSequential(t *testing.T) {
 
 func TestRunFig7ParallelDefaultWorkers(t *testing.T) {
 	env := smallEnv(t, 73)
-	pts, err := RunFig7Parallel(env, []int{20},
+	pts, err := RunFig7(env, []int{20},
 		[]AlgorithmSpec{{Alg: &cluster.KMeans{Variant: cluster.Forgy}, Budget: 300}},
-		noloss.Config{PoolSize: 200, Iterations: 1, Seeds: 8}, 0)
+		noloss.Config{PoolSize: 200, Iterations: 1, Seeds: 8}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
+	}
+}
+
+// TestRunFig7Telemetry: a registry gets one fig7/<alg> scope per spec plus
+// no-loss, each counting every replayed event, and recording changes no
+// point, sequentially or with four workers.
+func TestRunFig7Telemetry(t *testing.T) {
+	env := smallEnv(t, 74)
+	ks := []int{15, 45}
+	specs := smallSpecs()[:2]
+	nl := noloss.Config{PoolSize: 400, Iterations: 2, Seeds: 16}
+	plain, err := RunFig7(env, ks, specs, nl, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := map[int]*telemetry.Registry{}
+	for _, workers := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		pts, err := RunFig7(env, ks, specs, nl, workers, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pts, plain) {
+			t.Fatalf("workers=%d: recorded points %+v, want %+v", workers, pts, plain)
+		}
+		regs[workers] = reg
+	}
+
+	want := int64(len(ks) * len(env.Eval))
+	for workers, reg := range regs {
+		snap := reg.Snapshot()
+		scopes := []string{"fig7/no-loss"}
+		for _, spec := range specs {
+			scopes = append(scopes, "fig7/"+spec.Alg.Name())
+		}
+		if len(snap) != len(scopes) {
+			t.Errorf("workers=%d: %d scopes, want %v", workers, len(snap), scopes)
+		}
+		for _, name := range scopes {
+			sc, ok := snap[name]
+			if !ok {
+				t.Errorf("workers=%d: no scope %s", workers, name)
+				continue
+			}
+			if got := sc.Counters["events"]; got != want {
+				t.Errorf("workers=%d: %s events = %d, want %d", workers, name, got, want)
+			}
+			for _, h := range []string{"net_cost", "app_cost"} {
+				if got := sc.Histograms[h].Count; got != want {
+					t.Errorf("workers=%d: %s %s count = %d, want %d", workers, name, h, got, want)
+				}
+			}
+		}
 	}
 }
 

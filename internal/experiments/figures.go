@@ -2,10 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/multicast"
 	"repro/internal/noloss"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Fig7Point is one point of Figure 7: the improvement percentage of one
@@ -21,47 +27,140 @@ type Fig7Point struct {
 func DefaultKs() []int { return []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100} }
 
 // RunFig7 sweeps group counts for every grid algorithm plus No-Loss on the
-// environment, returning improvement percentages.
-func RunFig7(env *StockEnv, ks []int, specs []AlgorithmSpec, nolossCfg noloss.Config) ([]Fig7Point, error) {
+// environment, returning improvement percentages: every spec in order,
+// then No-Loss, each over ks in order.
+//
+// Up to workers (algorithm, K) jobs run at once; workers ≤ 0 selects
+// GOMAXPROCS. Each worker prices through its own view of env.Model, and
+// the clustering input of each cell budget is built once and shared
+// read-only, so the points are identical for every worker count. With
+// workers > 1, job-level and clustering-level parallelism compose: every
+// spec algorithm implementing cluster.Parallel is pinned to
+// ≈ GOMAXPROCS/workers inner workers (at least 1) so the two layers
+// together saturate the machine without oversubscribing it. The specs are
+// mutated in place, once, before any job runs.
+//
+// A non-nil reg collects, per scope "fig7/<alg>", the per-event cost
+// distributions (net_cost and app_cost, linear histograms scaled to the
+// baselines), the clustering wall times (cluster_ns) and the replayed
+// event count (events). A nil reg records nothing.
+func RunFig7(env *StockEnv, ks []int, specs []AlgorithmSpec, nolossCfg noloss.Config, workers int, reg *telemetry.Registry) ([]Fig7Point, error) {
 	if len(ks) == 0 {
 		ks = DefaultKs()
 	}
 	if specs == nil {
 		specs = DefaultAlgorithms()
 	}
-	var out []Fig7Point
-	for _, spec := range specs {
-		for _, k := range ks {
-			costs, _, err := env.runGrid(spec, k, sim.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig7 %s k=%d: %w", spec.Alg.Name(), k, err)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > 1 {
+		inner := max(runtime.GOMAXPROCS(0)/workers, 1)
+		for _, spec := range specs {
+			if p, ok := spec.Alg.(cluster.Parallel); ok {
+				p.SetParallelism(inner)
 			}
-			out = append(out, Fig7Point{
-				Alg:      spec.Alg.Name(),
-				K:        k,
-				Network:  sim.Improvement(env.Baselines, costs.Network),
-				AppLevel: sim.Improvement(env.Baselines, costs.AppLevel),
-			})
 		}
 	}
-	// No-Loss: built once, evaluated per K.
+
+	var jobs []fig7Job
+	for _, spec := range specs {
+		scope := newFig7Scope(reg, spec.Alg.Name(), env.Baselines)
+		for _, k := range ks {
+			jobs = append(jobs, fig7Job{alg: spec.Alg.Name(), spec: spec, k: k, scope: scope})
+		}
+	}
+	scope := newFig7Scope(reg, "no-loss", env.Baselines)
+	for _, k := range ks {
+		jobs = append(jobs, fig7Job{alg: "no-loss", k: k, scope: scope})
+	}
+
+	// Clustering inputs (one per cell budget) and the No-Loss groups are
+	// built once up front and shared read-only by every job.
+	inputs := map[int]*cluster.Input{}
+	for _, spec := range specs {
+		if inputs[spec.Budget] != nil {
+			continue
+		}
+		in, err := cluster.BuildInput(env.World, env.Grid, env.Train, spec.Budget)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fig7 budget %d: %w", spec.Budget, err)
+		}
+		inputs[spec.Budget] = in
+	}
 	nres, err := noloss.Build(env.World, env.Train, nolossCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig7 no-loss build: %w", err)
 	}
-	for _, k := range ks {
-		costs, err := sim.EvaluateNoLoss(env.Model, env.World, nres, k, env.Matcher, env.Eval)
+
+	out := make([]Fig7Point, len(jobs))
+	errs := make([]error, len(jobs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			view := env.Model.View()
+			for i := range next {
+				out[i], errs[i] = env.fig7Point(jobs[i], view, inputs, nres)
+			}
+		}()
+	}
+	for i := range jobs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiments: fig7 no-loss k=%d: %w", k, err)
+			return nil, err
 		}
-		out = append(out, Fig7Point{
-			Alg:      "no-loss",
-			K:        k,
-			Network:  sim.Improvement(env.Baselines, costs.Network),
-			AppLevel: sim.Improvement(env.Baselines, costs.AppLevel),
-		})
 	}
 	return out, nil
+}
+
+// fig7Job is one Figure 7 point to compute: a grid algorithm at one K, or
+// No-Loss's top k groups when spec.Alg is nil.
+type fig7Job struct {
+	alg   string
+	spec  AlgorithmSpec
+	k     int
+	scope *fig7Scope
+}
+
+// fig7Point computes job j, replaying the evaluation events through a
+// snapshot of its grouping and pricing through view.
+func (env *StockEnv) fig7Point(j fig7Job, view *multicast.Model, inputs map[int]*cluster.Input, nres *noloss.Result) (Fig7Point, error) {
+	snap, err := env.fig7Snapshot(j, inputs, nres)
+	var costs sim.Costs
+	if err == nil {
+		costs, err = sim.Evaluate(snap, view, env.Eval, j.scope.observer())
+	}
+	if err != nil {
+		return Fig7Point{}, fmt.Errorf("experiments: fig7 %s k=%d: %w", j.alg, j.k, err)
+	}
+	return Fig7Point{
+		Alg:      j.alg,
+		K:        j.k,
+		Network:  sim.Improvement(env.Baselines, costs.Network),
+		AppLevel: sim.Improvement(env.Baselines, costs.AppLevel),
+	}, nil
+}
+
+// fig7Snapshot builds job j's decision snapshot, clustering first for a
+// grid job.
+func (env *StockEnv) fig7Snapshot(j fig7Job, inputs map[int]*cluster.Input, nres *noloss.Result) (*core.DecisionSnapshot, error) {
+	if j.spec.Alg == nil {
+		return core.NoLossSnapshot(env.World, nres, j.k, env.Model, core.Config{})
+	}
+	res, elapsed, err := clusterGrid(inputs[j.spec.Budget], j.spec.Alg, j.k)
+	if err != nil {
+		return nil, err
+	}
+	j.scope.clusterNs.ObserveDuration(elapsed)
+	return core.GridSnapshot(env.World, env.Grid, res, env.Model, core.Config{})
 }
 
 // Fig8Point is one point of Figure 8: No-Loss quality as a function of its
@@ -110,7 +209,11 @@ func RunFig8(env *StockEnv, cfg Fig8Config) ([]Fig8Point, error) {
 		if err != nil {
 			return err
 		}
-		costs, err := sim.EvaluateNoLoss(env.Model, env.World, nres, k, env.Matcher, env.Eval)
+		snap, err := core.NoLossSnapshot(env.World, nres, k, env.Model, core.Config{})
+		if err != nil {
+			return err
+		}
+		costs, err := sim.Evaluate(snap, env.Model, env.Eval, nil)
 		if err != nil {
 			return err
 		}
@@ -159,7 +262,7 @@ func RunFig9(base StockEnvConfig, seeds [2]int64, ks []int, specs []AlgorithmSpe
 		if err != nil {
 			return out, fmt.Errorf("experiments: fig9 seed %d: %w", seed, err)
 		}
-		pts, err := RunFig7(env, ks, specs, nolossCfg)
+		pts, err := RunFig7(env, ks, specs, nolossCfg, 1, nil)
 		if err != nil {
 			return out, fmt.Errorf("experiments: fig9 seed %d: %w", seed, err)
 		}
@@ -212,7 +315,7 @@ func RunFig10(env *StockEnv, specs []AlgorithmSpec, cfg Fig10Config) ([]Fig10Poi
 			}
 			s := spec
 			s.Budget = budget
-			costs, elapsed, err := env.runGrid(s, cfg.K, sim.Options{})
+			costs, elapsed, err := env.runGrid(s, cfg.K, core.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig10 %s budget=%d: %w", spec.Alg.Name(), budget, err)
 			}

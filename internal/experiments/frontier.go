@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/sim"
@@ -58,15 +59,11 @@ func RunGridResolution(env *StockEnv, k int, factors []float64) ([]ResolutionPoi
 		if err != nil {
 			return nil, fmt.Errorf("experiments: resolution %v: %w", f, err)
 		}
-		assign, err := alg.Cluster(in, k)
+		res, _, err := clusterGrid(in, alg, k)
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.BuildResult(in, assign)
-		if err != nil {
-			return nil, err
-		}
-		costs, err := sim.EvaluateGrid(env.Model, env.World, grid, res, env.Matcher, env.Eval, sim.Options{})
+		costs, err := replayGrid(env.World, grid, res, env.Model, env.Eval, core.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -181,15 +178,11 @@ func RunDimensionality(netCfg topology.Config, k int, dims []int, seed int64) ([
 		if err != nil {
 			return nil, err
 		}
-		assign, err := alg.Cluster(in, k)
+		res, _, err := clusterGrid(in, alg, k)
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.BuildResult(in, assign)
-		if err != nil {
-			return nil, err
-		}
-		costs, err := sim.EvaluateGrid(model, w, grid, res, m, eval, sim.Options{})
+		costs, err := replayGrid(w, grid, res, model, eval, core.Config{})
 		if err != nil {
 			return nil, err
 		}

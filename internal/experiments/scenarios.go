@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func RunScenarios(base StockEnvConfig, k int, specs []AlgorithmSpec) ([]Scenario
 			return nil, fmt.Errorf("experiments: scenario %d-mode: %w", modes, err)
 		}
 		for _, spec := range specs {
-			costs, _, err := env.runGrid(spec, k, sim.Options{})
+			costs, _, err := env.runGrid(spec, k, core.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: scenario %d-mode %s: %w", modes, spec.Alg.Name(), err)
 			}

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/matching"
-	"repro/internal/noloss"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -24,8 +20,8 @@ func costBuckets(b sim.Baselines) telemetry.Buckets {
 	return telemetry.LinearBuckets(0, hi/24, 32)
 }
 
-// fig7Scope holds the per-algorithm instruments of an observed Figure 7
-// run.
+// fig7Scope holds the per-algorithm instruments of a Figure 7 run. Every
+// instrument is nil when the run records nothing.
 type fig7Scope struct {
 	net       *telemetry.Histogram
 	app       *telemetry.Histogram
@@ -33,9 +29,12 @@ type fig7Scope struct {
 	events    *telemetry.Counter
 }
 
-func newFig7Scope(reg *telemetry.Registry, alg string, b sim.Baselines) fig7Scope {
+func newFig7Scope(reg *telemetry.Registry, alg string, b sim.Baselines) *fig7Scope {
 	s := reg.Scope("fig7/" + alg)
-	return fig7Scope{
+	if s == nil {
+		return &fig7Scope{}
+	}
+	return &fig7Scope{
 		net:       s.Histogram("net_cost", costBuckets(b)),
 		app:       s.Histogram("app_cost", costBuckets(b)),
 		clusterNs: s.Histogram("cluster_ns", telemetry.LatencyBuckets()),
@@ -43,70 +42,15 @@ func newFig7Scope(reg *telemetry.Registry, alg string, b sim.Baselines) fig7Scop
 	}
 }
 
-// observe is a sim.Options.Observe hook feeding the scope's histograms.
-func (fs fig7Scope) observe(net, app float64) {
-	fs.events.Inc()
-	fs.net.Observe(net)
-	fs.app.Observe(app)
-}
-
-// RunFig7Observed is RunFig7 with telemetry: per-algorithm scopes
-// ("fig7/<alg>") collect the full per-event cost distributions (net_cost,
-// app_cost linear histograms scaled to the baselines), clustering wall
-// times (cluster_ns) and replayed event counts, and the environment's
-// matcher is wrapped with matching.Instrument under scope "matching"
-// (stabbing latency, candidates-vs-matches waste). The returned points are
-// identical to RunFig7's; a nil registry reproduces RunFig7 exactly.
-func RunFig7Observed(env *StockEnv, ks []int, specs []AlgorithmSpec, nolossCfg noloss.Config, reg *telemetry.Registry) ([]Fig7Point, error) {
-	if reg == nil {
-		return RunFig7(env, ks, specs, nolossCfg)
+// observer returns the sim.Evaluate hook feeding the scope's histograms,
+// or nil when the scope records nothing.
+func (fs *fig7Scope) observer() func(net, app float64) {
+	if fs.events == nil {
+		return nil
 	}
-	if len(ks) == 0 {
-		ks = DefaultKs()
+	return func(net, app float64) {
+		fs.events.Inc()
+		fs.net.Observe(net)
+		fs.app.Observe(app)
 	}
-	if specs == nil {
-		specs = DefaultAlgorithms()
-	}
-
-	// Instrument the matcher on a shallow env copy so the caller's env is
-	// untouched; every replay below stabs through the wrapper.
-	ienv := *env
-	ienv.Matcher = matching.Instrument(env.Matcher, reg.Scope("matching"))
-
-	var out []Fig7Point
-	for _, spec := range specs {
-		fs := newFig7Scope(reg, spec.Alg.Name(), env.Baselines)
-		for _, k := range ks {
-			costs, elapsed, err := ienv.runGrid(spec, k, sim.Options{Observe: fs.observe})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig7 %s k=%d: %w", spec.Alg.Name(), k, err)
-			}
-			fs.clusterNs.ObserveDuration(elapsed)
-			out = append(out, Fig7Point{
-				Alg:      spec.Alg.Name(),
-				K:        k,
-				Network:  sim.Improvement(env.Baselines, costs.Network),
-				AppLevel: sim.Improvement(env.Baselines, costs.AppLevel),
-			})
-		}
-	}
-
-	nres, err := noloss.Build(env.World, env.Train, nolossCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig7 no-loss build: %w", err)
-	}
-	fs := newFig7Scope(reg, "no-loss", env.Baselines)
-	for _, k := range ks {
-		costs, err := sim.EvaluateNoLossObserved(env.Model, env.World, nres, k, ienv.Matcher, env.Eval, fs.observe)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig7 no-loss k=%d: %w", k, err)
-		}
-		out = append(out, Fig7Point{
-			Alg:      "no-loss",
-			K:        k,
-			Network:  sim.Improvement(env.Baselines, costs.Network),
-			AppLevel: sim.Improvement(env.Baselines, costs.AppLevel),
-		})
-	}
-	return out, nil
 }

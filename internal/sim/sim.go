@@ -11,7 +11,9 @@
 //   - a clustering solution pays the multicast cost of the routed group
 //     (network-supported dense mode or application-level overlay) plus
 //     per-node unicast for any interested node the group does not cover;
-//     events that no group covers fall back to per-node unicast.
+//     events that no group covers fall back to per-node unicast. Evaluate
+//     replays through core.DecisionSnapshot, so a solution is routed and
+//     priced by the same decider the broker runs.
 //
 // Improvement percentage normalises a solution between those poles:
 // 0% = unicast baseline, 100% = ideal multicast.
@@ -21,12 +23,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/matching"
 	"repro/internal/multicast"
-	"repro/internal/noloss"
-	"repro/internal/space"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -61,147 +60,35 @@ func MeasureBaselines(m *multicast.Model, w *workload.World, sm matching.Subscri
 }
 
 // Costs are per-event average delivery costs of a clustering solution
-// under the two multicast frameworks.
-type Costs struct {
-	Network  float64 // network-supported dense-mode multicast
-	AppLevel float64 // application-level overlay multicast
-}
+// under the two multicast frameworks: Network for network-supported
+// dense-mode multicast, AppLevel for application-level overlay multicast.
+type Costs = core.Costs
 
-// Options tune solution evaluation.
-type Options struct {
-	// Threshold is the Fig 5 optimisation: if the fraction of a routed
-	// group's members interested in the event is below Threshold, the
-	// event is unicast to the interested members instead of multicast to
-	// the group. 0 disables the optimisation (always multicast).
-	Threshold float64
-	// Observe, when non-nil, is called once per replayed event with that
-	// event's (un-averaged) network and app-level costs — the hook the
-	// telemetry layer uses to feed per-event cost histograms without
-	// changing the accounting.
-	Observe func(network, appLevel float64)
-}
-
-// EvaluateGrid replays events against a grid-based clustering result.
-func EvaluateGrid(m *multicast.Model, w *workload.World, grid *space.Grid, res *cluster.Result, sm matching.SubscriptionMatcher, events []workload.Event, opts Options) (Costs, error) {
+// Evaluate replays events through a decision snapshot (see
+// core.GridSnapshot and core.NoLossSnapshot) with the decide-then-price
+// loop a broker's decide worker runs, and returns the per-event average
+// costs. observe, when non-nil, is called once per event with that
+// event's un-averaged costs — the hook the telemetry layer uses to feed
+// per-event cost histograms without changing the accounting. view must be
+// owned by the calling goroutine.
+func Evaluate(snap *core.DecisionSnapshot, view *multicast.Model, events []workload.Event, observe func(network, appLevel float64)) (Costs, error) {
 	if len(events) == 0 {
 		return Costs{}, fmt.Errorf("sim: no events")
 	}
-	gi, err := matching.NewGridIndex(grid, res)
-	if err != nil {
-		return Costs{}, err
-	}
-	groupNodes := make([][]topology.NodeID, len(res.Groups))
-	overlays := make([]multicast.Overlay, len(res.Groups))
-	for i := range res.Groups {
-		groupNodes[i] = res.Groups[i].NodesOf(w)
-		overlays[i] = m.BuildOverlay(groupNodes[i])
-	}
-	memberOf := func(g int, n topology.NodeID) bool {
-		idx, ok := w.SubscriberIndex(n)
-		return ok && res.Groups[g].Members.Test(idx)
-	}
-
+	var sc core.DecideScratch
 	var c Costs
-	for _, e := range events {
-		nodes := matching.InterestedNodes(w, sm.Match(e.Point))
-		g, ok := gi.GroupFor(e.Point)
-		if ok && opts.Threshold > 0 && len(groupNodes[g]) > 0 {
-			interestedInGroup := 0
-			for _, n := range nodes {
-				if memberOf(g, n) {
-					interestedInGroup++
-				}
-			}
-			if float64(interestedInGroup)/float64(len(groupNodes[g])) < opts.Threshold {
-				ok = false // below threshold: unicast to interested only
-			}
-		}
-		var net, app float64
-		if !ok {
-			u := unicastNodes(m, e.Pub, nodes)
-			net, app = u, u
-		} else {
-			// Grid groups cover every interested subscriber of a clustered
-			// cell by construction; no remainder unicast is needed.
-			net = m.SPTCoverCost(e.Pub, groupNodes[g])
-			app = m.ALMCost(e.Pub, overlays[g])
-		}
-		c.Network += net
-		c.AppLevel += app
-		if opts.Observe != nil {
-			opts.Observe(net, app)
-		}
-	}
-	n := float64(len(events))
-	c.Network /= n
-	c.AppLevel /= n
-	return c, nil
-}
-
-// EvaluateNoLoss replays events against the top-k groups of a No-Loss
-// result. Interested nodes outside the routed group are unicast.
-func EvaluateNoLoss(m *multicast.Model, w *workload.World, res *noloss.Result, k int, sm matching.SubscriptionMatcher, events []workload.Event) (Costs, error) {
-	return EvaluateNoLossObserved(m, w, res, k, sm, events, nil)
-}
-
-// EvaluateNoLossObserved is EvaluateNoLoss with a per-event cost hook (see
-// Options.Observe). A nil observe reproduces EvaluateNoLoss exactly.
-func EvaluateNoLossObserved(m *multicast.Model, w *workload.World, res *noloss.Result, k int, sm matching.SubscriptionMatcher, events []workload.Event, observe func(network, appLevel float64)) (Costs, error) {
-	if len(events) == 0 {
-		return Costs{}, fmt.Errorf("sim: no events")
-	}
-	idx, err := matching.NewNoLossIndex(res, k)
-	if err != nil {
-		return Costs{}, err
-	}
-	groups := idx.Groups()
-	groupNodes := make([][]topology.NodeID, len(groups))
-	overlays := make([]multicast.Overlay, len(groups))
-	for i := range groups {
-		groupNodes[i] = groups[i].NodesOf(w)
-		overlays[i] = m.BuildOverlay(groupNodes[i])
-	}
-
-	var c Costs
-	for _, e := range events {
-		nodes := matching.InterestedNodes(w, sm.Match(e.Point))
-		g, ok := idx.GroupFor(e.Point)
-		var net, app float64
-		if !ok {
-			u := unicastNodes(m, e.Pub, nodes)
-			net, app = u, u
-		} else {
-			// Multicast to the group, unicast the uncovered remainder.
-			var rest []topology.NodeID
-			for _, n := range nodes {
-				si, ok := w.SubscriberIndex(n)
-				if !ok || !groups[g].Members.Test(si) {
-					rest = append(rest, n)
-				}
-			}
-			u := unicastNodes(m, e.Pub, rest)
-			net = m.SPTCoverCost(e.Pub, groupNodes[g]) + u
-			app = m.ALMCost(e.Pub, overlays[g]) + u
-		}
-		c.Network += net
-		c.AppLevel += app
+	for _, ev := range events {
+		ec := snap.CostOf(ev, snap.DecideInto(ev, view, &sc), view)
+		c.Network += ec.Network
+		c.AppLevel += ec.AppLevel
 		if observe != nil {
-			observe(net, app)
+			observe(ec.Network, ec.AppLevel)
 		}
 	}
 	n := float64(len(events))
 	c.Network /= n
 	c.AppLevel /= n
 	return c, nil
-}
-
-// unicastNodes is a per-node unicast (one copy per distinct node).
-func unicastNodes(m *multicast.Model, pub topology.NodeID, nodes []topology.NodeID) float64 {
-	c := 0.0
-	for _, n := range nodes {
-		c += m.Dist(pub, n)
-	}
-	return c
 }
 
 // ExpectedTransmissions returns the expected number of transmissions per

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/noloss"
@@ -96,6 +97,27 @@ func clusterResult(t *testing.T, f *fixture, alg cluster.Algorithm, k, budget in
 	return res
 }
 
+// evalGrid replays the fixture's events (or evs, when non-nil) through a
+// grid snapshot of res.
+func evalGrid(t *testing.T, f *fixture, res *cluster.Result, cfg core.Config, evs []workload.Event) (Costs, error) {
+	t.Helper()
+	snap, err := core.GridSnapshot(f.w, f.grid, res, f.model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Evaluate(snap, f.model, evs, nil)
+}
+
+// evalNoLoss is evalGrid for the top k groups of a No-Loss result.
+func evalNoLoss(t *testing.T, f *fixture, nres *noloss.Result, k int, evs []workload.Event) (Costs, error) {
+	t.Helper()
+	snap, err := core.NoLossSnapshot(f.w, nres, k, f.model, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Evaluate(snap, f.model, evs, nil)
+}
+
 func TestEvaluateGridBounds(t *testing.T) {
 	f := newFixture(t, 500, 52)
 	b, err := MeasureBaselines(f.model, f.w, f.match, f.events)
@@ -103,7 +125,7 @@ func TestEvaluateGridBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := clusterResult(t, f, &cluster.KMeans{Variant: cluster.Forgy}, 50, 800)
-	c, err := EvaluateGrid(f.model, f.w, f.grid, res, f.match, f.events, Options{})
+	c, err := evalGrid(t, f, res, core.Config{}, f.events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +170,7 @@ func TestEvaluateGridMoreGroupsHelp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := EvaluateGrid(f.model, f.w, f.grid, res, f.match, f.events, Options{})
+		c, err := evalGrid(t, f, res, core.Config{}, f.events)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,17 +185,18 @@ func TestEvaluateGridMoreGroupsHelp(t *testing.T) {
 func TestEvaluateGridThreshold(t *testing.T) {
 	f := newFixture(t, 300, 54)
 	res := clusterResult(t, f, cluster.MST{}, 10, 500)
-	loose, err := EvaluateGrid(f.model, f.w, f.grid, res, f.match, f.events, Options{})
+	loose, err := evalGrid(t, f, res, core.Config{}, f.events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := EvaluateGrid(f.model, f.w, f.grid, res, f.match, f.events, Options{Threshold: 1.1})
+	strict, err := evalGrid(t, f, res, core.Config{Threshold: 1}, f.events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Threshold > 1 forces unicast always; with only 10 coarse groups the
-	// multicast-everything strategy wastes more than per-node unicast, so
-	// the strict variant should differ (and normally be cheaper).
+	// Threshold 1 forces unicast unless the whole group is interested;
+	// with only 10 coarse groups the multicast-everything strategy wastes
+	// more than per-node unicast, so the strict variant should differ (and
+	// normally be cheaper).
 	if loose.Network == strict.Network {
 		t.Error("threshold had no effect")
 	}
@@ -189,7 +212,7 @@ func TestEvaluateNoLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := EvaluateNoLoss(f.model, f.w, nres, 80, f.match, f.events)
+	c, err := evalNoLoss(t, f, nres, 80, f.events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +246,15 @@ func TestImprovement(t *testing.T) {
 func TestEvaluateErrorsOnEmptyEvents(t *testing.T) {
 	f := newFixture(t, 100, 56)
 	res := clusterResult(t, f, &cluster.KMeans{}, 5, 200)
-	if _, err := EvaluateGrid(f.model, f.w, f.grid, res, f.match, nil, Options{}); err == nil {
-		t.Error("EvaluateGrid accepted empty events")
+	if _, err := evalGrid(t, f, res, core.Config{}, nil); err == nil {
+		t.Error("Evaluate accepted empty grid events")
 	}
 	nres, err := noloss.Build(f.w, f.train, noloss.Config{PoolSize: 100, Iterations: 1, Seeds: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateNoLoss(f.model, f.w, nres, 10, f.match, nil); err == nil {
-		t.Error("EvaluateNoLoss accepted empty events")
+	if _, err := evalNoLoss(t, f, nres, 10, nil); err == nil {
+		t.Error("Evaluate accepted empty no-loss events")
 	}
 }
 
