@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -107,7 +108,11 @@ func measureBaselines(model *pubsub.CostModel, w *pubsub.World, events []pubsub.
 		if err != nil {
 			return baselines{}, err
 		}
-		for _, si := range d.MatchedSubs {
+		// MatchedSubs comes in index order; sum in slot order so the
+		// floating-point total does not depend on the index's shape.
+		matched := slices.Clone(d.MatchedSubs)
+		slices.Sort(matched)
+		for _, si := range matched {
 			b.unicast += model.Dist(ev.Pub, w.Subs[si].Owner)
 		}
 		b.broadcast += model.BroadcastCost(ev.Pub)

@@ -228,17 +228,18 @@ func (e *Engine) reindex(w *workload.World, grid *space.Grid) error {
 	return nil
 }
 
-// indexSubs builds the subscription index over every slot of w. The
-// insertion-built tree is re-laid in depth-first order once: every later
-// snapshot shares these nodes, and every decide searches them.
+// indexSubs bulk-loads the subscription index over every slot of w, the
+// id of each rectangle being its slot. Every later snapshot shares these
+// nodes, and every decide searches them.
 func indexSubs(w *workload.World) (*rtree.Tree, error) {
-	tree := rtree.New(w.Dim)
+	rects := make([]space.Rect, len(w.Subs))
 	for i, s := range w.Subs {
-		if err := tree.Insert(s.Rect, i); err != nil {
-			return nil, fmt.Errorf("core: indexing subscription %d: %w", i, err)
-		}
+		rects[i] = s.Rect
 	}
-	tree.Relayout()
+	tree, err := rtree.Build(w.Dim, rects)
+	if err != nil {
+		return nil, fmt.Errorf("core: indexing subscriptions: %w", err)
+	}
 	return tree, nil
 }
 

@@ -26,7 +26,8 @@ type Decision struct {
 	// Remainder lists interested nodes the routed group does not cover;
 	// they receive unicast top-up copies. Empty when Method is Unicast.
 	Remainder []topology.NodeID
-	// MatchedSubs are the matching subscription slots, ascending.
+	// MatchedSubs are the matching subscription slots, in no particular
+	// order: the index's search order, which its shape decides.
 	MatchedSubs []int
 }
 
@@ -92,11 +93,9 @@ func (dc *decider) decideStatic(ev workload.Event, sc *DecideScratch) Decision {
 	d := Decision{Group: -1, Method: multicast.Unicast}
 	hits := dc.tree.SearchPointAppend(ev.Point, sc.hits[:0])
 	sc.hits = hits
-	slices.Sort(hits)
 	d.MatchedSubs = hits
 	// Distinct interested nodes, ascending: collect every owner, then
-	// sort + compact. Same output as the previous map-dedup-then-sort,
-	// without the per-event map and sort closure allocations.
+	// sort + compact, which orders them whatever order the hits came in.
 	nodes := sc.nodes[:0]
 	for _, si := range hits {
 		nodes = append(nodes, dc.subs[si].Owner)

@@ -54,17 +54,19 @@ type RTree struct {
 	tree *rtree.Tree
 }
 
-// NewRTree builds the index. Construction is O(k log k)-ish; matching a
-// point is then sublinear in the subscription count.
+// NewRTree bulk-loads the index in O(k log k); matching a point is then
+// sublinear in the subscription count.
 func NewRTree(w *workload.World) (*RTree, error) {
 	if w == nil || len(w.Subs) == 0 {
 		return nil, fmt.Errorf("matching: empty world")
 	}
-	t := rtree.New(w.Dim)
+	rects := make([]space.Rect, len(w.Subs))
 	for i, s := range w.Subs {
-		if err := t.Insert(s.Rect, i); err != nil {
-			return nil, fmt.Errorf("matching: indexing subscription %d: %w", i, err)
-		}
+		rects[i] = s.Rect
+	}
+	t, err := rtree.Build(w.Dim, rects)
+	if err != nil {
+		return nil, fmt.Errorf("matching: indexing subscriptions: %w", err)
 	}
 	return &RTree{w: w, tree: t}, nil
 }
@@ -144,14 +146,16 @@ func NewNoLossIndex(res *noloss.Result, k int) (*NoLossIndex, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("matching: no-loss result has no groups")
 	}
-	idx := &NoLossIndex{groups: res.Groups[:k]}
-	idx.tree = rtree.New(idx.groups[0].Rect.Dim())
-	for i, g := range idx.groups {
-		if err := idx.tree.Insert(g.Rect, i); err != nil {
-			return nil, fmt.Errorf("matching: indexing no-loss group %d: %w", i, err)
-		}
+	groups := res.Groups[:k]
+	rects := make([]space.Rect, len(groups))
+	for i, g := range groups {
+		rects[i] = g.Rect
 	}
-	return idx, nil
+	tree, err := rtree.Build(groups[0].Rect.Dim(), rects)
+	if err != nil {
+		return nil, fmt.Errorf("matching: indexing no-loss groups: %w", err)
+	}
+	return &NoLossIndex{groups: groups, tree: tree}, nil
 }
 
 // Groups returns the indexed groups.

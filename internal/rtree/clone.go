@@ -12,32 +12,15 @@ func nextGen() uint64 { return generations.Add(1) }
 // and each gets a fresh generation, so neither owns a shared node any more:
 // a later Insert or Delete on either copies the nodes on its root-to-leaf
 // path before writing them and leaves the other tree untouched.
-// Rectangles are shared too — the tree never writes a stored rect in place
-// (MBR updates install freshly built rects).
+// Rectangles and the heuristics' extent are shared too — the tree never
+// writes a stored rect or an extent in place (MBR updates install freshly
+// built rects, and a growing extent is copied first).
 //
 // Clone changes t's generation, so it must be called by t's writer; it may
 // run concurrently with searches of t and of any other clone.
 func (t *Tree) Clone() *Tree {
 	t.gen = nextGen()
-	return &Tree{dim: t.dim, root: t.root, size: t.size, gen: nextGen()}
-}
-
-// Relayout copies every node into depth-first order, so that a search
-// walks the node arrays mostly forward in memory. An insertion-built tree
-// has its nodes scattered in allocation order; a stabbing query over a
-// 50 000-subscription index runs about 20 % faster on the re-laid copy
-// (DESIGN §11). Call it once after a bulk build of a tree that is searched
-// far more often than it changes. Clones taken earlier keep the old nodes.
-func (t *Tree) Relayout() { t.root = t.relay(t.root) }
-
-func (t *Tree) relay(n *node) *node {
-	c := copyNode(n, t.gen)
-	if !c.leaf {
-		for i := range c.entries {
-			c.entries[i].child = t.relay(c.entries[i].child)
-		}
-	}
-	return c
+	return &Tree{dim: t.dim, root: t.root, size: t.size, gen: nextGen(), ext: t.ext}
 }
 
 // ownPath makes every node on a root-to-node path owned by t, so the caller

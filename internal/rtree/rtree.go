@@ -2,21 +2,29 @@
 // Seeger, SIGMOD 1990 — the paper's ref [5]) over axis-aligned half-open
 // rectangles. The pub-sub matching problem reduces to point-stabbing
 // queries: given an event ω, find all subscription rectangles containing
-// it. The tree supports insertion with forced reinsertion, the R* split
-// heuristic, deletion with tree condensation, and point/rect queries. It
-// is persistent by path copying: Clone is O(1), and a change copies only
-// the nodes on its root-to-leaf path, so a clone handed to readers stays
-// frozen while the writer keeps changing the original.
+// it. The tree supports Sort-Tile-Recursive bulk loading (Build), insertion
+// with forced reinsertion, the R* split heuristic, deletion with tree
+// condensation, and point/rect queries. It is persistent by path copying:
+// Clone is O(1), and a change copies only the nodes on its root-to-leaf
+// path, so a clone handed to readers stays frozen while the writer keeps
+// changing the original.
 //
-// Rectangles may have infinite sides (wildcard predicates); they are
-// clamped to ±maxCoord internally, which preserves all containment
-// relations for queries with coordinates inside (-maxCoord, maxCoord].
+// Rectangles may have infinite sides (wildcard predicates). Stored
+// rectangles clamp them to ±maxCoord, which preserves all containment
+// relations for queries with coordinates inside (-maxCoord, maxCoord]. The
+// R* heuristics (area, margin, overlap, centre) never see that clamp: on
+// ±maxCoord sides every area that includes one is ~1e293, +Inf or NaN and
+// every choice between such entries is arbitrary, so the index stops
+// pruning. They clamp unbounded sides instead into the tree's extent, the
+// finite hull of the bounded sides it has stored, where wildcard
+// rectangles are large but comparable.
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/space"
 )
@@ -52,6 +60,12 @@ type Tree struct {
 	root *node
 	size int
 	gen  uint64 // nodes carrying this generation are owned by this tree
+	// ext is the box the R* heuristics clamp unbounded sides into: it
+	// covers every bounded side the tree has stored and has positive width
+	// on each axis. Any such box answers queries correctly; a tight one
+	// prunes best. It is never written in place (growing it installs a new
+	// slice), so clones share it.
+	ext []space.Interval
 }
 
 // New creates an empty tree over dim-dimensional rectangles.
@@ -60,7 +74,9 @@ func New(dim int) *Tree {
 		panic(fmt.Sprintf("rtree: dimension %d", dim))
 	}
 	gen := nextGen()
-	return &Tree{dim: dim, root: &node{gen: gen, leaf: true}, gen: gen}
+	ext := make([]space.Interval, dim)
+	settle(ext) // [0, 1] on every axis until bounded sides arrive
+	return &Tree{dim: dim, root: &node{gen: gen, leaf: true}, gen: gen, ext: ext}
 }
 
 // Len returns the number of stored rectangles.
@@ -85,14 +101,71 @@ func clampRect(r space.Rect) space.Rect {
 	return out
 }
 
-// Insert adds a rectangle with the given id. Empty rectangles are rejected.
-func (t *Tree) Insert(r space.Rect, id int) error {
+// bounded reports whether v is a side the extent must cover: one that
+// clampRect leaves as it is.
+func bounded(v float64) bool { return v > -maxCoord && v < maxCoord }
+
+// covers reports whether ext holds every bounded side of r.
+func covers(ext []space.Interval, r space.Rect) bool {
+	for d, iv := range r {
+		for _, v := range [2]float64{iv.Lo, iv.Hi} {
+			if bounded(v) && (v < ext[d].Lo || v > ext[d].Hi) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// widen returns ext grown to hold every bounded side of r. It grows a
+// copy, so a slice that clones share is never written.
+func widen(ext []space.Interval, r space.Rect) []space.Interval {
+	if covers(ext, r) {
+		return ext
+	}
+	ext = slices.Clone(ext)
+	for d, iv := range r {
+		for _, v := range [2]float64{iv.Lo, iv.Hi} {
+			if bounded(v) {
+				ext[d].Lo, ext[d].Hi = min(ext[d].Lo, v), max(ext[d].Hi, v)
+			}
+		}
+	}
+	return ext
+}
+
+// settle gives every axis of ext a positive width: an axis no bounded side
+// reached becomes [0, 1] and a single-valued one [v, v+max(1, |v|)].
+// Unbounded sides then clamp to a finite, non-zero length on every axis,
+// so the area of a rectangle still ranks it against its siblings.
+func settle(ext []space.Interval) {
+	for d := range ext {
+		switch {
+		case ext[d].Lo > ext[d].Hi:
+			ext[d] = space.Interval{Lo: 0, Hi: 1}
+		case !(ext[d].Lo < ext[d].Hi):
+			ext[d].Hi = ext[d].Lo + max(1, math.Abs(ext[d].Lo))
+		}
+	}
+}
+
+// check rejects a rectangle of the wrong dimension or an empty one.
+func (t *Tree) check(r space.Rect) error {
 	if r.Dim() != t.dim {
 		return fmt.Errorf("rtree: rect dim %d, tree dim %d", r.Dim(), t.dim)
 	}
 	if r.Empty() {
 		return fmt.Errorf("rtree: empty rectangle %v", r)
 	}
+	return nil
+}
+
+// Insert adds a rectangle with the given id. Empty rectangles are rejected.
+func (t *Tree) Insert(r space.Rect, id int) error {
+	if err := t.check(r); err != nil {
+		return err
+	}
+	t.ext = widen(t.ext, r)
 	var reinserted uint64
 	t.insert(entry{rect: clampRect(r), data: id}, 0, &reinserted)
 	t.size++
@@ -148,11 +221,11 @@ func (t *Tree) chooseSubtree(r space.Rect, level int, path []*node) []*node {
 		best := -1
 		var bestOverlap, bestEnl, bestArea float64
 		for i := range n.entries {
-			enl := enlargement(n.entries[i].rect, r)
-			area := areaOf(n.entries[i].rect)
+			enl := enlargement(n.entries[i].rect, r, t.ext)
+			area := areaOf(n.entries[i].rect, t.ext)
 			var overlap float64
 			if childrenAreLeaves {
-				overlap = overlapEnlargement(n.entries, i, r)
+				overlap = overlapEnlargement(n.entries, i, r, t.ext)
 			}
 			better := false
 			switch {
@@ -193,22 +266,21 @@ func (t *Tree) overflow(path []*node, reinserted *uint64) {
 // nearest first).
 func (t *Tree) reinsert(path []*node, reinserted *uint64) {
 	n := path[len(path)-1]
-	center := rectCenter(mbrOf(n.entries))
+	mbr := mbrOf(n.entries)
 	type distEntry struct {
 		e entry
 		d float64
 	}
 	des := make([]distEntry, len(n.entries))
 	for i, e := range n.entries {
-		c := rectCenter(e.rect)
 		d := 0.0
-		for k := range c {
-			dd := c[k] - center[k]
+		for k := range mbr {
+			dd := centre(e.rect, t.ext, k) - centre(mbr, t.ext, k)
 			d += dd * dd
 		}
 		des[i] = distEntry{e: e, d: d}
 	}
-	sort.SliceStable(des, func(i, j int) bool { return des[i].d < des[j].d })
+	slices.SortStableFunc(des, func(x, y distEntry) int { return cmp.Compare(x.d, y.d) })
 	keep := len(des) - reinsertCount
 	n.entries = n.entries[:0]
 	for i := 0; i < keep; i++ {
@@ -224,7 +296,7 @@ func (t *Tree) reinsert(path []*node, reinserted *uint64) {
 // split performs the R* topological split of path's overfull last node.
 func (t *Tree) split(path []*node, reinserted *uint64) {
 	n := path[len(path)-1]
-	groupA, groupB := chooseSplit(n.entries, t.dim)
+	groupA, groupB := chooseSplit(n.entries, t.ext)
 
 	if n == t.root {
 		left := &node{gen: t.gen, leaf: n.leaf, level: n.level, entries: groupA}
@@ -254,58 +326,74 @@ func (t *Tree) split(path []*node, reinserted *uint64) {
 	}
 }
 
-// chooseSplit implements the R* split: pick the axis minimising the margin
-// sum over all valid distributions, then the distribution with minimal
-// overlap (ties by area).
-func chooseSplit(entries []entry, dim int) (a, b []entry) {
-	type dist struct {
-		left, right []entry
-		overlap     float64
-		area        float64
+// chooseSplit implements the R* split: for each axis, sorted by lower and
+// then by upper sides, sum the margins over all valid distributions; take
+// the sort with the least sum (the first on ties), and within it the
+// distribution with minimal overlap (ties by area). The MBRs of the
+// distributions' two halves are grown in one scratch buffer, a running
+// prefix and a table of suffixes, so the split allocates only that buffer
+// and the two groups.
+func chooseSplit(entries []entry, ext []space.Interval) (a, b []entry) {
+	n, dim := len(entries), len(ext)
+	es := make([]entry, n)
+	buf := make(space.Rect, (n+1)*dim)
+	pre, suf := buf[:dim], buf[dim:] // suf[k*dim:(k+1)*dim] bounds es[k:]
+	sortOn := func(axis int, byHi bool) {
+		copy(es, entries)
+		slices.SortStableFunc(es, func(x, y entry) int {
+			if byHi {
+				return cmp.Compare(x.rect[axis].Hi, y.rect[axis].Hi)
+			}
+			return cmp.Compare(x.rect[axis].Lo, y.rect[axis].Lo)
+		})
 	}
-	bestAxis := -1
+	type split struct {
+		axis          int
+		byHi          bool
+		k             int
+		overlap, area float64
+	}
+	var best split // best.k == 0 until the first sort is scored
 	var bestMargin float64
-	var bestDists []dist
-
 	for axis := 0; axis < dim; axis++ {
-		for _, byHi := range []bool{false, true} {
-			es := make([]entry, len(entries))
-			copy(es, entries)
-			ax := axis
-			hi := byHi
-			sort.SliceStable(es, func(i, j int) bool {
-				if hi {
-					return es[i].rect[ax].Hi < es[j].rect[ax].Hi
-				}
-				return es[i].rect[ax].Lo < es[j].rect[ax].Lo
-			})
+		for _, byHi := range [2]bool{false, true} {
+			sortOn(axis, byHi)
+			copy(suf[(n-1)*dim:], es[n-1].rect)
+			for k := n - 2; k >= minEntries; k-- {
+				unionInto(suf[k*dim:(k+1)*dim], suf[(k+1)*dim:(k+2)*dim], es[k].rect)
+			}
+			copy(pre, es[0].rect)
+			for i := 1; i < minEntries; i++ {
+				unionInto(pre, pre, es[i].rect)
+			}
 			margin := 0.0
-			var dists []dist
-			for k := minEntries; k <= len(es)-minEntries; k++ {
-				left := append([]entry(nil), es[:k]...)
-				right := append([]entry(nil), es[k:]...)
-				lm, rm := mbrOf(left), mbrOf(right)
-				margin += marginOf(lm) + marginOf(rm)
-				dists = append(dists, dist{
-					left: left, right: right,
-					overlap: intersectArea(lm, rm),
-					area:    areaOf(lm) + areaOf(rm),
-				})
+			cand := split{axis: axis, byHi: byHi, k: -1}
+			for k := minEntries; k <= n-minEntries; k++ {
+				if k > minEntries {
+					unionInto(pre, pre, es[k-1].rect)
+				}
+				right := suf[k*dim : (k+1)*dim]
+				margin += marginOf(pre, ext) + marginOf(right, ext)
+				overlap := intersectArea(pre, right, ext)
+				area := areaOf(pre, ext) + areaOf(right, ext)
+				if cand.k < 0 || overlap < cand.overlap || (overlap == cand.overlap && area < cand.area) {
+					cand.k, cand.overlap, cand.area = k, overlap, area
+				}
 			}
-			if bestAxis == -1 || margin < bestMargin {
-				bestAxis, bestMargin, bestDists = axis, margin, dists
+			if best.k == 0 || margin < bestMargin {
+				best, bestMargin = cand, margin
 			}
 		}
 	}
+	sortOn(best.axis, best.byHi)
+	return es[:best.k], slices.Clone(es[best.k:])
+}
 
-	best := 0
-	for i := 1; i < len(bestDists); i++ {
-		d, bd := bestDists[i], bestDists[best]
-		if d.overlap < bd.overlap || (d.overlap == bd.overlap && d.area < bd.area) {
-			best = i
-		}
+// unionInto sets dst to the MBR of a and b; dst may alias a.
+func unionInto(dst, a, b space.Rect) {
+	for d := range dst {
+		dst[d] = space.Interval{Lo: min(a[d].Lo, b[d].Lo), Hi: max(a[d].Hi, b[d].Hi)}
 	}
-	return bestDists[best].left, bestDists[best].right
 }
 
 // SearchPoint returns the ids of all rectangles containing p, in
@@ -392,7 +480,9 @@ func (t *Tree) Delete(r space.Rect, id int) bool {
 
 // findLeaf appends to path the nodes from n down to the leaf holding
 // (r, id) and returns the extended path with the entry's index in that
-// leaf, or a nil path when no such entry exists. It only reads the tree.
+// leaf, or a nil path when no such entry exists. It only reads the tree,
+// and only descends into children whose MBR contains r: every ancestor's
+// MBR holds a stored rect whole, while many more merely intersect it.
 func findLeaf(n *node, r space.Rect, id int, path []*node) ([]*node, int) {
 	path = append(path, n)
 	for i := range n.entries {
@@ -401,7 +491,7 @@ func findLeaf(n *node, r space.Rect, id int, path []*node) ([]*node, int) {
 			if e.data == id && e.rect.Equal(r) {
 				return path, i
 			}
-		} else if e.rect.Intersects(r) {
+		} else if e.rect.ContainsRect(r) {
 			if found, idx := findLeaf(e.child, r, id, path); found != nil {
 				return found, idx
 			}
@@ -437,7 +527,11 @@ func (t *Tree) condense(path []*node) {
 	}
 }
 
-// --- geometry helpers (all on clamped, finite rects) ---
+// --- geometry helpers ---
+//
+// mbrOf works on stored rects, which Contains reads, so it keeps their
+// ±maxCoord clamp. The R* heuristics below take the tree's extent and read
+// each side through side, which clamps unbounded ends into it.
 
 func mbrOf(es []entry) space.Rect {
 	if len(es) == 0 {
@@ -457,27 +551,35 @@ func mbrOf(es []entry) space.Rect {
 	return out
 }
 
-func areaOf(r space.Rect) float64 {
+// side returns r's side on axis d with its ends clamped into ext[d].
+func side(r space.Rect, ext []space.Interval, d int) (lo, hi float64) {
+	return max(r[d].Lo, ext[d].Lo), min(r[d].Hi, ext[d].Hi)
+}
+
+func areaOf(r space.Rect, ext []space.Interval) float64 {
 	a := 1.0
-	for _, iv := range r {
-		a *= iv.Hi - iv.Lo
+	for d := range r {
+		lo, hi := side(r, ext, d)
+		a *= hi - lo
 	}
 	return a
 }
 
-func marginOf(r space.Rect) float64 {
+func marginOf(r space.Rect, ext []space.Interval) float64 {
 	m := 0.0
-	for _, iv := range r {
-		m += iv.Hi - iv.Lo
+	for d := range r {
+		lo, hi := side(r, ext, d)
+		m += hi - lo
 	}
 	return m
 }
 
-func intersectArea(a, b space.Rect) float64 {
+func intersectArea(a, b space.Rect, ext []space.Interval) float64 {
 	v := 1.0
 	for d := range a {
-		lo := math.Max(a[d].Lo, b[d].Lo)
-		hi := math.Min(a[d].Hi, b[d].Hi)
+		alo, ahi := side(a, ext, d)
+		blo, bhi := side(b, ext, d)
+		lo, hi := max(alo, blo), min(ahi, bhi)
 		if hi <= lo {
 			return 0
 		}
@@ -487,44 +589,39 @@ func intersectArea(a, b space.Rect) float64 {
 }
 
 // enlargement is the area growth of r needed to cover q.
-func enlargement(r, q space.Rect) float64 {
+func enlargement(r, q space.Rect, ext []space.Interval) float64 {
 	grown := 1.0
 	for d := range r {
-		lo := math.Min(r[d].Lo, q[d].Lo)
-		hi := math.Max(r[d].Hi, q[d].Hi)
-		grown *= hi - lo
+		rlo, rhi := side(r, ext, d)
+		qlo, qhi := side(q, ext, d)
+		grown *= max(rhi, qhi) - min(rlo, qlo)
 	}
-	return grown - areaOf(r)
+	return grown - areaOf(r, ext)
 }
 
 // overlapEnlargement is the growth in overlap between entry i and its
 // siblings if entry i absorbs q.
-func overlapEnlargement(es []entry, i int, q space.Rect) float64 {
+func overlapEnlargement(es []entry, i int, q space.Rect, ext []space.Interval) float64 {
 	before, after := 0.0, 0.0
 	for j := range es {
 		if j == i {
 			continue
 		}
-		before += intersectArea(es[i].rect, es[j].rect)
-		after += grownIntersectArea(es[i].rect, q, es[j].rect)
+		before += intersectArea(es[i].rect, es[j].rect, ext)
+		after += grownIntersectArea(es[i].rect, q, es[j].rect, ext)
 	}
 	return after - before
 }
 
 // grownIntersectArea is intersectArea(r grown to cover q, b), computed
 // without materialising the grown rectangle.
-func grownIntersectArea(r, q, b space.Rect) float64 {
+func grownIntersectArea(r, q, b space.Rect, ext []space.Interval) float64 {
 	v := 1.0
 	for d := range r {
-		glo, ghi := r[d].Lo, r[d].Hi
-		if q[d].Lo < glo {
-			glo = q[d].Lo
-		}
-		if q[d].Hi > ghi {
-			ghi = q[d].Hi
-		}
-		lo := math.Max(glo, b[d].Lo)
-		hi := math.Min(ghi, b[d].Hi)
+		rlo, rhi := side(r, ext, d)
+		qlo, qhi := side(q, ext, d)
+		blo, bhi := side(b, ext, d)
+		lo, hi := max(min(rlo, qlo), blo), min(max(rhi, qhi), bhi)
 		if hi <= lo {
 			return 0
 		}
@@ -533,12 +630,10 @@ func grownIntersectArea(r, q, b space.Rect) float64 {
 	return v
 }
 
-func rectCenter(r space.Rect) []float64 {
-	c := make([]float64, len(r))
-	for d, iv := range r {
-		c[d] = (iv.Lo + iv.Hi) / 2
-	}
-	return c
+// centre is the midpoint of r's side on axis d.
+func centre(r space.Rect, ext []space.Interval, d int) float64 {
+	lo, hi := side(r, ext, d)
+	return (lo + hi) / 2
 }
 
 // depth returns the height of the tree (for tests/diagnostics).
@@ -556,8 +651,15 @@ func (t *Tree) depth() int {
 // the R* shape (fill, levels, exact MBRs, size) it checks what path copying
 // must preserve: every node is reachable once, and a node this tree owns
 // never hangs below one it does not own (a shared parent is reachable from
-// another tree, which would then see this tree's in-place writes).
+// another tree, which would then see this tree's in-place writes). The
+// extent must have positive width on every axis and cover every bounded
+// side stored.
 func (t *Tree) checkInvariants() error {
+	for d, iv := range t.ext {
+		if !(iv.Lo < iv.Hi) || math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
+			return fmt.Errorf("rtree: extent %v on axis %d", iv, d)
+		}
+	}
 	seen := make(map[*node]bool)
 	var walk func(n *node, isRoot bool) (int, error)
 	walk = func(n *node, isRoot bool) (int, error) {
@@ -574,6 +676,11 @@ func (t *Tree) checkInvariants() error {
 		if n.leaf {
 			if n.level != 0 {
 				return 0, fmt.Errorf("rtree: leaf at level %d", n.level)
+			}
+			for _, e := range n.entries {
+				if !covers(t.ext, e.rect) {
+					return 0, fmt.Errorf("rtree: extent %v does not cover %v", t.ext, e.rect)
+				}
 			}
 			return len(n.entries), nil
 		}
