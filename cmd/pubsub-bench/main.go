@@ -21,20 +21,12 @@
 //	ablation  design-choice studies: Fig 5 threshold, outlier removal,
 //	          last-mile link costs
 //	faults    reliability sweep: broker retry/dedup stats vs drop probability
-//	recovery  self-healing timeline: partition → breaker open → quarantine →
-//	          auto-refresh, with delivered cost and shed rate per window;
-//	          writes results/recovery.csv and results/recovery_metrics.json
-//	          unless -csv / -metrics override the destinations
-//	churn     live Subscribe/Unsubscribe churn against the snapshot
-//	          decision plane: swap counts and churn-op latency per rate
-//	durable   crash–restart durability timeline: clean incarnation →
-//	          scheduled mid-stream crash → journal-replay recovery, with
-//	          preserved counters and recovery stats per incarnation
-//	federate  federation sweep: the evaluation stream through 1-, 2- and
-//	          4-shard rectangle-partitioned federations, exactly-once
-//	          checked against the brute-force match, with decide and
-//	          merge-latency accounting per width
 //	all       run everything above in order
+//
+// The broker, durability and federation layers are measured against the
+// real daemons by the bench/ driver, and their invariants (self-healing,
+// churn, crash–restart, cross-shard exactly-once) are held by the owning
+// packages' test suites, not by modes here.
 //
 // Flags:
 //
@@ -46,11 +38,6 @@
 //	-workers N   clustering worker count inside each algorithm; 0 (the
 //	             default) resolves to GOMAXPROCS, negatives are rejected.
 //	             The effective parallelism is echoed in each run header.
-//	-churn-rate R      churn: single ops-per-event rate (0 = built-in sweep)
-//	-decide-workers N  churn: broker decision workers (0 = GOMAXPROCS)
-//	-data-dir DIR      durable: broker state directory (default: a fresh
-//	                   temp directory, removed afterwards); SIGINT/SIGTERM
-//	                   close the live broker cleanly before exiting
 //	-csv DIR     additionally write CSV files into DIR
 //	-metrics F   write a telemetry snapshot (JSON) to F; fig7 additionally
 //	             collects per-algorithm cost distributions with
@@ -60,17 +47,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
-	"syscall"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
@@ -79,20 +61,17 @@ import (
 )
 
 type options struct {
-	seed          int64
-	events        int
-	subs          int
-	modes         int
-	quick         bool
-	parallel      int
-	workers       int
-	churnRate     float64
-	decideWorkers int
-	dataDir       string
-	csvDir        string
-	metrics       string
-	cpuprofile    string
-	memprofile    string
+	seed       int64
+	events     int
+	subs       int
+	modes      int
+	quick      bool
+	parallel   int
+	workers    int
+	csvDir     string
+	metrics    string
+	cpuprofile string
+	memprofile string
 }
 
 func main() {
@@ -104,16 +83,13 @@ func main() {
 	flag.BoolVar(&opt.quick, "quick", false, "shrink sweeps for a fast run")
 	flag.IntVar(&opt.parallel, "parallel", 0, "worker count for fig7 (0 = sequential, -1 = GOMAXPROCS)")
 	flag.IntVar(&opt.workers, "workers", 0, "clustering worker count inside each algorithm (0 = GOMAXPROCS)")
-	flag.Float64Var(&opt.churnRate, "churn-rate", 0, "churn: single ops-per-event rate (0 = built-in sweep)")
-	flag.IntVar(&opt.decideWorkers, "decide-workers", 0, "churn: broker decision workers (0 = GOMAXPROCS)")
-	flag.StringVar(&opt.dataDir, "data-dir", "", "durable: broker state directory (default: fresh temp dir)")
 	flag.StringVar(&opt.csvDir, "csv", "", "directory for CSV output")
 	flag.StringVar(&opt.metrics, "metrics", "", "file for a JSON telemetry snapshot (fig7)")
 	flag.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&opt.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: pubsub-bench [flags] table1|table2|baseline|fig7|fig8|fig9|fig10|fig11|scenarios|ablation|faults|recovery|churn|durable|federate|all\n")
+			"usage: pubsub-bench [flags] table1|table2|baseline|fig7|fig8|fig9|fig10|fig11|scenarios|interest|frontier|ablation|faults|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -199,16 +175,8 @@ func run(name string, opt options) error {
 		return runFrontier(opt)
 	case "faults":
 		return runFaults(opt)
-	case "recovery":
-		return runRecovery(opt)
-	case "churn":
-		return runChurn(opt)
-	case "durable":
-		return runDurable(opt)
-	case "federate":
-		return runFederateSweep(opt)
 	case "all":
-		for _, n := range []string{"table1", "table2", "baseline", "fig7", "fig8", "fig9", "fig10", "scenarios", "interest", "frontier", "ablation", "faults", "recovery", "churn", "durable", "federate"} {
+		for _, n := range []string{"table1", "table2", "baseline", "fig7", "fig8", "fig9", "fig10", "scenarios", "interest", "frontier", "ablation", "faults"} {
 			if err := run(n, opt); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
@@ -619,184 +587,4 @@ func runFaults(opt options) error {
 	return opt.writeCSV("faults.csv", func(f *os.File) error {
 		return experiments.RenderFaultSweepCSV(f, pts)
 	})
-}
-
-// runChurn drives live subscription churn through the snapshot decision
-// plane: Poisson Subscribe/Unsubscribe ops interleaved with the evaluation
-// event stream, reporting swap counts and churn-op latency per rate.
-func runChurn(opt options) error {
-	env, err := experiments.NewStockEnv(opt.envConfig())
-	if err != nil {
-		return err
-	}
-	cfg := experiments.ChurnSweepConfig{
-		DecideWorkers: opt.decideWorkers,
-		Seed:          opt.seed + 400,
-	}
-	if opt.churnRate > 0 {
-		cfg.Rates = []float64{opt.churnRate}
-	}
-	if opt.quick {
-		cfg.Groups = 20
-		cfg.CellBudget = 400
-		if opt.churnRate == 0 {
-			cfg.Rates = []float64{0.05, 0.5}
-		}
-	}
-	pts, err := experiments.RunChurn(env, cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderChurn(os.Stdout,
-		"Churn sweep: live Subscribe/Unsubscribe vs event rate (snapshot decision plane)", pts); err != nil {
-		return err
-	}
-	return opt.writeCSV("churn.csv", func(f *os.File) error {
-		return experiments.RenderChurnCSV(f, pts)
-	})
-}
-
-// runFederateSweep replays the evaluation stream through federations of
-// increasing shard counts, verifying exactly-once delivery against the
-// brute-force match and reporting decides and merge-latency per width.
-func runFederateSweep(opt options) error {
-	env, err := experiments.NewStockEnv(opt.envConfig())
-	if err != nil {
-		return err
-	}
-	cfg := experiments.FederateSweepConfig{}
-	if opt.quick {
-		cfg.ShardCounts = []int{1, 4}
-		cfg.Groups = 20
-		cfg.CellBudget = 400
-	}
-	pts, err := experiments.RunFederate(env, cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderFederate(os.Stdout,
-		"Federation sweep: rectangle-partitioned shards with cross-shard exactly-once merge", pts); err != nil {
-		return err
-	}
-	return opt.writeCSV("federate.csv", func(f *os.File) error {
-		return experiments.RenderFederateCSV(f, pts)
-	})
-}
-
-// runRecovery drives the self-healing timeline experiment. Unlike the
-// other modes it always produces artifacts: the per-window series lands in
-// results/recovery.csv and the full result (series, phase costs, broker
-// and breaker stats) in results/recovery_metrics.json, unless -csv or
-// -metrics point elsewhere.
-func runRecovery(opt options) error {
-	env, err := experiments.NewStockEnv(opt.envConfig())
-	if err != nil {
-		return err
-	}
-	cfg := experiments.RecoveryConfig{Seed: opt.seed + 300}
-	if opt.quick {
-		cfg.Groups = 12
-		cfg.CellBudget = 300
-		cfg.PhaseEvents = 80
-		cfg.Window = 10
-	}
-	res, err := experiments.RunRecovery(env, cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderRecovery(os.Stdout,
-		"Recovery: partition → detection → automatic re-clustering", res); err != nil {
-		return err
-	}
-	o := opt
-	if o.csvDir == "" {
-		o.csvDir = "results"
-	}
-	if err := o.writeCSV("recovery.csv", func(f *os.File) error {
-		return experiments.RenderRecoveryCSV(f, res)
-	}); err != nil {
-		return err
-	}
-	metrics := opt.metrics
-	if metrics == "" {
-		metrics = filepath.Join(o.csvDir, "recovery_metrics.json")
-	}
-	if err := os.MkdirAll(filepath.Dir(metrics), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(metrics)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// activeCloser holds the close function of the currently open durable
-// broker (nil when none); the SIGINT/SIGTERM handler invokes it so an
-// interrupted run writes a final checkpoint instead of dying mid-stream.
-var activeCloser atomic.Value // of func()
-
-// installSignalHandler arms SIGINT/SIGTERM to close the active durable
-// broker before exiting. Installed once, on the first durable run.
-var installSignalHandler = sync.OnceFunc(func() {
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		if f, ok := activeCloser.Load().(func()); ok && f != nil {
-			fmt.Fprintln(os.Stderr, "pubsub-bench: interrupted; closing broker")
-			f()
-		}
-		os.Exit(1)
-	}()
-})
-
-// runDurable drives the crash–restart durability timeline: a clean broker
-// incarnation (checkpoint on close), one killed mid-stream by a scheduled
-// crash, and a recovery incarnation replaying the journal tail.
-func runDurable(opt options) error {
-	installSignalHandler()
-	env, err := experiments.NewStockEnv(opt.envConfig())
-	if err != nil {
-		return err
-	}
-	dir := opt.dataDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "pubsub-durable-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	cfg := experiments.DurableConfig{
-		RegisterCloser: func(f func()) {
-			if f == nil {
-				activeCloser.Store(func() {})
-			} else {
-				activeCloser.Store(f)
-			}
-		},
-	}
-	if opt.quick {
-		cfg.Groups = 12
-		cfg.CellBudget = 300
-		cfg.CrashAtAppend = 80
-	}
-	res, err := experiments.RunDurable(env, dir, cfg)
-	if err != nil {
-		return err
-	}
-	return experiments.RenderDurable(os.Stdout,
-		"Durable broker: clean run → mid-stream crash → journal-replay recovery", res)
 }

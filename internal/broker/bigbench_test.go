@@ -109,8 +109,10 @@ func setupBig1M(b *testing.B) (*core.Engine, []workload.Event, int) {
 // DecideScratch, draining a shared event feed through
 // DecisionSnapshot.DecideInto — exactly what the broker's decision workers
 // run, minus the fan-out stage (whose workers accept every copy inline,
-// so a full Broker's goroutines do not grow with subscriber nodes). Run it via `make bench-1m`;
-// -short drops to 65,536 subscribers for the CI smoke.
+// so a full Broker's goroutines do not grow with subscriber nodes). Run it
+// with go test -run '^$' -bench BenchmarkPublishDecide1M -benchtime=2000x
+// -timeout 30m ./internal/broker/; -short drops to 65,536 subscribers for
+// the CI smoke (make bench-1m-smoke).
 func BenchmarkPublishDecide1M(b *testing.B) {
 	eng, evs, subs := setupBig1M(b)
 	snap := eng.Snapshot()

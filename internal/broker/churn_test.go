@@ -291,10 +291,42 @@ func TestSnapshotVersionVisible(t *testing.T) {
 	if err := b.Unsubscribe(slot); err != nil {
 		t.Fatal(err)
 	}
-	b.Close()
-	if got := b.Stats().SnapshotSwaps; got < 2 {
-		t.Fatalf("SnapshotSwaps = %d, want ≥ 2", got)
-	}
+	// The driver is serial — each Subscribe/Unsubscribe returns before the
+	// next op or publish — so the churn counters must equal the ops issued,
+	// and the swaps must lie in [2, ops]: the first two ops each publish a
+	// snapshot, and the writer may coalesce but never publishes more
+	// snapshots than ops.
+	t.Run("serial_churn", func(t *testing.T) {
+		ops := 2
+		evs := w.Events(40, 331)
+		var live []int
+		for i, ev := range evs {
+			if i%3 == 2 && len(live) > 0 {
+				if err := b.Unsubscribe(live[0]); err != nil {
+					t.Fatal(err)
+				}
+				live = live[1:]
+			} else {
+				slot, err := b.Subscribe(w.Subs[i%len(w.Subs)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, slot)
+			}
+			ops++
+			if err := b.Publish(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Close()
+		st := b.Stats()
+		if got := int(st.Subscribes + st.Unsubscribes); got != ops {
+			t.Errorf("broker saw %d+%d churn ops, driver issued %d", st.Subscribes, st.Unsubscribes, ops)
+		}
+		if st.SnapshotSwaps < 2 || st.SnapshotSwaps > int64(ops) {
+			t.Errorf("SnapshotSwaps = %d for %d serial ops, want within [2, %d]", st.SnapshotSwaps, ops, ops)
+		}
+	})
 }
 
 func BenchmarkPublishDecide(b *testing.B) {

@@ -406,6 +406,81 @@ func TestDurableCleanShutdownRestart(t *testing.T) {
 	}
 }
 
+// TestDurableCleanCrashRecoverTimeline drives one state directory through
+// three incarnations: a clean one that checkpoints on Close, one that
+// loads that checkpoint and is then killed mid-stream by a scheduled
+// crash, and one that recovers from the checkpoint plus the journal tail.
+// The recovery must redeliver the copies the crash stranded, so the
+// preserved Deliveries counter ends above the crashed incarnation's.
+// Small enough to run under -short, unlike the crash matrix above.
+func TestDurableCleanCrashRecoverTimeline(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{Groups: 10, CellBudget: 300}
+	seed := int64(491)
+	e1, w := testEngine(t, cfg, seed)
+	evs := w.Events(60, seed+10)
+	half := len(evs) / 2
+
+	b1, err := Open(dir, e1, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range evs[:half] {
+		if err := b1.Publish(evs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b1.Close()
+	if rec := b1.Recovery(); rec.CheckpointLoaded || rec.RecordsReplayed != 0 {
+		t.Errorf("clean incarnation over a fresh directory saw recovery: %+v", rec)
+	}
+
+	e2, _ := testEngine(t, cfg, seed)
+	// Append 1 is the first publish record. Append 2 is its ack record or
+	// the next publish record, whichever comes first; either way the crash
+	// before it leaves the first publish acknowledged but none of its
+	// copies counted, so recovery has them to redeliver.
+	inj := faults.NewCrashInjector(faults.CrashPlan{AtAppend: 2, Point: faults.CrashBeforeAppend})
+	b2, err := Open(dir, e2, WithWorkers(2), WithDurableOptions(noAutoCkpt(inj)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b2.Recovery().CheckpointLoaded {
+		t.Error("incarnation after a clean close did not load its checkpoint")
+	}
+	acked := 0
+	for i := range evs[half:] {
+		switch err := b2.Publish(evs[half+i]); {
+		case err == nil:
+			acked++
+		case errors.Is(err, faults.ErrCrashed):
+		default:
+			t.Fatalf("publish %d: %v", half+i, err)
+		}
+	}
+	b2.Close()
+	if !inj.Dead() || acked == 0 || acked == len(evs)-half {
+		t.Fatalf("crash did not fire mid-stream: dead %v, acked %d of %d", inj.Dead(), acked, len(evs)-half)
+	}
+	crashed := b2.Stats()
+
+	e3, _ := testEngine(t, cfg, seed)
+	b3, err := Open(dir, e3, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b3.Close()
+	rec := b3.Recovery()
+	if rec.RecordsReplayed == 0 || rec.Outstanding == 0 {
+		t.Errorf("recovery replayed %d records with %d outstanding publishes; want both > 0",
+			rec.RecordsReplayed, rec.Outstanding)
+	}
+	if got := b3.Stats().Deliveries; got <= crashed.Deliveries {
+		t.Errorf("redelivery did not raise the preserved Deliveries counter: %d ≤ %d",
+			got, crashed.Deliveries)
+	}
+}
+
 // TestDurableChurnCrashRestart drives subscription churn through a
 // durable broker, crashes it, and verifies the churned state — a new
 // subscriber on a previously subscription-free node, and a removed base

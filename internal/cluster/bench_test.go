@@ -13,8 +13,8 @@ import (
 // over ns subscribers arranged in blocks: each cell samples a majority of
 // its block's subscribers plus a little cross-block noise, so distances are
 // non-trivial and no two cells coalesce. The same generator produced the
-// pre-PR baseline recorded in BENCH_cluster.json; do not change its shape
-// or the trajectory comparison breaks.
+// rows of BENCH_cluster.json, a frozen history that is no longer appended
+// to; keep its shape so a run stays comparable with those rows.
 func benchInput(n, ns, blocks int) *Input {
 	r := rand.New(rand.NewSource(42))
 	per := ns / blocks

@@ -17,10 +17,11 @@ import (
 // broker) against a four-shard one (parallel per-tile decides, smaller
 // per-shard match state). Each op publishes one event and waits for its
 // first merged delivery, so the p50/p99 metrics are whole-path lags,
-// comparable with the replication-lag rows in BENCH_cluster.json.
+// comparable with BenchmarkReplicationLag's. Run it with
+// go test -run '^$' -bench BenchmarkFederatePublishDeliver ./internal/federate/
 func BenchmarkFederatePublishDeliver(b *testing.B) {
-	// Sub-benchmark names avoid a trailing -N, which benchrecord (like
-	// benchstat) would strip as a GOMAXPROCS suffix.
+	// Sub-benchmark names avoid a trailing -N, which benchstat would strip
+	// as a GOMAXPROCS suffix.
 	b.Run("shards=1", func(b *testing.B) { benchFederate(b, 1) })
 	b.Run("shards=4", func(b *testing.B) { benchFederate(b, 4) })
 }

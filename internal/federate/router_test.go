@@ -2,6 +2,7 @@ package federate
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -17,27 +18,50 @@ import (
 	"repro/internal/workload"
 )
 
+// TestFederatedPublishDeliversExactlyOnce runs the stock stream through a
+// one-tile and a four-tile federation against the full world's
+// brute-force match. The pre-seeded subscriptions are baked into the tile
+// engines, so none of them may count as a router-registered cross-shard
+// subscription; at four tiles some of them must straddle a cut, or the
+// oracle would pass without exercising the merge.
 func TestFederatedPublishDeliversExactlyOnce(t *testing.T) {
-	f := startFed(t, 801, 4)
-	evs := f.w.Events(300, 803)
-	acked := make([]bool, len(evs))
-	for i := range evs {
-		if err := f.r.Publish(evs[i]); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-		acked[i] = true
-	}
-	if err := f.r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkExactlyOnce(t, f.w, evs, acked, f.o, f.r)
-	st := f.r.Stats()
-	if st.Published != int64(len(evs)) {
-		t.Errorf("Published = %d, want %d", st.Published, len(evs))
-	}
-	checkRoutedOnce(t, st)
-	if st.Delivered == 0 {
-		t.Error("no deliveries reached the federated observer")
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f := startFed(t, 801, shards)
+			straddlers := 0
+			var cover []int
+			for _, s := range f.w.Subs {
+				if cover = f.tiles.Covering(cover[:0], s.Rect); len(cover) > 1 {
+					straddlers++
+				}
+			}
+			if shards > 1 && straddlers == 0 {
+				t.Fatal("no base subscription straddles a tile; the partition is suspiciously clean")
+			}
+			evs := f.w.Events(300, 803)
+			acked := make([]bool, len(evs))
+			for i := range evs {
+				if err := f.r.Publish(evs[i]); err != nil {
+					t.Fatalf("publish %d: %v", i, err)
+				}
+				acked[i] = true
+			}
+			if err := f.r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkExactlyOnce(t, f.w, evs, acked, f.o, f.r)
+			st := f.r.Stats()
+			if st.Published != int64(len(evs)) {
+				t.Errorf("Published = %d, want %d", st.Published, len(evs))
+			}
+			if st.CrossShardSubs != 0 {
+				t.Errorf("pre-seeded subscriptions counted as cross-shard: CrossShardSubs = %d", st.CrossShardSubs)
+			}
+			checkRoutedOnce(t, st)
+			if st.Delivered == 0 {
+				t.Error("no deliveries reached the federated observer")
+			}
+		})
 	}
 }
 

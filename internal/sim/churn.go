@@ -85,31 +85,3 @@ func GenerateChurn(w *workload.World, cfg ChurnConfig) ([]ChurnOp, error) {
 	}
 	return ops, nil
 }
-
-// ChurnStats summarises a generated schedule.
-type ChurnStats struct {
-	Subscribes   int
-	Unsubscribes int
-	// PeakAlive is the largest number of simultaneously live churned
-	// subscriptions.
-	PeakAlive int
-}
-
-// SummarizeChurn replays a schedule's pool bookkeeping.
-func SummarizeChurn(ops []ChurnOp) ChurnStats {
-	var st ChurnStats
-	alive := 0
-	for _, op := range ops {
-		if op.Subscribe {
-			st.Subscribes++
-			alive++
-			if alive > st.PeakAlive {
-				st.PeakAlive = alive
-			}
-		} else {
-			st.Unsubscribes++
-			alive--
-		}
-	}
-	return st
-}
