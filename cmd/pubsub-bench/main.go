@@ -53,6 +53,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
@@ -94,6 +95,11 @@ func main() {
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if name := flag.Arg(0); name != "all" && name != "fig11" && !slices.Contains(sweep, name) {
+		fmt.Fprintf(os.Stderr, "pubsub-bench: unknown experiment %q\n", name)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -145,6 +151,10 @@ func (o options) effectiveWorkers() int {
 	return o.workers
 }
 
+// sweep is every experiment in the order "all" runs them (fig11 is
+// fig10's sweep, so it is not run twice).
+var sweep = []string{"table1", "table2", "baseline", "fig7", "fig8", "fig9", "fig10", "scenarios", "interest", "frontier", "ablation", "faults"}
+
 func run(name string, opt options) error {
 	if name != "all" {
 		fmt.Printf("# %s: clustering parallelism %d worker(s) (-workers %d, 0 ⇒ GOMAXPROCS)\n",
@@ -176,7 +186,7 @@ func run(name string, opt options) error {
 	case "faults":
 		return runFaults(opt)
 	case "all":
-		for _, n := range []string{"table1", "table2", "baseline", "fig7", "fig8", "fig9", "fig10", "scenarios", "interest", "frontier", "ablation", "faults"} {
+		for _, n := range sweep {
 			if err := run(n, opt); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}

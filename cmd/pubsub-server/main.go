@@ -306,8 +306,8 @@ func buildEngine(opt options, reg *telemetry.Registry) (*core.Engine, *workload.
 		return nil, nil, err
 	}
 	engine.Instrument(reg)
-	fmt.Printf("engine:     %s, K=%d groups (%d non-empty), built in %v\n",
-		opt.alg, opt.groups, engine.NumGroups(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("engine:     %s, K=%d groups (%d non-empty), built in %v (%v)\n",
+		opt.alg, opt.groups, engine.NumGroups(), time.Since(start).Round(time.Millisecond), engine.LastBuild())
 	return engine, w, nil
 }
 
@@ -443,8 +443,8 @@ func runFederated(opt options, reg *telemetry.Registry) error {
 			r.Close()
 			return err
 		}
-		fmt.Printf("shard %d:    tile %v, %d subscriptions, %d non-empty groups\n",
-			i, tile, len(tw.Subs), engine.NumGroups())
+		fmt.Printf("shard %d:    tile %v, %d subscriptions, %d non-empty groups (%v)\n",
+			i, tile, len(tw.Subs), engine.NumGroups(), engine.LastBuild())
 	}
 	fmt.Printf("federation: %d shards (%s, K=%d each) built in %v\n",
 		opt.shards, opt.alg, opt.groups, time.Since(start).Round(time.Millisecond))

@@ -197,71 +197,6 @@ func (s *Set) UnionWithCount(t *Set) int {
 	return c
 }
 
-// wasteBlockWords is the number of words of the streamed set processed per
-// block in WasteMany: 4 KiB, small enough to stay resident in L1 while the
-// block is replayed against every group vector.
-const wasteBlockWords = 512
-
-// WasteMany computes, for every g, the fused AND-NOT pair of a against
-// bs[g]: aNotB[g] = |a ∖ bs[g]| and bNotA[g] = |bs[g] ∖ a|. The word array
-// of a is streamed once per block across all group vectors (rather than
-// once per group), so a K-way nearest-group scan touches a's memory K×
-// less. aNotB and bNotA must have at least len(bs) entries.
-func WasteMany(a *Set, bs []*Set, aNotB, bNotA []int) {
-	if len(aNotB) < len(bs) || len(bNotA) < len(bs) {
-		panic(fmt.Sprintf("bitset: WasteMany output length %d/%d for %d sets",
-			len(aNotB), len(bNotA), len(bs)))
-	}
-	for _, t := range bs {
-		a.checkSame(t)
-	}
-	for g := range bs {
-		aNotB[g], bNotA[g] = 0, 0
-	}
-	words := a.words
-	for lo := 0; lo < len(words); lo += wasteBlockWords {
-		hi := lo + wasteBlockWords
-		if hi > len(words) {
-			hi = len(words)
-		}
-		blk := words[lo:hi]
-		for g, t := range bs {
-			ca, cb := wastePairWords(blk, t.words[lo:hi])
-			aNotB[g] += ca
-			bNotA[g] += cb
-		}
-	}
-}
-
-// IntersectMany computes x[g] = |a ∩ bs[g]| for every g, streaming a's
-// word array once per block across all group vectors like WasteMany. It is
-// the cheapest batch kernel for nearest-group scans: callers that track
-// set cardinalities can recover both AND-NOT counts from the intersection
-// alone (|a ∖ b| = |a| − |a ∩ b|), paying one popcount per word instead of
-// two. x must have at least len(bs) entries.
-func IntersectMany(a *Set, bs []*Set, x []int) {
-	if len(x) < len(bs) {
-		panic(fmt.Sprintf("bitset: IntersectMany output length %d for %d sets", len(x), len(bs)))
-	}
-	for _, t := range bs {
-		a.checkSame(t)
-	}
-	for g := range bs {
-		x[g] = 0
-	}
-	words := a.words
-	for lo := 0; lo < len(words); lo += wasteBlockWords {
-		hi := lo + wasteBlockWords
-		if hi > len(words) {
-			hi = len(words)
-		}
-		blk := words[lo:hi]
-		for g, t := range bs {
-			x[g] += andCountWords(blk, t.words[lo:hi])
-		}
-	}
-}
-
 // IntersectCount returns |s ∩ t| without allocating.
 func (s *Set) IntersectCount(t *Set) int {
 	s.checkSame(t)

@@ -309,59 +309,6 @@ func TestQuickFusedKernelsMatchNaive(t *testing.T) {
 	}
 }
 
-func TestQuickWasteManyMatchesPairwise(t *testing.T) {
-	law := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(400)
-		a := randomSet(r, n)
-		bs := make([]*Set, 1+r.Intn(8))
-		for i := range bs {
-			bs[i] = randomSet(r, n)
-		}
-		aNotB := make([]int, len(bs))
-		bNotA := make([]int, len(bs))
-		WasteMany(a, bs, aNotB, bNotA)
-		for i, b := range bs {
-			wantA, wantB := a.WastePair(b)
-			if aNotB[i] != wantA || bNotA[i] != wantB {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(law, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWasteManyCrossesBlocks exercises sets wider than one streaming block
-// (wasteBlockWords words) so the blocked loop's tail handling is covered.
-func TestWasteManyCrossesBlocks(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	n := (wasteBlockWords + 37) * 64 // > one block of words, ragged tail
-	a := randomSet(r, n)
-	bs := []*Set{randomSet(r, n), randomSet(r, n), randomSet(r, n)}
-	aNotB := make([]int, len(bs))
-	bNotA := make([]int, len(bs))
-	WasteMany(a, bs, aNotB, bNotA)
-	for i, b := range bs {
-		wantA, wantB := a.WastePair(b)
-		if aNotB[i] != wantA || bNotA[i] != wantB {
-			t.Fatalf("pair %d: got (%d,%d), want (%d,%d)", i, aNotB[i], bNotA[i], wantA, wantB)
-		}
-	}
-}
-
-func TestWasteManyShortOutputPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WasteMany with short output slices did not panic")
-		}
-	}()
-	a := New(64)
-	WasteMany(a, []*Set{New(64), New(64)}, make([]int, 1), make([]int, 2))
-}
-
 func TestHashIgnoresConstructionOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a := randomSet(r, 500)
@@ -403,75 +350,11 @@ func BenchmarkAndNotCountPair(b *testing.B) {
 	}
 }
 
-func BenchmarkWasteMany(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	const k = 32
-	x := randomSet(r, 4096)
-	ys := make([]*Set, k)
-	for i := range ys {
-		ys[i] = randomSet(r, 4096)
-	}
-	aNotB := make([]int, k)
-	bNotA := make([]int, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WasteMany(x, ys, aNotB, bNotA)
-	}
-}
-
 func BenchmarkHash(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randomSet(r, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = x.Hash()
-	}
-}
-
-func TestQuickIntersectManyMatchesPairwise(t *testing.T) {
-	law := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(400)
-		a := randomSet(r, n)
-		bs := make([]*Set, 1+r.Intn(8))
-		for i := range bs {
-			bs[i] = randomSet(r, n)
-		}
-		x := make([]int, len(bs))
-		IntersectMany(a, bs, x)
-		for i, b := range bs {
-			if x[i] != a.IntersectCount(b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(law, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntersectManyShortOutputPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntersectMany with a short output slice did not panic")
-		}
-	}()
-	a := New(64)
-	IntersectMany(a, []*Set{New(64), New(64)}, make([]int, 1))
-}
-
-func BenchmarkIntersectMany(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	const k = 32
-	x := randomSet(r, 4096)
-	ys := make([]*Set, k)
-	for i := range ys {
-		ys[i] = randomSet(r, 4096)
-	}
-	cnt := make([]int, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IntersectMany(x, ys, cnt)
 	}
 }

@@ -4,10 +4,8 @@
 // (dense), with automatic promotion and demotion at the classic 4096-element
 // cutoff. At million-subscriber scale a hyper-cell or group that touches a
 // few thousand subscribers costs kilobytes instead of the 125 KiB a dense
-// vector pins per set, and the fused kernels (WastePairSet, IntersectCountSet,
-// IntersectManyPacked, WasteManyPacked) walk only the populated chunks, so a
-// nearest-group scan over sparse cells is O(occupancy·K) rather than
-// O(Ns/64·K).
+// vector pins per set, and the fused kernels (WastePairSet, IntersectCountSet)
+// walk only the populated chunks.
 //
 // Every kernel is exact integer arithmetic over the same bits the dense Set
 // holds, so results are bit-identical to the dense formulation; the property
@@ -628,61 +626,6 @@ func unionContainers(a, b *container) container {
 	out.arr = arr
 	out.card = int32(len(arr))
 	return out
-}
-
-// IntersectManyPacked computes x[g] = |a ∩ bs[g]| for every dense group
-// vector g, walking only a's populated chunks — the compressed counterpart
-// of IntersectMany for sparse query cells against dense group vectors. Each
-// chunk of a is streamed once across all groups so the group words it maps
-// to stay cache-resident. x must have at least len(bs) entries.
-func IntersectManyPacked(a *Compressed, bs []*Set, x []int) {
-	if len(x) < len(bs) {
-		panic(fmt.Sprintf("bitset: IntersectManyPacked output length %d for %d sets", len(x), len(bs)))
-	}
-	for _, t := range bs {
-		a.checkSameSet(t)
-	}
-	for g := range bs {
-		x[g] = 0
-	}
-	for i := range a.cs {
-		ct := &a.cs[i]
-		base := int(ct.key) * chunkWords
-		if ct.bits != nil {
-			span := a.chunkLen(ct)
-			cw := ct.bits[:span]
-			for g, t := range bs {
-				x[g] += andCountWords(cw, t.words[base:base+span])
-			}
-			continue
-		}
-		for g, t := range bs {
-			tw := t.words[base:]
-			n := 0
-			for _, off := range ct.arr {
-				if tw[off/wordBits]&(1<<(off%wordBits)) != 0 {
-					n++
-				}
-			}
-			x[g] += n
-		}
-	}
-}
-
-// WasteManyPacked computes, for every dense group vector g, the fused
-// AND-NOT pair of a against bs[g]: aNotB[g] = |a ∖ bs[g]| and bNotA[g] =
-// |bs[g] ∖ a|. Computing |bs[g] ∖ a| forces a full scan of each dense
-// vector, so this costs what the dense WasteMany costs; callers that track
-// group cardinalities should prefer IntersectManyPacked and derive both
-// counts by subtraction. Provided for kernel-surface parity.
-func WasteManyPacked(a *Compressed, bs []*Set, aNotB, bNotA []int) {
-	if len(aNotB) < len(bs) || len(bNotA) < len(bs) {
-		panic(fmt.Sprintf("bitset: WasteManyPacked output length %d/%d for %d sets",
-			len(aNotB), len(bNotA), len(bs)))
-	}
-	for g, t := range bs {
-		aNotB[g], bNotA[g] = a.WastePairSet(t)
-	}
 }
 
 // String renders the set as a compact list like "{1, 5, 9}".

@@ -156,43 +156,6 @@ func TestCompressedKernelsOnBoundaryPatterns(t *testing.T) {
 	}
 }
 
-func TestQuickBatchKernelsPackedMatchDense(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 40}
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(2*chunkBits)
-		k := 1 + rng.Intn(6)
-		a := randomDensitySet(rng, n, []float64{0.001, 0.02, 0.3, 0.9}[rng.Intn(4)])
-		ca := Compress(a)
-		bs := make([]*Set, k)
-		for g := range bs {
-			bs[g] = randomDensitySet(rng, n, rng.Float64())
-		}
-		wantX := make([]int, k)
-		IntersectMany(a, bs, wantX)
-		gotX := make([]int, k)
-		IntersectManyPacked(ca, bs, gotX)
-		for g := range bs {
-			if gotX[g] != wantX[g] {
-				return false
-			}
-		}
-		wantA, wantB := make([]int, k), make([]int, k)
-		WasteMany(a, bs, wantA, wantB)
-		gotA, gotB := make([]int, k), make([]int, k)
-		WasteManyPacked(ca, bs, gotA, gotB)
-		for g := range bs {
-			if gotA[g] != wantA[g] || gotB[g] != wantB[g] {
-				return false
-			}
-		}
-		return true
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // FuzzCompressedWastePair fuzzes the compressed-vs-dense bit identity with
 // arbitrary byte-string universes, catching container-boundary edge cases
 // the generators above might miss.
@@ -260,28 +223,4 @@ func TestCompressedMismatchedLengthsPanic(t *testing.T) {
 		}
 	}()
 	Compress(New(100)).WastePairSet(New(200))
-}
-
-func BenchmarkIntersectManySparse(b *testing.B) {
-	// The regime compression targets: a sparse query cell (0.2% occupancy)
-	// against K dense group vectors over a large universe.
-	const n, k = 1 << 20, 20
-	rng := rand.New(rand.NewSource(9))
-	cell := randomDensitySet(rng, n, 0.002)
-	packed := Compress(cell)
-	bs := make([]*Set, k)
-	for g := range bs {
-		bs[g] = randomDensitySet(rng, n, 0.05)
-	}
-	x := make([]int, k)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			IntersectMany(cell, bs, x)
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			IntersectManyPacked(packed, bs, x)
-		}
-	})
 }

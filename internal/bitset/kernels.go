@@ -121,9 +121,9 @@ func wastePairWords(a, b []uint64) (aNotB, bNotA int) {
 	return a0 + a1, b0 + b1
 }
 
-// Scratch is a pooled []int buffer for the batch kernels' temporaries
-// (WasteMany / IntersectMany group counters). Pooling through a pointer
-// type keeps Get/Put themselves allocation-free in steady state.
+// Scratch is a pooled []int buffer for per-worker counters (the K-means
+// nearest-group scans). Pooling through a pointer type keeps Get/Put
+// themselves allocation-free in steady state.
 type Scratch struct{ ints []int }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -3,10 +3,13 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/space"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // benchInput builds a deterministic clustering problem with n hyper-cells
@@ -76,6 +79,68 @@ func BenchmarkForgy(b *testing.B) {
 		if _, err := alg.Cluster(in, 50); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// stockWorldInput is the clustering input pubsub-server builds for the
+// benchmark's 50k-subscription workloads: the Eval600 topology and stock
+// world under seed 1, a 2 000-event training sample and a 6 000-cell
+// budget — 6 000 hyper-cells over 600 subscriber nodes.
+var stockWorldInput = sync.OnceValues(func() (*Input, error) {
+	topo := topology.Eval600
+	topo.Seed = 1
+	g, err := topology.Generate(topo)
+	if err != nil {
+		return nil, err
+	}
+	w, err := workload.NewStockWorld(g, workload.StockConfig{
+		NumSubscriptions: 50000,
+		BlockSplit:       []float64{0.4, 0.3, 0.3},
+		NameMeans:        []float64{3, 10, 17},
+		PubModes:         1,
+		Seed:             2,
+	})
+	if err != nil {
+		return nil, err
+	}
+	grid, err := space.NewGrid(w.Axes)
+	if err != nil {
+		return nil, err
+	}
+	return BuildInput(w, grid, w.Events(2000, 3), 6000)
+})
+
+// BenchmarkForgyStockWorld is the daemon's start-up clustering: Forgy
+// with K = 100 on stockWorldInput, all 100 passes (it never converges
+// there).
+func BenchmarkForgyStockWorld(b *testing.B) {
+	in, err := stockWorldInput()
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg := &KMeans{Variant: Forgy}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := alg.Cluster(in, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAndCountRow times the nearest-group kernel on one matrix row
+// of K = 100 groups: one cell word against every group's word.
+func BenchmarkAndCountRow(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	row := make([]uint64, 100)
+	for g := range row {
+		row[g] = r.Uint64()
+	}
+	x := make([]int, len(row))
+	v := r.Uint64()
+	b.SetBytes(int64(8 * len(row)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		andCountRow(v, row, x)
 	}
 }
 

@@ -18,8 +18,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/space"
@@ -33,23 +34,8 @@ type HyperCell struct {
 	Cells []space.CellID
 	// Members is the subscriber membership vector s(a).
 	Members *bitset.Set
-	// Packed is a compressed view of Members, present only when the cell is
-	// sparse enough for the chunked representation to win (see packIfSparse).
-	// It is a read-only mirror: Members stays authoritative.
-	Packed *bitset.Compressed
 	// Prob is the empirical publication probability mass of the cells.
 	Prob float64
-}
-
-// ForEachMember visits the cell's member indices in ascending order,
-// iterating the compressed view when one exists (for a sparse cell that
-// touches only its populated chunks, instead of every word of the universe).
-func (h *HyperCell) ForEachMember(fn func(i int) bool) {
-	if h.Packed != nil {
-		h.Packed.ForEach(fn)
-		return
-	}
-	h.Members.ForEach(fn)
 }
 
 // packOccupancyDen is the density cutoff for choosing the compressed
@@ -158,8 +144,8 @@ func buildInput(w *workload.World, grid *space.Grid, budget int, prep func(), ce
 		return nil, fmt.Errorf("cluster: world has no subscribers")
 	}
 
-	// Rasterise subscriptions: cell → membership vector.
-	members := make(map[space.CellID]*bitset.Set)
+	// Rasterise subscriptions: cell → membership vector, indexed by cell id.
+	members := make([]*bitset.Set, grid.NumCells())
 	for _, sub := range w.Subs {
 		idx, ok := w.SubscriberIndex(sub.Owner)
 		if !ok {
@@ -180,13 +166,11 @@ func buildInput(w *workload.World, grid *space.Grid, budget int, prep func(), ce
 	// Coalesce cells with identical membership vectors into hyper-cells.
 	byHash := make(map[uint64][]int)
 	var cells []HyperCell
-	ids := make([]space.CellID, 0, len(members))
-	for id := range members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		s := members[id]
+	for i, s := range members {
+		if s == nil {
+			continue
+		}
+		id := space.CellID(i)
 		p := cellProb(id)
 		h := s.Hash()
 		found := false
@@ -205,24 +189,26 @@ func buildInput(w *workload.World, grid *space.Grid, budget int, prep func(), ce
 	}
 	total := len(cells)
 
-	// Rank by popularity and apply the budget; ties broken by first cell id
-	// for determinism.
-	sort.SliceStable(cells, func(i, j int) bool {
-		ri, rj := cells[i].Rating(), cells[j].Rating()
-		if ri != rj {
-			return ri > rj
-		}
-		return cells[i].Cells[0] < cells[j].Cells[0]
-	})
-	if budget > 0 && len(cells) > budget {
-		cells = cells[:budget]
+	// Rank by popularity and apply the budget. Each rating is computed
+	// once; the cells were made in ascending first-cell-id order, so a
+	// stable sort breaks rating ties by first cell id, deterministically.
+	type rankedCell struct {
+		rating float64
+		ci     int
 	}
-	// Attach compressed views to the sparse survivors: the clustering scans
-	// (closestWith, add/remove) pick them up per cell by occupancy.
+	rank := make([]rankedCell, len(cells))
 	for i := range cells {
-		cells[i].Packed = packIfSparse(cells[i].Members)
+		rank[i] = rankedCell{cells[i].Rating(), i}
 	}
-	return &Input{Cells: cells, NumSubscribers: ns, TotalHyperCells: total}, nil
+	slices.SortStableFunc(rank, func(a, b rankedCell) int { return cmp.Compare(b.rating, a.rating) })
+	if budget > 0 && len(rank) > budget {
+		rank = rank[:budget]
+	}
+	ranked := make([]HyperCell, len(rank))
+	for i, r := range rank {
+		ranked[i] = cells[r.ci]
+	}
+	return &Input{Cells: ranked, NumSubscribers: ns, TotalHyperCells: total}, nil
 }
 
 // Group is one multicast group produced by clustering: the union membership

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 )
@@ -49,32 +50,49 @@ func (k *KMeans) Name() string { return k.Variant.String() }
 // SetParallelism implements Parallel.
 func (k *KMeans) SetParallelism(workers int) { k.Parallelism = workers }
 
-// kstate tracks the mutable cluster vectors: per-subscriber containment
-// counts (so removals are exact), the derived membership bitsets, the
-// probability mass and the cell count of every cluster.
+// kstate tracks the mutable cluster vectors: every group's membership
+// vector as one column of a flat word matrix, with its cardinality,
+// probability mass and cell count.
 type kstate struct {
-	in      *Input
-	counts  [][]int32
-	members []*bitset.Set
-	ones    []int // ones[g] = st.members[g].Count(), maintained incrementally
+	in *Input
+	k  int
+	// Each cell's non-zero membership words, flattened once: cell ci owns
+	// cellWords[cellOff[ci]:cellOff[ci+1]], so a scan touches only the
+	// words it populates.
+	cellOff   []int
+	cellWords []cellWord
+	// mat is the group matrix, column-major: word w of group g is
+	// mat[w*k+g], so the K words a cell word meets sit in one row.
+	mat  []uint64
+	ones []int // ones[g] = |group g's vector|
+	// counts[i*k+g] counts group g's cells that contain subscriber i, so a
+	// cell can leave a group exactly. Nil for Forgy, which rebuilds mat
+	// from the assignment after each pass instead.
+	counts  []int32
 	prob    []float64
 	size    []int
 	assign  Assignment
 	workers int
-	// cellOnes[ci] = in.Cells[ci].Members.Count(), precomputed once so the
-	// nearest-group scan can derive both AND-NOT counts from intersection
-	// counts alone (one popcount per word instead of two).
+	// cellOnes[ci] = |cell ci|, so the nearest-group scan derives both
+	// AND-NOT counts from the intersection count alone.
 	cellOnes []int
-	// xCnt is the sequential-path scratch buffer for the batched
-	// intersection scan; sharded passes allocate per-worker copies.
+	// xCnt is the sequential-path scratch buffer for the intersection
+	// scan; sharded passes take per-worker copies.
 	xCnt []int
 }
 
-func newKState(in *Input, k, workers int) *kstate {
+// cellWord is one non-zero word of a cell's membership vector.
+type cellWord struct {
+	bits uint64
+	w    int // word index
+}
+
+func newKState(in *Input, k, workers int, counted bool) *kstate {
 	st := &kstate{
 		in:       in,
-		counts:   make([][]int32, k),
-		members:  make([]*bitset.Set, k),
+		k:        k,
+		cellOff:  make([]int, len(in.Cells)+1),
+		mat:      make([]uint64, (in.NumSubscribers+63)/64*k),
 		ones:     make([]int, k),
 		prob:     make([]float64, k),
 		size:     make([]int, k),
@@ -83,12 +101,32 @@ func newKState(in *Input, k, workers int) *kstate {
 		cellOnes: make([]int, len(in.Cells)),
 		xCnt:     make([]int, k),
 	}
-	for g := 0; g < k; g++ {
-		st.counts[g] = make([]int32, in.NumSubscribers)
-		st.members[g] = bitset.New(in.NumSubscribers)
-	}
+	// Two passes over the members — count the non-zero words, then fill
+	// them — so the word list is one exact allocation.
 	for ci := range in.Cells {
-		st.cellOnes[ci] = in.Cells[ci].Members.Count()
+		last := -1
+		in.Cells[ci].Members.ForEach(func(i int) bool {
+			if i/64 != last {
+				last = i / 64
+				st.cellOff[ci+1]++
+			}
+			st.cellOnes[ci]++
+			return true
+		})
+		st.cellOff[ci+1] += st.cellOff[ci]
+	}
+	st.cellWords = make([]cellWord, 0, st.cellOff[len(in.Cells)])
+	for ci := range in.Cells {
+		in.Cells[ci].Members.ForEach(func(i int) bool {
+			if n := len(st.cellWords); n == st.cellOff[ci] || st.cellWords[n-1].w != i/64 {
+				st.cellWords = append(st.cellWords, cellWord{w: i / 64})
+			}
+			st.cellWords[len(st.cellWords)-1].bits |= 1 << (i % 64)
+			return true
+		})
+	}
+	if counted {
+		st.counts = make([]int32, in.NumSubscribers*k)
 	}
 	for i := range st.assign {
 		st.assign[i] = -1
@@ -96,35 +134,57 @@ func newKState(in *Input, k, workers int) *kstate {
 	return st
 }
 
-func (st *kstate) add(ci, g int) {
-	cell := &st.in.Cells[ci]
-	cell.ForEachMember(func(i int) bool {
-		st.counts[g][i]++
-		if st.counts[g][i] == 1 {
-			st.members[g].Set(i)
-			st.ones[g]++
-		}
-		return true
-	})
-	st.prob[g] += cell.Prob
+// move puts cell ci in group g, taking it out of its current group first
+// if it has one. A first placement ORs the cell's words into g's vector.
+// With counts the vectors follow every move exactly; without them a move
+// out of a group updates only masses, sizes and the assignment, and the
+// caller must rebuild before the vectors are read again.
+func (st *kstate) move(ci, g int) {
+	old, p := st.assign[ci], st.in.Cells[ci].Prob
+	if old >= 0 {
+		st.prob[old] -= p
+		st.size[old]--
+	}
+	st.prob[g] += p
 	st.size[g]++
 	st.assign[ci] = g
+	if old >= 0 && st.counts == nil {
+		return
+	}
+	for _, cw := range st.cellWords[st.cellOff[ci]:st.cellOff[ci+1]] {
+		w, v := cw.w, cw.bits
+		for b := v; st.counts != nil && b != 0; b &= b - 1 {
+			i := w*64 + bits.TrailingZeros64(b)
+			if old >= 0 {
+				if st.counts[i*st.k+old]--; st.counts[i*st.k+old] == 0 {
+					st.mat[w*st.k+old] &^= 1 << (i % 64)
+					st.ones[old]--
+				}
+			}
+			st.counts[i*st.k+g]++
+		}
+		cur := &st.mat[w*st.k+g]
+		st.ones[g] += bits.OnesCount64(v &^ *cur)
+		*cur |= v
+	}
 }
 
-func (st *kstate) remove(ci int) {
-	g := st.assign[ci]
-	cell := &st.in.Cells[ci]
-	cell.ForEachMember(func(i int) bool {
-		st.counts[g][i]--
-		if st.counts[g][i] == 0 {
-			st.members[g].Clear(i)
-			st.ones[g]--
+// rebuild re-derives every group vector and cardinality from the
+// assignment: each placed cell's words are ORed into its group's column.
+func (st *kstate) rebuild() {
+	clear(st.mat)
+	for ci, g := range st.assign {
+		if g < 0 {
+			continue
 		}
-		return true
-	})
-	st.prob[g] -= cell.Prob
-	st.size[g]--
-	st.assign[ci] = -1
+		for _, cw := range st.cellWords[st.cellOff[ci]:st.cellOff[ci+1]] {
+			st.mat[cw.w*st.k+g] |= cw.bits
+		}
+	}
+	clear(st.ones)
+	for i, v := range st.mat {
+		st.ones[i%st.k] += bits.OnesCount64(v)
+	}
 }
 
 // closest returns the group whose membership vector is nearest to cell ci
@@ -134,34 +194,43 @@ func (st *kstate) closest(ci int) int {
 }
 
 // closestWith is closest with caller-owned scratch (len ≥ #groups), so
-// sharded passes can evaluate cells concurrently. The cell's words are
-// streamed once against all K group vectors via the batched intersection
-// kernel instead of rescanned per group; both AND-NOT counts fall out of
-// the tracked cardinalities (|a ∖ g| = |a| − x, |g ∖ a| = |g| − x), so the
-// scan pays one popcount per word where the naive loop pays four. The
-// subtractions are exact integer arithmetic, so the distances — and the
-// chosen group — are bit-identical to the two-scan formulation.
+// sharded passes can evaluate cells concurrently. Each non-zero word of
+// the cell meets the K group words of its matrix row in one pass
+// (andCountRow); both AND-NOT counts fall out of the tracked
+// cardinalities (|a ∖ g| = |a| − x, |g ∖ a| = |g| − x). The subtractions
+// are exact integer arithmetic, so the distances — and the chosen group —
+// are bit-identical to the two-scan formulation.
 func (st *kstate) closestWith(ci int, xCnt []int) int {
-	cell := &st.in.Cells[ci]
-	if cell.Packed != nil {
-		// Sparse cell: the compressed scan touches only its populated
-		// chunks of the K group vectors instead of every word. The counts
-		// are bit-identical (proven by the compressed-vs-dense property
-		// tests), so the chosen group is too.
-		bitset.IntersectManyPacked(cell.Packed, st.members, xCnt)
-	} else {
-		bitset.IntersectMany(cell.Members, st.members, xCnt)
+	xCnt = xCnt[:st.k]
+	clear(xCnt)
+	for _, cw := range st.cellWords[st.cellOff[ci]:st.cellOff[ci+1]] {
+		andCountRow(cw.bits, st.mat[cw.w*st.k:][:st.k], xCnt)
 	}
-	ca := st.cellOnes[ci]
+	p, ca := st.in.Cells[ci].Prob, st.cellOnes[ci]
 	best, bestD := -1, 0.0
-	for g := range st.members {
-		x := xCnt[g]
-		d := cell.Prob*float64(ca-x) + st.prob[g]*float64(st.ones[g]-x)
+	for g, x := range xCnt {
+		d := p*float64(ca-x) + st.prob[g]*float64(st.ones[g]-x)
 		if best == -1 || d < bestD {
 			best, bestD = g, d
 		}
 	}
 	return best
+}
+
+// andCountRow adds popcount(v & row[g]) to x[g] for every g, four
+// independent lanes per step. len(x) must be ≥ len(row).
+func andCountRow(v uint64, row []uint64, x []int) {
+	x = x[:len(row)]
+	g := 0
+	for ; g+4 <= len(row); g += 4 {
+		x[g] += bits.OnesCount64(v & row[g])
+		x[g+1] += bits.OnesCount64(v & row[g+1])
+		x[g+2] += bits.OnesCount64(v & row[g+2])
+		x[g+3] += bits.OnesCount64(v & row[g+3])
+	}
+	for ; g < len(row); g++ {
+		x[g] += bits.OnesCount64(v & row[g])
+	}
 }
 
 // computeTargets fills target[i] with the closest group of cell id(i),
@@ -174,7 +243,7 @@ func (st *kstate) computeTargets(n int, id func(int) int, target []int) {
 		var sc *bitset.Scratch
 		if lo != 0 || hi != n { // sharded: pooled private scratch per worker
 			sc = bitset.GetScratch()
-			xCnt = sc.Ints(len(st.members))
+			xCnt = sc.Ints(st.k)
 		}
 		for i := lo; i < hi; i++ {
 			target[i] = st.closestWith(id(i), xCnt)
@@ -198,7 +267,7 @@ func (st *kstate) seedWaves(n int, id func(int) int) {
 	if n <= 0 {
 		return
 	}
-	wave := len(st.members) // start at K, the number of groups
+	wave := st.k // start at K, the number of groups
 	if wave < 4 {
 		wave = 4
 	}
@@ -211,7 +280,7 @@ func (st *kstate) seedWaves(n int, id func(int) int) {
 		target = target[:end-start]
 		st.computeTargets(end-start, func(i int) int { return id(start + i) }, target)
 		for i, g := range target {
-			st.add(id(start+i), g)
+			st.move(id(start+i), g)
 		}
 	}
 }
@@ -229,13 +298,13 @@ func (k *KMeans) Cluster(in *Input, groups int) (Assignment, error) {
 		maxIters = 100
 	}
 
-	st := newKState(in, groups, resolveWorkers(k.Parallelism))
+	st := newKState(in, groups, resolveWorkers(k.Parallelism), k.Variant != Forgy)
 	// Step 0 — initial partition: the K most popular hyper-cells seed the
 	// groups (cells arrive rating-sorted from BuildInput); the remainder
 	// join their closest group in geometrically growing waves, sharding the
 	// distance scans across workers deterministically.
 	for g := 0; g < groups; g++ {
-		st.add(g, g)
+		st.move(g, g)
 	}
 	st.seedWaves(len(in.Cells)-groups, func(i int) int { return groups + i })
 
@@ -269,7 +338,7 @@ func (k *KMeans) ClusterWarm(in *Input, groups int, initial Assignment, iters in
 	if iters <= 0 {
 		iters = 1
 	}
-	st := newKState(in, groups, resolveWorkers(k.Parallelism))
+	st := newKState(in, groups, resolveWorkers(k.Parallelism), k.Variant != Forgy)
 	var unplaced []int
 	for ci, g := range initial {
 		if g >= groups {
@@ -279,27 +348,32 @@ func (k *KMeans) ClusterWarm(in *Input, groups int, initial Assignment, iters in
 			unplaced = append(unplaced, ci)
 			continue
 		}
-		st.add(ci, g)
+		st.move(ci, g)
 	}
 	// Guarantee every group is non-empty (closest() must see live vectors
 	// and the move rules assume no empty groups): seed empties with the
-	// most popular unplaced or already-placed cells.
+	// most popular unplaced or already-placed cells. Without counts a move
+	// leaves the vectors stale, so they are rebuilt once afterwards.
+	moved := false
 	for g := 0; g < groups; g++ {
 		if st.size[g] > 0 {
 			continue
 		}
 		if len(unplaced) > 0 {
-			st.add(unplaced[0], g)
+			st.move(unplaced[0], g)
 			unplaced = unplaced[1:]
 			continue
 		}
 		for ci := range in.Cells {
 			if st.size[st.assign[ci]] > 1 {
-				st.remove(ci)
-				st.add(ci, g)
+				st.move(ci, g)
+				moved = true
 				break
 			}
 		}
+	}
+	if moved && st.counts == nil {
+		st.rebuild()
 	}
 	st.seedWaves(len(unplaced), func(i int) int { return unplaced[i] })
 	switch k.Variant {
@@ -366,8 +440,7 @@ func (k *KMeans) runMacQueen(st *kstate, maxIters int) {
 			}
 			best := st.closest(ci)
 			if best != cur {
-				st.remove(ci)
-				st.add(ci, best)
+				st.move(ci, best)
 				moved = true
 			}
 		}
@@ -380,9 +453,12 @@ func (k *KMeans) runMacQueen(st *kstate, maxIters int) {
 // runForgy computes a whole pass of assignments against frozen cluster
 // vectors, then applies the moves and updates. The assignment pass is
 // embarrassingly parallel (the vectors are frozen), so it shards across
-// the configured workers. Forgy's synchronous updates are prone to limit
-// cycles (group masses shift wholesale between passes), so the loop also
-// stops on the first repeated end-of-pass state.
+// the configured workers. The moves update only masses, sizes and the
+// assignment; the group matrix is rebuilt from the assignment once per
+// pass, which costs one OR per cell word where per-move updates walked
+// every member of every moved cell (most cells move in most passes). The
+// loop stops when a pass moves nothing, on the first repeated end-of-pass
+// state (a limit cycle), or after maxIters passes.
 func (k *KMeans) runForgy(st *kstate, maxIters int) {
 	n := len(st.in.Cells)
 	target := make([]int, n)
@@ -396,11 +472,14 @@ func (k *KMeans) runForgy(st *kstate, maxIters int) {
 			if want == cur || st.size[cur] == 1 {
 				continue
 			}
-			st.remove(ci)
-			st.add(ci, want)
+			st.move(ci, want)
 			moved = true
 		}
-		if !moved || cd.seen(st.assign) {
+		if !moved {
+			return
+		}
+		st.rebuild()
+		if cd.seen(st.assign) {
 			return
 		}
 	}

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/matching"
@@ -94,7 +95,6 @@ type Engine struct {
 
 	// Grid-strategy state.
 	gridIdx *matching.GridIndex
-	gridIn  *cluster.Input
 	gridRes *cluster.Result
 	// No-Loss-strategy state.
 	nlIdx *matching.NoLossIndex
@@ -108,6 +108,8 @@ type Engine struct {
 	quarantined map[int]bool
 
 	stale bool // groups no longer reflect the current subscriptions
+
+	build BuildTimes // phases of the last rebuild
 
 	// Snapshot cache: lastSnap is reused until one of the dirty flags
 	// marks the corresponding state as changed (see Snapshot).
@@ -272,9 +274,36 @@ func noLossGroups(w *workload.World, res *noloss.Result, k int) (*matching.NoLos
 	return idx, nodes, nil
 }
 
+// BuildTimes splits the wall-clock time of the engine's last rebuild — by
+// New, NewFromWorld or Refresh — into its consecutive phases: the world,
+// grid and subscription R*-tree bulk load (Index); rasterising, coalescing
+// and ranking the grid clustering input (Input; zero under No-Loss); the
+// clustering algorithm (Cluster; under No-Loss, noloss.Build); and the group
+// vectors, routing index and each group's member nodes (Groups).
+type BuildTimes struct {
+	Index, Input, Cluster, Groups time.Duration
+}
+
+func (b BuildTimes) String() string {
+	r := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
+	return fmt.Sprintf("index %v, input %v, cluster %v, groups %v", r(b.Index), r(b.Input), r(b.Cluster), r(b.Groups))
+}
+
+// LastBuild reports the phase times of the engine's last rebuild.
+func (e *Engine) LastBuild() BuildTimes { return e.build }
+
+// lap returns the time elapsed since *t and moves *t to now.
+func lap(t *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*t)
+	*t = now
+	return d
+}
+
 // rebuild reconstructs every index and the multicast groups from scratch.
 func (e *Engine) rebuild() error {
 	e.tel.rebuilds.Inc()
+	t := time.Now()
 	w, err := workload.NewCustomWorld(e.graph, e.axes, e.subs)
 	if err != nil {
 		return fmt.Errorf("core: world: %w", err)
@@ -286,19 +315,22 @@ func (e *Engine) rebuild() error {
 	if err := e.reindex(w, grid); err != nil {
 		return err
 	}
+	e.build = BuildTimes{Index: lap(&t)}
 
 	if e.cfg.NoLoss != nil {
 		res, err := noloss.Build(w, e.train, *e.cfg.NoLoss)
 		if err != nil {
 			return fmt.Errorf("core: no-loss: %w", err)
 		}
+		e.build.Cluster = lap(&t)
 		idx, nodes, err := noLossGroups(w, res, e.cfg.Groups)
 		if err != nil {
 			return err
 		}
 		e.nlIdx = idx
-		e.gridIdx, e.gridIn, e.gridRes = nil, nil, nil
+		e.gridIdx, e.gridRes = nil, nil
 		e.adoptGroups(nodes)
+		e.build.Groups = lap(&t)
 		return nil
 	}
 
@@ -306,11 +338,17 @@ func (e *Engine) rebuild() error {
 	if err != nil {
 		return fmt.Errorf("core: clustering input: %w", err)
 	}
+	e.build.Input = lap(&t)
 	assign, err := e.cfg.Algorithm.Cluster(in, e.cfg.Groups)
 	if err != nil {
 		return fmt.Errorf("core: clustering: %w", err)
 	}
-	return e.adoptGridAssignment(in, assign)
+	e.build.Cluster = lap(&t)
+	if err := e.adoptGridAssignment(in, assign); err != nil {
+		return err
+	}
+	e.build.Groups = lap(&t)
+	return nil
 }
 
 // buildInput selects the configured probability source.
@@ -334,7 +372,7 @@ func (e *Engine) adoptGridAssignment(in *cluster.Input, assign cluster.Assignmen
 	// plane's membership tests and the snapshot readers go through them for
 	// sparse groups.
 	res.PackMembers()
-	e.gridIn, e.gridRes, e.gridIdx = in, res, idx
+	e.gridRes, e.gridIdx = res, idx
 	e.nlIdx = nil
 	e.adoptGroups(nodes)
 	return nil

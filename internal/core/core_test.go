@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/multicast"
@@ -53,6 +54,47 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewFromWorld(nil, train, Config{Groups: 10}); err == nil {
 		t.Error("nil world accepted")
+	}
+}
+
+// TestLastBuildPhases checks the rebuild's phase split: every phase of a
+// grid build takes time, and the phases, being disjoint stretches of the
+// constructor, sum to no more than the constructor's own wall time. A
+// warm Refresh replaces the record.
+func TestLastBuildPhases(t *testing.T) {
+	w, train := testWorld(t, 300, 84)
+	start := time.Now()
+	e, err := NewFromWorld(w, train, Config{Groups: 20, CellBudget: 400})
+	total := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(b BuildTimes, limit time.Duration) {
+		t.Helper()
+		phases := []time.Duration{b.Index, b.Input, b.Cluster, b.Groups}
+		sum := time.Duration(0)
+		for i, d := range phases {
+			if d <= 0 {
+				t.Errorf("phase %d of %v is %v, want > 0", i, b, d)
+			}
+			sum += d
+		}
+		if sum > limit {
+			t.Errorf("phases %v sum to %v, more than the measured %v", b, sum, limit)
+		}
+	}
+	first := e.LastBuild()
+	check(first, total)
+	if err := e.RemoveSubscription(0); err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if err := e.Refresh(2); err != nil {
+		t.Fatal(err)
+	}
+	check(e.LastBuild(), time.Since(start))
+	if e.LastBuild() == first {
+		t.Error("Refresh left the previous build's phases in place")
 	}
 }
 

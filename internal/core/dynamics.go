@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/space"
@@ -97,6 +98,7 @@ func (e *Engine) Refresh(warmIters int) error {
 	// Carry the old cell→group mapping across the rebuild.
 	oldCellGroup := e.gridRes.CellGroup
 
+	t := time.Now()
 	w, err := workload.NewCustomWorld(e.graph, e.axes, e.subs)
 	if err != nil {
 		return fmt.Errorf("core: world: %w", err)
@@ -109,11 +111,13 @@ func (e *Engine) Refresh(warmIters int) error {
 	if err := e.reindex(w, grid); err != nil {
 		return err
 	}
+	e.build = BuildTimes{Index: lap(&t)}
 
 	in, err := e.buildInput(w, grid)
 	if err != nil {
 		return fmt.Errorf("core: clustering input: %w", err)
 	}
+	e.build.Input = lap(&t)
 	initial := make(cluster.Assignment, len(in.Cells))
 	for ci := range in.Cells {
 		initial[ci] = majorityGroup(in.Cells[ci].Cells, oldCellGroup, e.cfg.Groups)
@@ -122,7 +126,12 @@ func (e *Engine) Refresh(warmIters int) error {
 	if err != nil {
 		return fmt.Errorf("core: warm clustering: %w", err)
 	}
-	return e.adoptGridAssignment(in, assign)
+	e.build.Cluster = lap(&t)
+	if err := e.adoptGridAssignment(in, assign); err != nil {
+		return err
+	}
+	e.build.Groups = lap(&t)
+	return nil
 }
 
 // majorityGroup picks the most common old group among the hyper-cell's
