@@ -48,7 +48,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridLocate$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzIntervalAlgebra$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateNormalize$$' -fuzztime 5s ./internal/space/
-	$(GO) test -run '^$$' -fuzz '^FuzzCompressedWastePair$$' -fuzztime 5s ./internal/bitset/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowMatchesResidue$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/durable/

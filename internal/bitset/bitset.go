@@ -78,37 +78,11 @@ func (s *Set) Test(i int) bool {
 // Count returns the number of set bits.
 func (s *Set) Count() int { return onesCountWords(s.words) }
 
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// None reports whether the set is empty.
-func (s *Set) None() bool { return !s.Any() }
-
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites s with the contents of t (same length required).
-func (s *Set) CopyFrom(t *Set) {
-	s.checkSame(t)
-	copy(s.words, t.words)
-}
-
-// Reset clears every bit.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
 }
 
 // UnionWith sets s = s ∪ t in place.
@@ -127,14 +101,6 @@ func (s *Set) IntersectWith(t *Set) {
 	}
 }
 
-// DifferenceWith sets s = s ∖ t in place.
-func (s *Set) DifferenceWith(t *Set) {
-	s.checkSame(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
 // Union returns a new set s ∪ t.
 func (s *Set) Union(t *Set) *Set {
 	c := s.Clone()
@@ -146,13 +112,6 @@ func (s *Set) Union(t *Set) *Set {
 func (s *Set) Intersect(t *Set) *Set {
 	c := s.Clone()
 	c.IntersectWith(t)
-	return c
-}
-
-// Difference returns a new set s ∖ t.
-func (s *Set) Difference(t *Set) *Set {
-	c := s.Clone()
-	c.DifferenceWith(t)
 	return c
 }
 
@@ -201,30 +160,6 @@ func (s *Set) UnionWithCount(t *Set) int {
 func (s *Set) IntersectCount(t *Set) int {
 	s.checkSame(t)
 	return andCountWords(s.words, t.words)
-}
-
-// UnionCount returns |s ∪ t| without allocating.
-func (s *Set) UnionCount(t *Set) int {
-	s.checkSame(t)
-	return orCountWords(s.words, t.words)
-}
-
-// SymmetricDiffCount returns |s ⊕ t|, the squared Euclidean distance between
-// the two membership vectors (paper §4.1).
-func (s *Set) SymmetricDiffCount(t *Set) int {
-	s.checkSame(t)
-	return xorCountWords(s.words, t.words)
-}
-
-// Intersects reports whether s ∩ t is non-empty.
-func (s *Set) Intersects(t *Set) bool {
-	s.checkSame(t)
-	for i, w := range s.words {
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // IsSubsetOf reports whether every bit of s is also set in t.

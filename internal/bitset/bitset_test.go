@@ -16,9 +16,6 @@ func TestNewAndLen(t *testing.T) {
 		if s.Count() != 0 {
 			t.Errorf("New(%d).Count() = %d, want 0", n, s.Count())
 		}
-		if s.Any() {
-			t.Errorf("New(%d).Any() = true", n)
-		}
 	}
 }
 
@@ -94,9 +91,6 @@ func TestSetAlgebra(t *testing.T) {
 	if got := a.Intersect(b).Indices(); !reflect.DeepEqual(got, []int{2, 3}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Difference(b).Indices(); !reflect.DeepEqual(got, []int{1, 70}) {
-		t.Errorf("Difference = %v", got)
-	}
 	if got := a.AndNotCount(b); got != 2 {
 		t.Errorf("AndNotCount = %d, want 2", got)
 	}
@@ -105,15 +99,6 @@ func TestSetAlgebra(t *testing.T) {
 	}
 	if got := a.IntersectCount(b); got != 2 {
 		t.Errorf("IntersectCount = %d, want 2", got)
-	}
-	if got := a.UnionCount(b); got != 6 {
-		t.Errorf("UnionCount = %d, want 6", got)
-	}
-	if got := a.SymmetricDiffCount(b); got != 4 {
-		t.Errorf("SymmetricDiffCount = %d, want 4", got)
-	}
-	if !a.Intersects(b) {
-		t.Error("Intersects = false, want true")
 	}
 	if a.IsSubsetOf(b) {
 		t.Error("IsSubsetOf = true, want false")
@@ -126,9 +111,6 @@ func TestSetAlgebra(t *testing.T) {
 func TestDisjoint(t *testing.T) {
 	a := FromIndices(64, 0, 1)
 	b := FromIndices(64, 2, 3)
-	if a.Intersects(b) {
-		t.Error("disjoint sets report Intersects")
-	}
 	if a.IntersectCount(b) != 0 {
 		t.Error("disjoint IntersectCount != 0")
 	}
@@ -143,22 +125,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if !c.Test(5) {
 		t.Error("clone missing original bit")
-	}
-}
-
-func TestCopyFromAndReset(t *testing.T) {
-	a := FromIndices(64, 1, 2)
-	b := New(64)
-	b.CopyFrom(a)
-	if !b.Equal(a) {
-		t.Error("CopyFrom not equal")
-	}
-	b.Reset()
-	if b.Any() {
-		t.Error("Reset left bits set")
-	}
-	if !a.Test(1) {
-		t.Error("Reset of copy affected source")
 	}
 }
 
@@ -230,24 +196,24 @@ func TestQuickSetAlgebraLaws(t *testing.T) {
 		a, b := randomSet(r, n), randomSet(r, n)
 
 		// |a∪b| = |a| + |b| - |a∩b|
-		if a.UnionCount(b) != a.Count()+b.Count()-a.IntersectCount(b) {
+		if a.Union(b).Count() != a.Count()+b.Count()-a.IntersectCount(b) {
 			return false
 		}
-		// |a⊕b| = |a∖b| + |b∖a|
-		if a.SymmetricDiffCount(b) != a.AndNotCount(b)+b.AndNotCount(a) {
+		// |a| = |a∖b| + |a∩b|
+		if a.Count() != a.AndNotCount(b)+a.IntersectCount(b) {
 			return false
 		}
-		// a∖b ⊆ a and disjoint from b
-		d := a.Difference(b)
-		if !d.IsSubsetOf(a) || d.Intersects(b) {
+		// a∩b ⊆ a ⊆ a∪b, and a∩b agrees with its count
+		i := a.Intersect(b)
+		if !i.IsSubsetOf(a) || !a.IsSubsetOf(a.Union(b)) || i.Count() != a.IntersectCount(b) {
 			return false
 		}
-		// union is commutative
-		if !a.Union(b).Equal(b.Union(a)) {
+		// union and intersection are commutative
+		if !a.Union(b).Equal(b.Union(a)) || !i.Equal(b.Intersect(a)) {
 			return false
 		}
-		// De Morgan-ish: (a∪b)∖b == a∖b
-		if !a.Union(b).Difference(b).Equal(a.Difference(b)) {
+		// (a∪b)∖b has exactly a∖b's count
+		if a.Union(b).AndNotCount(b) != a.AndNotCount(b) {
 			return false
 		}
 		// ForEach agrees with Test

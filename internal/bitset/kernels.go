@@ -47,40 +47,6 @@ func andCountWords(a, b []uint64) int {
 	return c0 + c1 + c2 + c3
 }
 
-// orCountWords returns popcount(a | b). len(b) must be ≥ len(a).
-func orCountWords(a, b []uint64) int {
-	b = b[:len(a)]
-	var c0, c1, c2, c3 int
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		c0 += bits.OnesCount64(a[i] | b[i])
-		c1 += bits.OnesCount64(a[i+1] | b[i+1])
-		c2 += bits.OnesCount64(a[i+2] | b[i+2])
-		c3 += bits.OnesCount64(a[i+3] | b[i+3])
-	}
-	for ; i < len(a); i++ {
-		c0 += bits.OnesCount64(a[i] | b[i])
-	}
-	return c0 + c1 + c2 + c3
-}
-
-// xorCountWords returns popcount(a ^ b). len(b) must be ≥ len(a).
-func xorCountWords(a, b []uint64) int {
-	b = b[:len(a)]
-	var c0, c1, c2, c3 int
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		c0 += bits.OnesCount64(a[i] ^ b[i])
-		c1 += bits.OnesCount64(a[i+1] ^ b[i+1])
-		c2 += bits.OnesCount64(a[i+2] ^ b[i+2])
-		c3 += bits.OnesCount64(a[i+3] ^ b[i+3])
-	}
-	for ; i < len(a); i++ {
-		c0 += bits.OnesCount64(a[i] ^ b[i])
-	}
-	return c0 + c1 + c2 + c3
-}
-
 // andNotCountWords returns popcount(a &^ b). len(b) must be ≥ len(a).
 func andNotCountWords(a, b []uint64) int {
 	b = b[:len(a)]

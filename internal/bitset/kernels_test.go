@@ -42,15 +42,11 @@ func TestQuickBlockedKernelsMatchNaive(t *testing.T) {
 		if onesCountWords(a) != sum {
 			return false
 		}
-		or, xor, andnot := 0, 0, 0
+		andnot := 0
 		for i := range a {
-			or += popcountNaive(a[i] | b[i])
-			xor += popcountNaive(a[i] ^ b[i])
 			andnot += popcountNaive(a[i] &^ b[i])
 		}
-		return orCountWords(a, b) == or &&
-			xorCountWords(a, b) == xor &&
-			andNotCountWords(a, b) == andnot
+		return andNotCountWords(a, b) == andnot
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -479,33 +479,6 @@ func TestAlgorithmsOnRealWorldInput(t *testing.T) {
 	}
 }
 
-func TestNodesOf(t *testing.T) {
-	w, grid, train := buildStockWorld(t)
-	in, err := BuildInput(w, grid, train, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := (&KMeans{Variant: Forgy}).Cluster(in, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := BuildResult(in, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range res.Groups {
-		nodes := g.NodesOf(w)
-		if len(nodes) != g.Members.Count() {
-			t.Fatalf("NodesOf returned %d nodes for %d members", len(nodes), g.Members.Count())
-		}
-		for _, n := range nodes {
-			if _, ok := w.SubscriberIndex(n); !ok {
-				t.Fatalf("group node %d is not a subscriber", n)
-			}
-		}
-	}
-}
-
 func TestQuickAssignmentsAlwaysValid(t *testing.T) {
 	law := func(seed int64, kRaw, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))

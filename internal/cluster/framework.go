@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/space"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -36,25 +35,6 @@ type HyperCell struct {
 	Members *bitset.Set
 	// Prob is the empirical publication probability mass of the cells.
 	Prob float64
-}
-
-// packOccupancyDen is the density cutoff for choosing the compressed
-// representation: a vector is packed when |s| ≤ n/packOccupancyDen. At 1/16
-// occupancy an array container (2 bytes/member) is ≥ 4x smaller than the
-// dense words it replaces, and the chunk-skipping kernels touch
-// proportionally less memory.
-const packOccupancyDen = 16
-
-// packIfSparse returns a compressed view of s when its occupancy is at or
-// below the cutoff, nil otherwise (dense stays the representation of record).
-func packIfSparse(s *bitset.Set) *bitset.Compressed {
-	if s == nil {
-		return nil
-	}
-	if cnt := s.Count(); cnt*packOccupancyDen <= s.Len() {
-		return bitset.Compress(s)
-	}
-	return nil
 }
 
 // Rating is the paper's popularity rating r(a) = p(a)·|s(a)|.
@@ -215,21 +195,8 @@ func buildInput(w *workload.World, grid *space.Grid, budget int, prep func(), ce
 // vector of its cells and the grid cells it covers.
 type Group struct {
 	Members *bitset.Set
-	// Packed is an optional compressed mirror of Members, built by
-	// Result.PackMembers for sparse groups. Members stays authoritative;
-	// Packed must be rebuilt (or dropped) if Members is mutated.
-	Packed *bitset.Compressed
-	Prob   float64
-	Cells  []space.CellID
-}
-
-// Member reports whether subscriber index i belongs to the group, testing
-// the compressed view when one exists.
-func (g *Group) Member(i int) bool {
-	if g.Packed != nil {
-		return g.Packed.Test(i)
-	}
-	return g.Members.Test(i)
+	Prob    float64
+	Cells   []space.CellID
 }
 
 // Result couples the groups with the cell→group index used for matching.
@@ -267,27 +234,6 @@ func BuildResult(in *Input, assign Assignment) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// PackMembers attaches compressed views to every group sparse enough to
-// benefit (see packIfSparse). Callers that freeze a Result for the decide
-// plane invoke this once after clustering; callers that keep mutating
-// Members must not.
-func (r *Result) PackMembers() {
-	for i := range r.Groups {
-		r.Groups[i].Packed = packIfSparse(r.Groups[i].Members)
-	}
-}
-
-// NodesOf translates a group's membership vector into network node ids
-// using the world's subscriber index.
-func (g *Group) NodesOf(w *workload.World) []topology.NodeID {
-	out := make([]topology.NodeID, 0, g.Members.Count())
-	g.Members.ForEach(func(i int) bool {
-		out = append(out, w.SubscriberNodes[i])
-		return true
-	})
-	return out
 }
 
 // ExpectedWaste evaluates the clustering objective for an assignment: the

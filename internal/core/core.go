@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/noloss"
 	"repro/internal/rtree"
@@ -93,14 +92,11 @@ type Engine struct {
 	tree  *rtree.Tree  // dynamic subscription index
 	live  map[int]bool // subscription slots still active
 
-	// Grid-strategy state.
-	gridIdx *matching.GridIndex
+	// groups is the current group generation, shared with every snapshot
+	// taken of it. gridRes is the grid clustering it was built from (nil
+	// under No-Loss): a warm Refresh seeds from its CellGroup.
+	groups  *groupTable
 	gridRes *cluster.Result
-	// No-Loss-strategy state.
-	nlIdx *matching.NoLossIndex
-
-	groupNodes [][]topology.NodeID
-	overlays   *overlayTable
 
 	// quarantined groups are skipped by decisions (fallback to unicast) until
 	// the next Refresh/rebuild; the broker's fault-tolerance layer marks
@@ -160,7 +156,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 		subsRemoved:      s.Counter("subs_removed"),
 		liveGroups:       s.Gauge("live_groups"),
 	}
-	e.tel.liveGroups.Set(int64(len(e.groupNodes)))
+	e.tel.liveGroups.Set(int64(e.NumGroups()))
 }
 
 // New builds an Engine over a network, a subscription set, and a training
@@ -245,35 +241,6 @@ func indexSubs(w *workload.World) (*rtree.Tree, error) {
 	return tree, nil
 }
 
-// gridGroups builds the Fig 5 routing index over a grid clustering and
-// each group's member nodes.
-func gridGroups(w *workload.World, grid *space.Grid, res *cluster.Result) (*matching.GridIndex, [][]topology.NodeID, error) {
-	idx, err := matching.NewGridIndex(grid, res)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: grid index: %w", err)
-	}
-	nodes := make([][]topology.NodeID, len(res.Groups))
-	for i := range res.Groups {
-		nodes[i] = res.Groups[i].NodesOf(w)
-	}
-	return idx, nodes, nil
-}
-
-// noLossGroups builds the Fig 6 routing index over the k densest groups
-// of a No-Loss result and each group's member nodes.
-func noLossGroups(w *workload.World, res *noloss.Result, k int) (*matching.NoLossIndex, [][]topology.NodeID, error) {
-	idx, err := matching.NewNoLossIndex(res, k)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: no-loss index: %w", err)
-	}
-	groups := idx.Groups()
-	nodes := make([][]topology.NodeID, len(groups))
-	for i := range groups {
-		nodes[i] = groups[i].NodesOf(w)
-	}
-	return idx, nodes, nil
-}
-
 // BuildTimes splits the wall-clock time of the engine's last rebuild — by
 // New, NewFromWorld or Refresh — into its consecutive phases: the world,
 // grid and subscription R*-tree bulk load (Index); rasterising, coalescing
@@ -323,13 +290,11 @@ func (e *Engine) rebuild() error {
 			return fmt.Errorf("core: no-loss: %w", err)
 		}
 		e.build.Cluster = lap(&t)
-		idx, nodes, err := noLossGroups(w, res, e.cfg.Groups)
+		groups, err := noLossGroups(w, res, e.cfg.Groups, e.model)
 		if err != nil {
 			return err
 		}
-		e.nlIdx = idx
-		e.gridIdx, e.gridRes = nil, nil
-		e.adoptGroups(nodes)
+		e.adoptGroups(groups, nil)
 		e.build.Groups = lap(&t)
 		return nil
 	}
@@ -364,31 +329,21 @@ func (e *Engine) adoptGridAssignment(in *cluster.Input, assign cluster.Assignmen
 	if err != nil {
 		return fmt.Errorf("core: materialising groups: %w", err)
 	}
-	idx, nodes, err := gridGroups(e.world, e.grid, res)
+	groups, err := gridGroups(e.world, e.grid, res, e.model)
 	if err != nil {
 		return err
 	}
-	// Attach compressed mirrors to the now-frozen group vectors: the decide
-	// plane's membership tests and the snapshot readers go through them for
-	// sparse groups.
-	res.PackMembers()
-	e.gridRes, e.gridIdx = res, idx
-	e.nlIdx = nil
-	e.adoptGroups(nodes)
+	e.adoptGroups(groups, res)
 	return nil
 }
 
-// adoptGroups installs a fresh group generation's member nodes. Overlays
-// are built lazily on first ALM costing (see overlayTable): eager
-// per-group Prim over the metric closure made construction quadratic in
-// group size and is pure waste for runs that never price app-level
-// multicast.
-func (e *Engine) adoptGroups(nodes [][]topology.NodeID) {
-	e.groupNodes = nodes
-	e.overlays = newOverlayTable(e.model, nodes)
+// adoptGroups installs a fresh group generation and the grid clustering it
+// came from (nil under No-Loss).
+func (e *Engine) adoptGroups(groups *groupTable, gridRes *cluster.Result) {
+	e.groups, e.gridRes = groups, gridRes
 	e.clearQuarantines()
 	e.markRebuilt()
-	e.tel.liveGroups.Set(int64(len(nodes)))
+	e.tel.liveGroups.Set(int64(len(groups.nodes)))
 	e.stale = false
 }
 
@@ -400,7 +355,7 @@ func (e *Engine) World() *workload.World { return e.world }
 func (e *Engine) Model() *multicast.Model { return e.model }
 
 // NumGroups returns the number of non-empty multicast groups in use.
-func (e *Engine) NumGroups() int { return len(e.groupNodes) }
+func (e *Engine) NumGroups() int { return len(e.groups.nodes) }
 
 // Stale reports whether subscriptions changed since groups were built.
 func (e *Engine) Stale() bool { return e.stale }
@@ -424,8 +379,8 @@ type GroupInfo struct {
 // partitioned) so that the decision stage degrades gracefully instead of
 // feeding an unreachable group.
 func (e *Engine) Quarantine(g int) {
-	if g < 0 || g >= len(e.groupNodes) {
-		panic(fmt.Sprintf("core: quarantine group %d out of range [0,%d)", g, len(e.groupNodes)))
+	if g < 0 || g >= e.NumGroups() {
+		panic(fmt.Sprintf("core: quarantine group %d out of range [0,%d)", g, e.NumGroups()))
 	}
 	if e.quarantined == nil {
 		e.quarantined = make(map[int]bool)
@@ -455,12 +410,12 @@ func (e *Engine) QuarantinedGroups() []int {
 
 // Group returns the composition of multicast group i in [0, NumGroups()).
 func (e *Engine) Group(i int) GroupInfo {
-	if i < 0 || i >= len(e.groupNodes) {
-		panic(fmt.Sprintf("core: group %d out of range [0,%d)", i, len(e.groupNodes)))
+	if i < 0 || i >= e.NumGroups() {
+		panic(fmt.Sprintf("core: group %d out of range [0,%d)", i, e.NumGroups()))
 	}
 	return GroupInfo{
 		Index:       i,
-		Nodes:       append([]topology.NodeID(nil), e.groupNodes[i]...),
-		OverlayCost: e.overlays.get(i).TreeCost,
+		Nodes:       append([]topology.NodeID(nil), e.groups.nodes[i]...),
+		OverlayCost: e.groups.overlay(i).TreeCost,
 	}
 }

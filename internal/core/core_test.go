@@ -186,13 +186,13 @@ func TestEngineNoLossStrategy(t *testing.T) {
 		for _, n := range d.Interested {
 			interested[n] = true
 		}
-		for _, n := range e.groupNodes[d.Group] {
+		for _, n := range e.groups.nodes[d.Group] {
 			if !interested[n] {
 				t.Fatalf("no-loss group delivered to uninterested node %d", n)
 			}
 		}
 		covered := map[topology.NodeID]bool{}
-		for _, n := range e.groupNodes[d.Group] {
+		for _, n := range e.groups.nodes[d.Group] {
 			covered[n] = true
 		}
 		for _, n := range d.Remainder {
@@ -277,7 +277,7 @@ func TestEngineDynamicsAddNeverLoses(t *testing.T) {
 		}
 		if d.Method == multicast.NetworkMulticast {
 			inGroup := false
-			for _, n := range e.groupNodes[d.Group] {
+			for _, n := range e.groups.nodes[d.Group] {
 				if n == newcomer {
 					inGroup = true
 				}

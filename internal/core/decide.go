@@ -5,8 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/cluster"
-	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/rtree"
 	"repro/internal/topology"
@@ -32,29 +30,24 @@ type Decision struct {
 }
 
 // decider is the frozen state one delivery decision reads: the
-// subscription index, the group tables and the quarantine set. It lives
+// subscription index, the group table and the quarantine set. It lives
 // only inside a DecisionSnapshot: Engine.Snapshot freezes one over the
 // engine's live state (structurally shared tree clone, frozen subscription
 // slice, copied quarantine map) for lock-free concurrent reads, and
 // GridSnapshot and NoLossSnapshot build one over a grouping computed
 // outside an Engine.
 //
-// Invariant: decision code must never read world.Subs — a writer may be
-// appending to it concurrently — only the frozen subs slice.
+// Invariant: decision code must never read a world's Subs (the group
+// table's world included) — a writer may be appending to it concurrently —
+// only the frozen subs slice.
 type decider struct {
 	threshold float64
 	dynamic   bool
 
-	world *workload.World // SubscriberIndex/SubscriberNodes only
-	subs  []workload.Subscription
-	tree  *rtree.Tree
+	subs []workload.Subscription
+	tree *rtree.Tree
 
-	gridIdx *matching.GridIndex
-	gridRes *cluster.Result
-	nlIdx   *matching.NoLossIndex
-
-	groupNodes  [][]topology.NodeID
-	overlays    *overlayTable
+	groups      *groupTable
 	quarantined map[int]bool
 }
 
@@ -105,13 +98,7 @@ func (dc *decider) decideStatic(ev workload.Event, sc *DecideScratch) Decision {
 	sc.nodes = nodes
 	d.Interested = nodes
 
-	var g int
-	var ok bool
-	if dc.nlIdx != nil {
-		g, ok = dc.nlIdx.GroupFor(ev.Point)
-	} else {
-		g, ok = dc.gridIdx.GroupFor(ev.Point)
-	}
+	g, ok := dc.groups.route.GroupFor(ev.Point)
 	if !ok {
 		return d
 	}
@@ -124,14 +111,14 @@ func (dc *decider) decideStatic(ev workload.Event, sc *DecideScratch) Decision {
 
 	// Threshold rule (Fig 5): multicast only when enough of the group is
 	// interested.
-	if dc.threshold > 0 && len(dc.groupNodes[g]) > 0 {
+	if size := len(dc.groups.nodes[g]); dc.threshold > 0 && size > 0 {
 		inGroup := 0
 		for _, n := range d.Interested {
-			if dc.memberOf(g, n) {
+			if dc.groups.memberOf(g, n) {
 				inGroup++
 			}
 		}
-		if float64(inGroup)/float64(len(dc.groupNodes[g])) < dc.threshold {
+		if float64(inGroup)/float64(size) < dc.threshold {
 			return d
 		}
 	}
@@ -140,7 +127,7 @@ func (dc *decider) decideStatic(ev workload.Event, sc *DecideScratch) Decision {
 	d.Group = g
 	rem := sc.rem[:0]
 	for _, n := range d.Interested {
-		if !dc.memberOf(g, n) {
+		if !dc.groups.memberOf(g, n) {
 			rem = append(rem, n)
 		}
 	}
@@ -149,18 +136,6 @@ func (dc *decider) decideStatic(ev workload.Event, sc *DecideScratch) Decision {
 		d.Remainder = rem
 	}
 	return d
-}
-
-func (dc *decider) memberOf(g int, n topology.NodeID) bool {
-	idx, ok := dc.world.SubscriberIndex(n)
-	if !ok {
-		return false
-	}
-	if dc.nlIdx != nil {
-		return dc.nlIdx.Groups()[g].Members.Test(idx)
-	}
-	// Group.Member consults the compressed mirror when the group is sparse.
-	return dc.gridRes.Groups[g].Member(idx)
 }
 
 // Costs prices a decision under both multicast frameworks.
@@ -181,7 +156,7 @@ func (dc *decider) pickMethod(ev workload.Event, d Decision, cost *multicast.Mod
 
 	group := math.Inf(1)
 	if d.Method == multicast.NetworkMulticast && d.Group >= 0 {
-		group = cost.SPTCoverCost(ev.Pub, dc.groupNodes[d.Group])
+		group = cost.SPTCoverCost(ev.Pub, dc.groups.nodes[d.Group])
 		for _, n := range d.Remainder {
 			group += cost.Dist(ev.Pub, n)
 		}
@@ -220,8 +195,8 @@ func (dc *decider) costOf(ev workload.Event, d Decision, cost *multicast.Model) 
 		top += cost.Dist(ev.Pub, n)
 	}
 	return Costs{
-		Network:  cost.SPTCoverCost(ev.Pub, dc.groupNodes[d.Group]) + top,
-		AppLevel: cost.ALMCost(ev.Pub, dc.overlays.get(d.Group)) + top,
+		Network:  cost.SPTCoverCost(ev.Pub, dc.groups.nodes[d.Group]) + top,
+		AppLevel: cost.ALMCost(ev.Pub, dc.groups.overlay(d.Group)) + top,
 	}
 }
 

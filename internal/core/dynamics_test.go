@@ -57,7 +57,7 @@ func TestRefreshAfterRemovingWholeGroup(t *testing.T) {
 		t.Fatal("no groups")
 	}
 	victims := map[topology.NodeID]bool{}
-	for _, n := range e.groupNodes[0] {
+	for _, n := range e.groups.nodes[0] {
 		victims[n] = true
 	}
 	if len(victims) == 0 {
@@ -97,7 +97,7 @@ func TestRefreshAfterRemovingWholeGroup(t *testing.T) {
 			continue
 		}
 		covered := map[topology.NodeID]bool{}
-		for _, n := range e.groupNodes[d.Group] {
+		for _, n := range e.groups.nodes[d.Group] {
 			covered[n] = true
 		}
 		for _, n := range d.Remainder {

@@ -14,7 +14,7 @@ import (
 // DecisionSnapshot is an immutable view of everything one delivery
 // decision reads: the subscription index (an O(1) clone of the persistent
 // R*-tree, sharing every node the writer has not since changed), a frozen
-// subscription slice, the group tables, the overlay set and a copy of the
+// subscription slice, the group table (with its overlays) and a copy of the
 // quarantine set. Snapshots are safe for concurrent use by any
 // number of readers; the broker publishes them through an atomic pointer
 // and its decision workers take lock-free loads (RCU: readers drain on the
@@ -39,7 +39,7 @@ type DecisionSnapshot struct {
 func (s *DecisionSnapshot) Version() int64 { return s.version }
 
 // NumGroups returns the number of multicast groups in the snapshot.
-func (s *DecisionSnapshot) NumGroups() int { return len(s.dec.groupNodes) }
+func (s *DecisionSnapshot) NumGroups() int { return len(s.dec.groups.nodes) }
 
 // NumQuarantined returns how many groups this snapshot quarantines.
 func (s *DecisionSnapshot) NumQuarantined() int { return len(s.dec.quarantined) }
@@ -53,10 +53,10 @@ func (s *DecisionSnapshot) NumSubscriptions() int { return s.dec.tree.Len() }
 // GroupNodes returns group g's member nodes. The slice is shared and must
 // be treated as read-only.
 func (s *DecisionSnapshot) GroupNodes(g int) []topology.NodeID {
-	if g < 0 || g >= len(s.dec.groupNodes) {
-		panic(fmt.Sprintf("core: group %d out of range [0,%d)", g, len(s.dec.groupNodes)))
+	if g < 0 || g >= s.NumGroups() {
+		panic(fmt.Sprintf("core: group %d out of range [0,%d)", g, s.NumGroups()))
 	}
-	return s.dec.groupNodes[g]
+	return s.dec.groups.nodes[g]
 }
 
 // Decide plans delivery for one event against the frozen state. view must
@@ -93,7 +93,7 @@ func (e *Engine) NewSPTView() *multicast.Model { return e.model.View() }
 //
 //   - nothing changed: the previous snapshot is returned as-is;
 //   - only the quarantine set changed: the new snapshot shares the
-//     subscription index and group tables with its predecessor and swaps
+//     subscription index and group table with its predecessor and swaps
 //     in a fresh quarantine copy (cheap, O(quarantined));
 //   - subscriptions or groups changed: the R*-tree is cloned in O(1) and
 //     the subscription slice frozen at its current length. The clone shares
@@ -115,18 +115,13 @@ func (e *Engine) Snapshot() *DecisionSnapshot {
 		dec = decider{
 			threshold: e.cfg.Threshold,
 			dynamic:   e.cfg.DynamicMethod,
-			world:     e.world,
 			// Freeze the slice length: writer-side appends only ever write
 			// at indices ≥ this length, which the snapshot never reads.
 			// Capping the capacity too keeps any accidental append on the
 			// snapshot side from aliasing the live array.
-			subs:       e.world.Subs[:len(e.world.Subs):len(e.world.Subs)],
-			tree:       e.tree.Clone(),
-			gridIdx:    e.gridIdx,
-			gridRes:    e.gridRes,
-			nlIdx:      e.nlIdx,
-			groupNodes: e.groupNodes,
-			overlays:   e.overlays,
+			subs:   e.world.Subs[:len(e.world.Subs):len(e.world.Subs)],
+			tree:   e.tree.Clone(),
+			groups: e.groups,
 		}
 	}
 	if len(e.quarantined) == 0 {
@@ -150,50 +145,38 @@ func (e *Engine) Snapshot() *DecisionSnapshot {
 // lazily through model. w, grid and res must not change while the
 // snapshot is in use.
 func GridSnapshot(w *workload.World, grid *space.Grid, res *cluster.Result, model *multicast.Model, cfg Config) (*DecisionSnapshot, error) {
-	idx, nodes, err := gridGroups(w, grid, res)
+	groups, err := gridGroups(w, grid, res, model)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := detachedDecider(w, nodes, model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec.gridIdx, dec.gridRes = idx, res
-	return &DecisionSnapshot{dec: dec}, nil
+	return detachedSnapshot(w, groups, cfg)
 }
 
 // NoLossSnapshot is GridSnapshot for Fig 6 routing to the k densest
 // groups of a No-Loss result.
 func NoLossSnapshot(w *workload.World, res *noloss.Result, k int, model *multicast.Model, cfg Config) (*DecisionSnapshot, error) {
-	idx, nodes, err := noLossGroups(w, res, k)
+	groups, err := noLossGroups(w, res, k, model)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := detachedDecider(w, nodes, model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec.nlIdx = idx
-	return &DecisionSnapshot{dec: dec}, nil
+	return detachedSnapshot(w, groups, cfg)
 }
 
-// detachedDecider builds the strategy-independent part of a decider over
-// w for GridSnapshot and NoLossSnapshot.
-func detachedDecider(w *workload.World, nodes [][]topology.NodeID, model *multicast.Model, cfg Config) (decider, error) {
+// detachedSnapshot indexes w's subscriptions for GridSnapshot and
+// NoLossSnapshot and pairs them with a group table built over w.
+func detachedSnapshot(w *workload.World, groups *groupTable, cfg Config) (*DecisionSnapshot, error) {
 	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return decider{}, fmt.Errorf("core: Threshold = %v, need [0,1]", cfg.Threshold)
+		return nil, fmt.Errorf("core: Threshold = %v, need [0,1]", cfg.Threshold)
 	}
 	tree, err := indexSubs(w)
 	if err != nil {
-		return decider{}, err
+		return nil, err
 	}
-	return decider{
-		threshold:  cfg.Threshold,
-		dynamic:    cfg.DynamicMethod,
-		world:      w,
-		subs:       w.Subs[:len(w.Subs):len(w.Subs)],
-		tree:       tree,
-		groupNodes: nodes,
-		overlays:   newOverlayTable(model, nodes),
-	}, nil
+	return &DecisionSnapshot{dec: decider{
+		threshold: cfg.Threshold,
+		dynamic:   cfg.DynamicMethod,
+		subs:      w.Subs[:len(w.Subs):len(w.Subs)],
+		tree:      tree,
+		groups:    groups,
+	}}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/noloss"
 	"repro/internal/topology"
@@ -58,7 +59,7 @@ func TestGridSnapshotMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nres := &noloss.Result{Groups: e.nlIdx.Groups()}
+	nres := &noloss.Result{Groups: e.groups.route.(*matching.NoLossIndex).Groups()}
 	snap, err = NoLossSnapshot(e.world, nres, cfg.Groups, model, cfg)
 	if err != nil {
 		t.Fatal(err)

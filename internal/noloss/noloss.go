@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/space"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -82,16 +81,6 @@ type Group struct {
 	Prob float64
 	// Weight is the paper's density w(s) = Prob·|Members|.
 	Weight float64
-}
-
-// NodesOf translates the member set to network node ids.
-func (g *Group) NodesOf(w *workload.World) []topology.NodeID {
-	out := make([]topology.NodeID, 0, g.Members.Count())
-	g.Members.ForEach(func(i int) bool {
-		out = append(out, w.SubscriberNodes[i])
-		return true
-	})
-	return out
 }
 
 // Result is the final pool in decreasing weight order (the paper's list A).

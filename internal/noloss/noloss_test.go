@@ -207,19 +207,6 @@ func TestDuplicateSubscriptionsMerge(t *testing.T) {
 	}
 }
 
-func TestNodesOf(t *testing.T) {
-	w, train := stockWorld(t, 100, 600)
-	res, err := Build(w, train, Config{PoolSize: 100, Iterations: 2, Seeds: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := res.Groups[0]
-	nodes := g.NodesOf(w)
-	if len(nodes) != g.Members.Count() {
-		t.Fatalf("NodesOf len %d vs %d members", len(nodes), g.Members.Count())
-	}
-}
-
 func TestPoolSizeRespected(t *testing.T) {
 	w, train := stockWorld(t, 500, 700)
 	for _, n := range []int{10, 50, 200} {
