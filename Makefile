@@ -19,13 +19,14 @@ tier1: vet staticcheck alloc-regression
 # path at two allocations per published event (TestServerAllocsPerPublish),
 # a dedup-window snapshot at one allocation (TestWindowSnapshotAllocs), a
 # durable broker's allocations per event as flat in the event's copies
-# (TestDurableAllocsFlatInCopies), and bounds the federation router's
-# dedup state in bytes. It must run
+# (TestDurableAllocsFlatInCopies), pins the transport's flush wheel at zero
+# allocations per arm → fire cycle (TestFlushWheelZeroAllocs), and bounds
+# the federation router's dedup state in bytes. It must run
 # without the race detector (shadow allocations would inflate the counts),
 # which is why it is a separate tier1 prerequisite rather than part of the
 # race suite.
 alloc-regression:
-	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint|TestServerAllocsPerPublish|TestWindowSnapshotAllocs|TestDurableAllocsFlatInCopies' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/ ./internal/transport/
+	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestSnapshotChurnAllocs|TestInsertDeleteAllocs|TestRouterDedupFootprint|TestServerAllocsPerPublish|TestWindowSnapshotAllocs|TestDurableAllocsFlatInCopies|TestFlushWheelZeroAllocs' ./internal/broker/ ./internal/wire/ ./internal/core/ ./internal/rtree/ ./internal/federate/ ./internal/transport/
 
 # experiments-check reruns the quick experiment sweep and compares its
 # deterministic CSVs byte for byte with the copies recorded in
@@ -49,6 +50,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntervalAlgebra$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredicateNormalize$$' -fuzztime 5s ./internal/space/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowMatchesResidue$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeliverBatch$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/durable/
 

@@ -3,6 +3,8 @@ package transport
 import (
 	"sync"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // flushWheel schedules flush-window deadlines for every session on one
@@ -12,9 +14,12 @@ import (
 // fires it, and repeats. This replaces a per-writer sleep on every
 // delivery burst with a single timer for the whole server, keeping the
 // per-connection cost flat no matter how many sessions coalesce bursts
-// at once.
+// at once. On Linux the runner waits on the kernel's timer (see sleep),
+// not on a Go timer, so an idle server's window is not rounded up to the
+// netpoller's millisecond.
 type flushWheel struct {
 	window time.Duration
+	late   *telemetry.Histogram // fire time minus deadline, per fired session
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -27,8 +32,8 @@ type flushEntry struct {
 	deadline time.Time
 }
 
-func newFlushWheel(window time.Duration) *flushWheel {
-	fw := &flushWheel{window: window}
+func newFlushWheel(window time.Duration, late *telemetry.Histogram) *flushWheel {
+	fw := &flushWheel{window: window, late: late}
 	fw.cond = sync.NewCond(&fw.mu)
 	go fw.run()
 	return fw
@@ -65,9 +70,9 @@ func (fw *flushWheel) run() {
 		now := time.Now()
 		if wait := fw.q[0].deadline.Sub(now); wait > 0 {
 			fw.mu.Unlock()
-			// Bounded by the window (sub-millisecond by default); new
-			// arrivals land behind the head, so no wake-up is missed.
-			time.Sleep(wait)
+			// Bounded by the window; new arrivals land behind the head,
+			// so no wake-up is missed.
+			sleep(wait)
 			continue
 		}
 		// Pop everything due — bursts arm many sessions within one window.
@@ -79,6 +84,7 @@ func (fw *flushWheel) run() {
 		fw.q = append(fw.q[:0], fw.q[n:]...)
 		fw.mu.Unlock()
 		for i := range due {
+			fw.late.ObserveDuration(now.Sub(due[i].deadline))
 			due[i].s.flushFire()
 			due[i].s = nil
 		}

@@ -39,6 +39,9 @@ type metrics struct {
 	flushFrames *telemetry.Histogram
 	// batchSize is the number of deliveries coalesced per deliver frame.
 	batchSize *telemetry.Histogram
+	// flushLate is how long after its deadline the flush wheel fired a
+	// session's window: the timer's own lateness.
+	flushLate *telemetry.Histogram
 }
 
 func newMetrics(reg *telemetry.Registry, scope string) *metrics {
@@ -65,6 +68,7 @@ func newMetrics(reg *telemetry.Registry, scope string) *metrics {
 		flushBytes:     s.Histogram("flush_bytes", telemetry.PowerOfTwoBuckets(16, 16)),
 		flushFrames:    s.Histogram("flush_frames", telemetry.LinearBuckets(0, 4, 16)),
 		batchSize:      s.Histogram("deliver_batch_size", telemetry.LinearBuckets(0, 4, 16)),
+		flushLate:      s.Histogram("flush_late_ns", telemetry.LatencyBuckets()),
 	}
 }
 

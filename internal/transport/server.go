@@ -156,7 +156,7 @@ func NewServer(cfg Config) *Server {
 		byNode:   make(map[topology.NodeID][]*session),
 	}
 	if cfg.FlushWindow > 0 {
-		srv.wheel = newFlushWheel(cfg.FlushWindow)
+		srv.wheel = newFlushWheel(cfg.FlushWindow, srv.met.flushLate)
 	}
 	return srv
 }

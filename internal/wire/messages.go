@@ -344,6 +344,16 @@ func (c *cursor) u64() uint64 {
 	return lo | uint64(c.u32())<<32
 }
 
+// flag decodes a boolean byte. Anything but 0 or 1 is malformed, so a
+// message has exactly one encoding.
+func (c *cursor) flag() bool {
+	v := c.u8()
+	if v > 1 {
+		c.bad = true
+	}
+	return v == 1
+}
+
 func (c *cursor) i64() int64   { return int64(c.u64()) }
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
@@ -418,7 +428,7 @@ func DecodeHelloAck(payload []byte) (HelloAck, error) {
 	}
 	h.Version = c.u16()
 	h.Session = c.u64()
-	h.Resumed = c.u8() != 0
+	h.Resumed = c.flag()
 	return h, c.done()
 }
 
@@ -509,6 +519,11 @@ func DecodeDeliverBatch(payload []byte) ([]Deliver, error) {
 	return DecodeDeliverBatchInto(payload, nil)
 }
 
+// minDeliverLen is the shortest encoded delivery: did, node and seq (8 B
+// each), the event's publisher (8) and dimension (2) with no coordinates,
+// method (1), group (4) and interested (1).
+const minDeliverLen = 40
+
 // DecodeDeliverBatchInto decodes a deliver batch payload, appending to ds
 // (usually a batch scratch sliced to [:0]) so a read loop reuses one
 // backing array across frames. The decoded deliveries share nothing with
@@ -523,7 +538,10 @@ func DecodeDeliverBatchInto(payload []byte, ds []Deliver) ([]Deliver, error) {
 	}
 	n := int(c.u16())
 	if ds == nil {
-		ds = make([]Deliver, 0, n)
+		// The count is the peer's word; reserve no more than the bytes
+		// left can hold, or a 3-byte frame claiming 65 535 deliveries
+		// would reserve megabytes.
+		ds = make([]Deliver, 0, min(n, (len(c.b)-c.off)/minDeliverLen))
 	}
 	for i := 0; i < n; i++ {
 		var d Deliver
@@ -533,7 +551,7 @@ func DecodeDeliverBatchInto(payload []byte, ds []Deliver) ([]Deliver, error) {
 		d.Ev = c.event()
 		d.Method = c.u8()
 		d.Group = int32(c.u32())
-		d.Interested = c.u8() != 0
+		d.Interested = c.flag()
 		if c.bad {
 			break
 		}
