@@ -121,6 +121,47 @@ type Delivery struct {
 	born time.Time
 	// trace is the event's sampled lifecycle trace, nil when untraced.
 	trace *telemetry.EventTrace
+	// held is the fan-out worker's list of flushers to run once the
+	// event's fan-out returns; nil outside a fan-out.
+	held *[]Flusher
+}
+
+// Flusher is what an observer holds back until the fan-out that handed it
+// a copy has handed out every copy of the event: its Flush runs then, on
+// the fan-out worker. A transport uses it to send one event's copies for
+// one connection as one write.
+type Flusher interface{ Flush() }
+
+// Hold registers f to be flushed when d's fan-out returns and reports
+// true, or reports false when d belongs to no open fan-out — a Delivery
+// built outside the broker's fan-out workers, which the caller should
+// flush at once. It may be called only inside the observer call that
+// received d.
+func (d Delivery) Hold(f Flusher) bool {
+	if d.held == nil {
+		return false
+	}
+	*d.held = append(*d.held, f)
+	return true
+}
+
+// Release flushes, ahead of the fan-out's end, every flusher d's fan-out
+// holds so far. An observer calls it before it blocks, so that copies
+// already handed out do not wait on the block. It is a no-op outside a
+// fan-out, and may be called only inside the observer call that received
+// d.
+func (d Delivery) Release() { flushHeld(d.held) }
+
+// flushHeld runs and forgets every flusher in held, which may be nil.
+func flushHeld(held *[]Flusher) {
+	if held == nil {
+		return
+	}
+	for i, f := range *held {
+		f.Flush()
+		(*held)[i] = nil
+	}
+	*held = (*held)[:0]
 }
 
 // queued is one admitted publication in flight to the decision plane.
@@ -202,6 +243,9 @@ type routed struct {
 	// acks collects the event's accepted copies for its one ack record
 	// and barrier (durable brokers only); owned by the fan-out worker.
 	acks *ackBatch
+	// held lists the flushers the event's observer calls held
+	// (Delivery.Hold); owned by the fan-out worker.
+	held *[]Flusher
 }
 
 // Stats aggregates delivery accounting. Snapshot via Broker.Stats; the
@@ -1298,18 +1342,24 @@ type ackedCopy struct {
 }
 
 // fanout delivers one copy per destination node and accepts each inline.
-// Each fully fanned-out event releases its admission token — the point
-// where the inflight bound stops counting it.
+// Once every copy is observed it flushes what the observer held, then
+// releases the event's admission token — the point where the inflight
+// bound stops counting it.
 func (b *Broker) fanout() {
 	defer b.fanoutWG.Done()
-	var acks ackBatch
+	var (
+		acks ackBatch
+		held []Flusher
+	)
 	for r := range b.fanoutCh {
 		r.acks = &acks
+		r.held = &held
 		b.fanoutOne(r)
 		if b.dur != nil {
 			b.flushAcks(r.seq, &acks)
 			b.dur.inflight.Delete(r.seq)
 		}
+		flushHeld(&held)
 		r.tok.Release()
 		if r.scratch != nil {
 			// Every copy is accepted (Delivery holds values, not the
@@ -1377,6 +1427,7 @@ func (b *Broker) fanoutOne(r routed) {
 func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery) {
 	d.born = r.t0
 	d.trace = r.trace
+	d.held = r.held
 	ns, ok := rt.nodes[n]
 	if !ok {
 		// A group may reference a node that stopped subscribing between

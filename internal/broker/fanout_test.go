@@ -202,3 +202,80 @@ func waitFanout(b *Broker) {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
+
+// countFlusher counts its flushes and, at each, how many copies of its
+// event the observer had seen.
+type countFlusher struct {
+	flushes  int
+	seenThen int
+	seen     *int
+}
+
+func (f *countFlusher) Flush() { f.flushes++; f.seenThen = *f.seen }
+
+// TestFanoutFlushesHeld pins Delivery.Hold's contract: a flusher held
+// inside the observer call is flushed once per Hold, on the fan-out
+// worker, after the event's last copy was observed; Release flushes what
+// is held at once and the fan-out's end does not flush it again; and a
+// Delivery built outside a fan-out holds nothing.
+func TestFanoutFlushesHeld(t *testing.T) {
+	if (Delivery{}).Hold(&countFlusher{}) {
+		t.Fatal("a Delivery built outside a fan-out accepted a hold")
+	}
+	(Delivery{}).Release() // must not panic
+
+	e, w := testEngine(t, core.Config{Groups: 10, CellBudget: 300}, 975)
+	type event struct {
+		seen            int
+		holds           int
+		held, released  *countFlusher
+		releasedFlushes int
+	}
+	var mu sync.Mutex
+	events := map[int64]*event{}
+	b, err := New(e, WithWorkers(2), WithObserver(func(n topology.NodeID, d Delivery) {
+		mu.Lock()
+		defer mu.Unlock()
+		ev := events[d.Seq]
+		if ev == nil {
+			ev = &event{}
+			ev.held = &countFlusher{seen: &ev.seen}
+			ev.released = &countFlusher{seen: &ev.seen}
+			events[d.Seq] = ev
+			if !d.Hold(ev.released) {
+				t.Error("Hold refused inside a fan-out")
+			}
+			d.Release()
+			ev.releasedFlushes = ev.released.flushes
+		}
+		ev.seen++
+		if d.Hold(ev.held) {
+			ev.holds++
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range w.Events(100, 976) {
+		if err := b.Publish(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("no deliveries: the broker did not run")
+	}
+	for seq, ev := range events {
+		if ev.holds != ev.seen || ev.held.flushes != ev.holds {
+			t.Errorf("seq %d: %d copies, %d holds, %d flushes; want all equal", seq, ev.seen, ev.holds, ev.held.flushes)
+		}
+		if ev.held.seenThen != ev.seen {
+			t.Errorf("seq %d: flushed after %d of %d copies", seq, ev.held.seenThen, ev.seen)
+		}
+		if ev.releasedFlushes != 1 || ev.released.flushes != 1 {
+			t.Errorf("seq %d: released flusher flushed %d times by Release, %d in all; want 1, 1", seq, ev.releasedFlushes, ev.released.flushes)
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 // remains by design is the decoded event's point. Nine owner nodes in one
 // session each receive every event.
 func TestServerAllocsPerPublish(t *testing.T) {
-	if raceEnabled {
+	if transport.RaceEnabled {
 		t.Skip("the race detector's shadow allocations inflate the count")
 	}
 	const (

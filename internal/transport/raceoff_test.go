@@ -1,8 +1,9 @@
 //go:build !race
 
-package transport_test
+package transport
 
-// raceEnabled reports whether the race detector instruments this build.
+// RaceEnabled reports whether the race detector instruments this build.
 // runtime.MemStats counts the detector's shadow allocations, so the
-// allocation guard only runs in uninstrumented builds.
-const raceEnabled = false
+// allocation guards only run in uninstrumented builds. It is exported
+// for the external test package.
+const RaceEnabled = false

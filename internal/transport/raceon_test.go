@@ -1,6 +1,6 @@
 //go:build race
 
-package transport_test
+package transport
 
-// raceEnabled reports whether the race detector instruments this build.
-const raceEnabled = true
+// RaceEnabled reports whether the race detector instruments this build.
+const RaceEnabled = true

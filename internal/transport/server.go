@@ -57,10 +57,6 @@ type Config struct {
 	// Registry receives transport telemetry under scope "wire"; nil uses
 	// a private registry.
 	Registry *telemetry.Registry
-	// FlushWindow is how long a connection writer lingers after the first
-	// delivery of a burst to coalesce followers into one flush
-	// (default 200µs; negative disables).
-	FlushWindow time.Duration
 	// MaxBatch caps deliveries per deliver frame (default 64).
 	MaxBatch int
 	// MaxFrame caps accepted frame payloads (default wire.DefaultMaxFrame).
@@ -87,12 +83,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.FlushWindow == 0 {
-		c.FlushWindow = 200 * time.Microsecond
-	}
-	if c.FlushWindow < 0 {
-		c.FlushWindow = 0
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -137,10 +127,6 @@ type Server struct {
 	// it read after releasing mu.
 	byNode map[topology.NodeID][]*session
 
-	// wheel schedules flush-window deadlines for every session on one
-	// goroutine (nil when FlushWindow is disabled).
-	wheel *flushWheel
-
 	wg sync.WaitGroup
 }
 
@@ -149,16 +135,12 @@ type Server struct {
 // broker.WithObserver(srv.Dispatch), ...) → srv.Serve(ln, b).
 func NewServer(cfg Config) *Server {
 	cfg.fill()
-	srv := &Server{
+	return &Server{
 		cfg:      cfg,
 		met:      newMetrics(cfg.Registry, "wire"),
 		sessions: make(map[uint64]*session),
 		byNode:   make(map[topology.NodeID][]*session),
 	}
-	if cfg.FlushWindow > 0 {
-		srv.wheel = newFlushWheel(cfg.FlushWindow, srv.met.flushLate)
-	}
-	return srv
 }
 
 // Telemetry returns the registry transport metrics land in.
@@ -184,7 +166,7 @@ func (srv *Server) Dispatch(n topology.NodeID, d broker.Delivery) {
 		Interested: d.Interested,
 	}
 	for _, s := range targets {
-		s.enqueue(wd)
+		s.enqueue(wd, d)
 	}
 }
 
@@ -711,10 +693,5 @@ func (srv *Server) Close() error {
 func (srv *Server) finishClose() {
 	srv.mu.Lock()
 	srv.closed = true
-	wheel := srv.wheel
-	srv.wheel = nil
 	srv.mu.Unlock()
-	if wheel != nil {
-		wheel.stop()
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -81,11 +82,11 @@ type session struct {
 	// by srv.mu, not mu.
 	nodeRefs map[topology.NodeID]int
 
-	// flushDue/flushArmed drive flush-window coalescing via the server's
-	// shared flush wheel: the writer arms the wheel on the first delivery
-	// of a burst and waits; the wheel's fire sets flushDue and wakes it.
-	flushDue   bool
-	flushArmed bool
+	// held keeps the writer from sending a partial batch while a broker
+	// fan-out is still handing this session copies of one event: the
+	// enqueue that set it registered the session with that fan-out
+	// (broker.Delivery.Hold), whose end calls Flush.
+	held bool
 
 	// dead marks a terminated session: enqueue drops, writers exit.
 	dead bool
@@ -141,16 +142,28 @@ func newSession(srv *Server, token uint64, credits uint32) *session {
 	return s
 }
 
-// enqueue adds one delivery for this session, assigning its did. It
-// blocks while the session's buffer is full and the session is alive —
-// the backpressure that chains a slow subscriber through the broker's
-// fan-out workers to health.Admission at the publish edge. Deliveries for dead
-// sessions are dropped (the subscriber is gone).
-func (s *session) enqueue(d wire.Deliver) {
+// enqueue adds one delivery for this session, assigning its did, and
+// holds the writer until d's fan-out returns, so that the event's copies
+// for this session leave in one frame. It blocks while the session's
+// buffer is full and the session is alive — the backpressure that chains
+// a slow subscriber through the broker's fan-out workers to
+// health.Admission at the publish edge. Before it blocks it lets go of
+// everything d's fan-out holds, this session included: the writer must
+// drain to the client whose acks unblock the enqueue, and no other
+// session's copies should wait on this one. Deliveries for dead sessions
+// are dropped (the subscriber is gone).
+func (s *session) enqueue(wd wire.Deliver, d broker.Delivery) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.fullLocked() {
+		s.mu.Unlock()
+		d.Release()
+		s.mu.Lock()
+		s.held = false
+		s.wakeWriterLocked()
+	}
 	stalled := false
-	for !s.dead && len(s.queue)+len(s.unacked) >= s.srv.cfg.SessionBuffer {
+	for s.fullLocked() {
 		if !stalled {
 			stalled = true
 			s.srv.met.dispatchStalls.Inc()
@@ -160,10 +173,36 @@ func (s *session) enqueue(d wire.Deliver) {
 	if s.dead {
 		return
 	}
-	d.Did = s.nextDid
+	wd.Did = s.nextDid
 	s.nextDid++
-	s.queue = append(s.queue, d)
-	s.cond.Broadcast()
+	s.queue = append(s.queue, wd)
+	if !s.held {
+		s.held = d.Hold(s)
+	}
+	s.wakeWriterLocked()
+}
+
+// fullLocked reports whether a live session's buffer has no room for
+// another delivery. Caller holds mu.
+func (s *session) fullLocked() bool {
+	return !s.dead && len(s.queue)+len(s.unacked) >= s.srv.cfg.SessionBuffer
+}
+
+// Flush releases a held session (broker.Flusher): the fan-out that
+// queued its copies has returned, so the writer may send them.
+func (s *session) Flush() {
+	s.mu.Lock()
+	s.held = false
+	s.wakeWriterLocked()
+	s.mu.Unlock()
+}
+
+// wakeWriterLocked wakes the writer when it has deliveries to send; a
+// wake it could only answer by waiting again is skipped. Caller holds mu.
+func (s *session) wakeWriterLocked() {
+	if s.deliveriesReadyLocked() {
+		s.cond.Broadcast()
+	}
 }
 
 // sendCtrl queues one control frame and wakes the writer. Control frames
@@ -397,13 +436,11 @@ func (s *session) flushed() bool {
 
 // writeLoop is the per-connection writer goroutine: it drains control
 // frames unconditionally and deliveries while credits last, coalescing
-// deliveries that share a flush window into one batch frame and all
-// frames of a wake into one buffered flush. Coalescing deadlines come
-// from the server's shared flush wheel, not a per-writer sleep: the loop
-// arms the wheel on the first delivery of a burst and waits until the
-// window fires, the batch fills, or a control frame needs the wire. It
-// exits when the connection is replaced, the session dies, or a write
-// fails.
+// the deliveries queued on one wake into batch frames and all frames of a
+// wake into one buffered flush. While a fan-out holds the session it
+// waits until the fan-out returns, the batch fills, or a control frame
+// needs the wire. It exits when the connection is replaced, the session
+// dies, or a write fails.
 func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
 	var (
 		scratch []byte         // the frame payload being encoded
@@ -414,12 +451,6 @@ func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
 	for {
 		s.mu.Lock()
 		for s.connGen == gen && !s.dead && len(s.ctrl) == 0 && !s.deliveriesReadyLocked() {
-			if len(s.queue) > 0 && s.credits > 0 && !s.flushArmed {
-				// First delivery of a burst: give followers one window to
-				// coalesce before paying for a flush.
-				s.flushArmed = true
-				s.srv.wheel.arm(s)
-			}
 			s.cond.Wait()
 		}
 		if s.connGen != gen || s.dead {
@@ -431,7 +462,6 @@ func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
 		batch = batch[:0]
 		if s.deliveriesReadyLocked() {
 			batch = s.takeBatchLocked(batch)
-			s.flushDue = false
 		}
 		if len(batch) == 0 && len(s.queue) > 0 && s.credits <= 0 {
 			met.creditStalls.Inc()
@@ -477,22 +507,13 @@ func (s *session) writeLoop(conn net.Conn, w *wire.Writer, gen int) {
 }
 
 // deliveriesReadyLocked reports whether queued deliveries should go to
-// the wire now: credits available and either no flush window, the window
-// already fired (flushDue), or a full batch is waiting. Caller holds mu.
+// the wire now: credits available and either no fan-out holds the session
+// or a full batch is waiting. Caller holds mu.
 func (s *session) deliveriesReadyLocked() bool {
 	if len(s.queue) == 0 || s.credits <= 0 {
 		return false
 	}
-	return s.srv.cfg.FlushWindow <= 0 || s.flushDue || len(s.queue) >= s.srv.cfg.MaxBatch
-}
-
-// flushFire is the wheel's callback: the session's flush window elapsed.
-func (s *session) flushFire() {
-	s.mu.Lock()
-	s.flushDue = true
-	s.flushArmed = false
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	return !s.held || len(s.queue) >= s.srv.cfg.MaxBatch
 }
 
 // takeBatchLocked moves up to credits deliveries from queue to unacked

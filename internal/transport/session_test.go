@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/broker"
+	"repro/internal/core"
 	"repro/internal/space"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -284,5 +285,88 @@ func TestDispatchDuringSessionChurn(t *testing.T) {
 	defer srv.mu.Unlock()
 	if len(srv.byNode) != 0 {
 		t.Errorf("byNode holds %d nodes after every session ended", len(srv.byNode))
+	}
+}
+
+// TestFanoutHoldZeroAllocs pins the hold at zero allocations per copy:
+// a Dispatch inside a real broker fan-out holds the session (appending it
+// to the fan-out worker's reused list), and the release clears the list
+// again. The cycle runs inside the observer call, where the Delivery's
+// fan-out is open, and releases through Delivery.Release, the same flush
+// the fan-out's end runs. The session has no connection, so no writer
+// allocates beside it; the test drains its queue by hand.
+func TestFanoutHoldZeroAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("AllocsPerRun counts race-detector shadow allocations")
+	}
+	topo := topology.Eval600
+	topo.Seed = 550
+	g, err := topology.Generate(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.NewStockWorld(g, workload.StockConfig{NumSubscriptions: 50, PubModes: 1, Seed: 551})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewFromWorld(w, w.Events(200, 552), core.Config{Groups: 5, CellBudget: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const node = topology.NodeID(17)
+	srv := NewServer(Config{})
+	defer srv.finishClose()
+	s := newSession(srv, 1, 1024)
+	srv.byNode[node] = []*session{s}
+	var (
+		once             sync.Once
+		done             = make(chan struct{})
+		allocs           float64
+		held, heldOnExit bool
+	)
+	cycle := func(d broker.Delivery) {
+		srv.Dispatch(node, d)
+		s.mu.Lock()
+		held = s.held
+		s.mu.Unlock()
+		d.Release()
+		s.mu.Lock()
+		heldOnExit = s.held
+		s.queue = s.queue[:0]
+		s.mu.Unlock()
+	}
+	b, err := broker.New(e, broker.WithObserver(func(n topology.NodeID, d broker.Delivery) {
+		if n != node {
+			return
+		}
+		once.Do(func() {
+			defer close(done)
+			for i := 0; i < 10; i++ {
+				cycle(d)
+			}
+			allocs = testing.AllocsPerRun(200, func() { cycle(d) })
+		})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	full := make(space.Rect, len(w.Axes))
+	for i := range full {
+		full[i] = space.Interval{Lo: -1e18, Hi: 1e18}
+	}
+	if _, err := b.Subscribe(workload.Subscription{Owner: node, Rect: full}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish(w.Events(1, 553)[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if !held || heldOnExit {
+		t.Fatalf("held after Dispatch %v, after release %v; want true, false", held, heldOnExit)
+	}
+	if allocs != 0 {
+		t.Errorf("held Dispatch plus release allocated %.2f times per copy, want 0", allocs)
 	}
 }

@@ -442,7 +442,9 @@ func DecodeSubscribe(payload []byte) (Subscribe, error) {
 	s.ReqID = c.i64()
 	s.Owner = topology.NodeID(c.i64())
 	dim := int(c.u16())
-	if dim > 1024 {
+	if dim > 1024 || c.off+16*dim > len(c.b) {
+		// Checked before the rect is reserved: the dimension is the
+		// peer's word.
 		return s, fmt.Errorf("%w: rect dim %d", ErrBadMessage, dim)
 	}
 	s.Rect = make(space.Rect, dim)

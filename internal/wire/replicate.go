@@ -145,7 +145,10 @@ func DecodeReplicate(payload []byte) (Replicate, error) {
 	m.Term = c.i64()
 	m.FirstIdx = c.i64()
 	n := int(c.u32())
-	if c.bad || n > len(c.b) {
+	// Every record takes at least its 4-byte length, so a count the
+	// bytes left cannot hold is malformed — and is refused before it
+	// reserves the record slice.
+	if c.bad || n > (len(c.b)-c.off)/4 {
 		return m, ErrBadMessage
 	}
 	m.Recs = make([][]byte, 0, n)

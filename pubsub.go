@@ -400,8 +400,8 @@ type (
 	// WireServer accepts wire-protocol connections and bridges them to a
 	// Broker via its observer hook.
 	WireServer = transport.Server
-	// WireServerConfig tunes the server: flush window, batch size, session
-	// buffer and resume timeout, TLS.
+	// WireServerConfig tunes the server: batch size, session buffer and
+	// resume timeout, TLS.
 	WireServerConfig = transport.Config
 	// WireClient is a reconnecting client connection with exactly-once
 	// publish and delivery semantics.
