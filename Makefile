@@ -8,8 +8,8 @@ build:
 	$(GO) build ./...
 
 # tier1 is the CI gate: vet, staticcheck (when installed), the
-# zero-allocation regressions and the race-enabled short suite (the heavy
-# chaos scenario is skipped under -short so this stays fast).
+# zero-allocation regressions and the race-enabled short suite (the heavier
+# tests skip under -short so this stays fast).
 tier1: vet staticcheck alloc-regression
 	$(GO) test -race -short ./...
 
@@ -32,8 +32,7 @@ alloc-regression:
 # deterministic CSVs byte for byte with the copies recorded in
 # results/quick/: every table and figure, routed and priced through the
 # broker's own decider, so a change to a decision shows up here. The
-# timing-dependent outputs (fig10, faults) are not compared. Takes about
-# 15 s.
+# timing-dependent output (fig10) is not compared. Takes about 15 s.
 QUICK_CSVS = table1 table2 fig7 fig8 fig9_net1 fig9_net2 scenarios ablation
 experiments-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -73,9 +72,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# chaos runs the full fault-injection and self-healing suite twice under
-# the race detector, including the heavy recovery scenarios skipped by
-# tier1's -short.
+# chaos runs the broker, fault-injector, health and durable-store suites
+# twice under the race detector, including the tests tier1's -short
+# skips.
 chaos:
 	$(GO) test -race -count=2 ./internal/broker/ ./internal/faults/ ./internal/health/ ./internal/durable/
 

@@ -20,11 +20,10 @@
 //	frontier  grid-resolution and dimensionality sweeps (§6 open issues)
 //	ablation  design-choice studies: Fig 5 threshold, outlier removal,
 //	          last-mile link costs
-//	faults    reliability sweep: broker retry/dedup stats vs drop probability
 //	all       run everything above in order
 //
 // The broker, durability and federation layers are measured against the
-// real daemons by the bench/ driver, and their invariants (self-healing,
+// real daemons by the bench/ driver, and their invariants (overload admission,
 // churn, crash–restart, cross-shard exactly-once) are held by the owning
 // packages' test suites, not by modes here.
 //
@@ -90,7 +89,7 @@ func main() {
 	flag.StringVar(&opt.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: pubsub-bench [flags] table1|table2|baseline|fig7|fig8|fig9|fig10|fig11|scenarios|interest|frontier|ablation|faults|all\n")
+			"usage: pubsub-bench [flags] table1|table2|baseline|fig7|fig8|fig9|fig10|fig11|scenarios|interest|frontier|ablation|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -153,7 +152,7 @@ func (o options) effectiveWorkers() int {
 
 // sweep is every experiment in the order "all" runs them (fig11 is
 // fig10's sweep, so it is not run twice).
-var sweep = []string{"table1", "table2", "baseline", "fig7", "fig8", "fig9", "fig10", "scenarios", "interest", "frontier", "ablation", "faults"}
+var sweep = []string{"table1", "table2", "baseline", "fig7", "fig8", "fig9", "fig10", "scenarios", "interest", "frontier", "ablation"}
 
 func run(name string, opt options) error {
 	if name != "all" {
@@ -183,8 +182,6 @@ func run(name string, opt options) error {
 		return runInterest(opt)
 	case "frontier":
 		return runFrontier(opt)
-	case "faults":
-		return runFaults(opt)
 	case "all":
 		for _, n := range sweep {
 			if err := run(n, opt); err != nil {
@@ -572,29 +569,5 @@ func runAblation(opt options) error {
 
 	return opt.writeCSV("ablation.csv", func(f *os.File) error {
 		return experiments.RenderAblationCSV(f, all)
-	})
-}
-
-func runFaults(opt options) error {
-	env, err := experiments.NewStockEnv(opt.envConfig())
-	if err != nil {
-		return err
-	}
-	cfg := experiments.FaultSweepConfig{FaultSeed: opt.seed + 200}
-	if opt.quick {
-		cfg.DropProbs = []float64{0, 0.1, 0.3}
-		cfg.Groups = 30
-		cfg.CellBudget = 800
-	}
-	pts, err := experiments.RunFaultSweep(env, cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderFaultSweep(os.Stdout,
-		"Fault sweep: broker reliability vs per-attempt drop probability", pts); err != nil {
-		return err
-	}
-	return opt.writeCSV("faults.csv", func(f *os.File) error {
-		return experiments.RenderFaultSweepCSV(f, pts)
 	})
 }

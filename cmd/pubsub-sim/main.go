@@ -21,35 +21,13 @@
 //	-subs-trace F load subscriptions from a trace file instead of generating
 //	-seed N       random seed (default 1)
 //
-// Fault-profile flags (any of them adds a live broker replay under the
-// injected faults, reporting retry/dedup/degradation statistics and the
-// fault-adjusted costs):
+// Broker replay: a positive -churn-rate or a -data-dir replays the
+// evaluation stream through a live broker after the cost report and adds
+// its delivery accounting.
 //
-//	-drop P        per-attempt end-to-end drop probability
-//	-link-drop P   per-edge drop probability along delivery paths
-//	-dup P         duplicate-delivery probability
-//	-crash-node N  subscriber node to crash mid-run
-//	-crash-at I    event index the crash starts at (default events/4)
-//	-crash-until I event index the node recovers at (0 = never)
-//	-retries N     broker retry bound per delivery (default 4)
-//	-fault-seed N  injector seed (default seed+200)
-//
-// Overload-protection flags (any of them also enables the broker replay
-// and attaches the health subsystem — admission control, per-destination
-// circuit breakers and the self-healing control loop; see the Failure
-// handling lifecycle section of DESIGN.md):
-//
-//	-max-inflight N  bound on events admitted but not yet fanned out
-//	                 (0 = unlimited)
-//	-shed-policy P   overload policy: block (lossless backpressure),
-//	                 reject (fail fast with ErrOverloaded) or shed
-//	                 (drop decided events below the mean fanout)
-//	-auto-refresh    let the control loop re-cluster automatically when
-//	                 failures quarantine groups
-//
-// Churn flags (a positive -churn-rate also enables the broker replay and
-// interleaves live Subscribe/Unsubscribe operations with the event stream;
-// every operation publishes a fresh decision snapshot):
+// Churn flags (a positive -churn-rate interleaves live
+// Subscribe/Unsubscribe operations with the event stream; every operation
+// publishes a fresh decision snapshot):
 //
 //	-churn-rate R       expected churn operations per published event,
 //	                    scheduled as a Poisson process (0 = none)
@@ -59,8 +37,7 @@
 // Durability flags (see the Durability & recovery section of DESIGN.md):
 //
 //	-data-dir DIR  persist broker state (write-ahead journal + checkpoints)
-//	               in DIR and recover it on the next run; also enables the
-//	               broker replay. SIGINT/SIGTERM close the broker cleanly,
+//	               in DIR and recover it on the next run. SIGINT/SIGTERM close the broker cleanly,
 //	               writing a final checkpoint before the process exits.
 //
 // Observability flags (see the Observability section of DESIGN.md):
@@ -90,7 +67,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -102,8 +78,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/health"
 	"repro/internal/matching"
 	"repro/internal/multicast"
 	"repro/internal/noloss"
@@ -125,19 +99,6 @@ type options struct {
 	subsTrace string
 	seed      int64
 
-	drop       float64
-	linkDrop   float64
-	dup        float64
-	crashNode  int
-	crashAt    int64
-	crashUntil int64
-	retries    int
-	faultSeed  int64
-
-	maxInflight int
-	shedPolicy  string
-	autoRefresh bool
-
 	churnRate     float64
 	decideWorkers int
 
@@ -154,33 +115,14 @@ type options struct {
 	recvTimeout time.Duration
 }
 
-// validate rejects malformed fault and observability flags with a clear
+// validate rejects malformed replay and observability flags with a clear
 // error before any expensive work runs.
 func (o options) validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"-drop", o.drop}, {"-link-drop", o.linkDrop}, {"-dup", o.dup}} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("%s = %v: probability must be in [0, 1]", f.name, f.v)
-		}
-	}
-	if o.retries < 0 {
-		return fmt.Errorf("-retries = %d: must be ≥ 0", o.retries)
-	}
 	if o.churnRate < 0 {
 		return fmt.Errorf("-churn-rate = %v: must be ≥ 0", o.churnRate)
 	}
 	if o.decideWorkers < 0 {
 		return fmt.Errorf("-decide-workers = %d: must be ≥ 0 (0 = GOMAXPROCS)", o.decideWorkers)
-	}
-	if o.maxInflight < 0 {
-		return fmt.Errorf("-max-inflight = %d: must be ≥ 0", o.maxInflight)
-	}
-	if o.shedPolicy != "" {
-		if _, err := health.ParsePolicy(o.shedPolicy); err != nil {
-			return fmt.Errorf("-shed-policy: %w", err)
-		}
 	}
 	if o.traceRate < 0 || o.traceRate > 1 {
 		return fmt.Errorf("-trace-rate = %v: must be in [0, 1]", o.traceRate)
@@ -202,32 +144,10 @@ func (o options) validate() error {
 	return nil
 }
 
-// faultsRequested reports whether any fault-profile flag is active.
-func (o options) faultsRequested() bool {
-	return o.drop > 0 || o.linkDrop > 0 || o.dup > 0 || o.crashNode >= 0
-}
-
-// healthRequested reports whether any overload-protection flag is active;
-// like the fault flags, any of them enables the broker replay.
-func (o options) healthRequested() bool {
-	return o.maxInflight > 0 || o.shedPolicy != "" || o.autoRefresh
-}
-
-// healthConfig translates the overload-protection flags into a health
-// subsystem configuration, or nil when none are set.
-func (o options) healthConfig() *health.Config {
-	if !o.healthRequested() {
-		return nil
-	}
-	cfg := health.Config{
-		MaxInflight: o.maxInflight,
-		AutoRefresh: o.autoRefresh,
-		Seed:        o.seed,
-	}
-	if o.shedPolicy != "" {
-		cfg.Policy, _ = health.ParsePolicy(o.shedPolicy) // validated already
-	}
-	return &cfg
+// replayRequested reports whether the run replays the evaluation stream
+// through a live broker.
+func (o options) replayRequested() bool {
+	return o.churnRate > 0 || o.dataDir != ""
 }
 
 func main() {
@@ -242,17 +162,6 @@ func main() {
 	flag.BoolVar(&opt.dynamic, "dynamic", false, "per-event unicast/multicast/broadcast selection")
 	flag.StringVar(&opt.subsTrace, "subs-trace", "", "load subscriptions from a trace file")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
-	flag.Float64Var(&opt.drop, "drop", 0, "per-attempt end-to-end drop probability")
-	flag.Float64Var(&opt.linkDrop, "link-drop", 0, "per-edge drop probability along delivery paths")
-	flag.Float64Var(&opt.dup, "dup", 0, "duplicate-delivery probability")
-	flag.IntVar(&opt.crashNode, "crash-node", -1, "subscriber node to crash mid-run (-1 = none)")
-	flag.Int64Var(&opt.crashAt, "crash-at", -1, "event index the crash starts at (default events/4)")
-	flag.Int64Var(&opt.crashUntil, "crash-until", 0, "event index the node recovers at (0 = never)")
-	flag.IntVar(&opt.retries, "retries", 4, "broker retry bound per delivery")
-	flag.Int64Var(&opt.faultSeed, "fault-seed", 0, "fault injector seed (default seed+200)")
-	flag.IntVar(&opt.maxInflight, "max-inflight", 0, "admission bound on in-pipeline events (0 = unlimited)")
-	flag.StringVar(&opt.shedPolicy, "shed-policy", "", "overload policy: block, reject or shed")
-	flag.BoolVar(&opt.autoRefresh, "auto-refresh", false, "re-cluster automatically when failures quarantine groups")
 	flag.Float64Var(&opt.churnRate, "churn-rate", 0, "live Subscribe/Unsubscribe ops per event during the broker replay (0 = none)")
 	flag.IntVar(&opt.decideWorkers, "decide-workers", 0, "broker decision workers (0 = GOMAXPROCS, 1 = serial ordered)")
 	flag.StringVar(&opt.dataDir, "data-dir", "", "durable broker state directory: journal + checkpoints, recovered on restart")
@@ -400,8 +309,8 @@ func run(opt options) error {
 	fmt.Printf("            app-level multicast %.0f (%.1f%% improvement)\n",
 		almAvg, sim.Improvement(base, almAvg))
 
-	if opt.faultsRequested() || opt.healthRequested() || opt.churnRate > 0 || opt.dataDir != "" {
-		if err := runFaulty(opt, engine, eval, totals, n, reg, tracer); err != nil {
+	if opt.replayRequested() {
+		if err := replay(opt, engine, eval, reg, tracer); err != nil {
 			return err
 		}
 	}
@@ -452,49 +361,17 @@ func closeOnSignal(b *broker.Broker) func() {
 	}
 }
 
-// runFaulty replays the evaluation stream through a live broker under the
-// requested fault profile and reports the reliability statistics plus the
-// cost model's fault-adjusted prices.
-func runFaulty(opt options, engine *core.Engine, eval []workload.Event, totals core.Costs, n float64, reg *telemetry.Registry, tracer *telemetry.Tracer) error {
-	fcfg := faults.Config{
-		Seed:         opt.faultSeed,
-		DropProb:     opt.drop,
-		DupProb:      opt.dup,
-		LinkDropProb: opt.linkDrop,
-	}
-	if fcfg.Seed == 0 {
-		fcfg.Seed = opt.seed + 200
-	}
-	if opt.crashNode >= 0 {
-		at := opt.crashAt
-		if at < 0 {
-			at = int64(opt.events) / 4
-		}
-		fcfg.Crashes = []faults.Crash{{
-			Node:   topology.NodeID(opt.crashNode),
-			DownAt: at,
-			UpAt:   opt.crashUntil,
-		}}
-	}
-	inj, err := faults.New(fcfg)
-	if err != nil {
-		return err
-	}
+// replay publishes the evaluation stream through a live broker — durable
+// under -data-dir, with live churn under -churn-rate — and reports its
+// delivery accounting.
+func replay(opt options, engine *core.Engine, eval []workload.Event, reg *telemetry.Registry, tracer *telemetry.Tracer) error {
 	opts := []broker.Option{
-		broker.WithFaults(inj),
-		broker.WithReliability(broker.ReliabilityConfig{MaxRetries: opt.retries}),
 		broker.WithTelemetry(reg), // nil keeps the broker's private registry
 		broker.WithTracer(tracer),
 		broker.WithDecideWorkers(opt.decideWorkers),
 	}
-	if hc := opt.healthConfig(); hc != nil {
-		h, err := health.New(*hc)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, broker.WithHealth(h))
-	}
 	var b *broker.Broker
+	var err error
 	if opt.dataDir != "" {
 		b, err = broker.Open(opt.dataDir, engine, opts...)
 	} else {
@@ -549,12 +426,7 @@ func runFaulty(opt options, engine *core.Engine, eval []workload.Event, totals c
 			}
 			next++
 		}
-		switch err := b.Publish(ev); {
-		case err == nil:
-		case errors.Is(err, health.ErrOverloaded):
-			// Counted in Stats.Rejected; overload is part of the report,
-			// not a failure of the replay.
-		default:
+		if err := b.Publish(ev); err != nil {
 			closeBroker()
 			return err
 		}
@@ -562,32 +434,10 @@ func runFaulty(opt options, engine *core.Engine, eval []workload.Event, totals c
 	closeBroker()
 	st := b.Stats()
 
-	fmt.Printf("faults:     drop %.0f%%  link-drop %.0f%%  dup %.0f%%", opt.drop*100, opt.linkDrop*100, opt.dup*100)
-	if opt.crashNode >= 0 {
-		fmt.Printf("  crash node %d @ event %d", opt.crashNode, fcfg.Crashes[0].DownAt)
-	}
-	fmt.Printf(" (injector seed %d)\n", fcfg.Seed)
-	if opt.crashNode >= 0 {
-		if _, ok := engine.World().SubscriberIndex(topology.NodeID(opt.crashNode)); !ok {
-			fmt.Printf("note:       node %d holds no subscriptions; the crash cannot affect deliveries\n", opt.crashNode)
-		}
-	}
 	if opt.churnRate > 0 {
 		fmt.Printf("churn:      rate %.2f ops/event: %d subscribes, %d unsubscribes, %d snapshot swaps (%d decision workers)\n",
 			opt.churnRate, st.Subscribes, st.Unsubscribes, st.SnapshotSwaps, b.DecideWorkers())
 	}
-	fmt.Printf("broker:     %d deliveries, %d retries, %d redelivered, %d deduped\n",
-		st.Deliveries, st.Retries, st.Redelivered, st.Deduped)
-	fmt.Printf("            %d degraded, %d quarantined groups, %d offline skips, %d lost\n",
-		st.Degraded, st.Quarantined, st.Offline, st.Lost)
-	if opt.healthRequested() {
-		fmt.Printf("health:     %d rejected, %d shed, %d rate-limited (policy %s, max-inflight %d)\n",
-			st.Rejected, st.Shed, st.RateLimited, opt.healthConfig().Policy, opt.maxInflight)
-		fmt.Printf("            %d breaker opens, %d skips, %d probes, %d auto-refreshes\n",
-			st.BreakerOpens, st.BreakerSkipped, st.Probes, st.AutoRefreshes)
-	}
-	adj := sim.FaultAdjust(sim.Costs{Network: totals.Network / n, AppLevel: totals.AppLevel / n}, opt.drop, opt.retries)
-	fmt.Printf("adjusted:   network multicast %.0f   app-level %.0f (× %.2f retry overhead)\n",
-		adj.Network, adj.AppLevel, sim.ExpectedTransmissions(opt.drop, opt.retries))
+	fmt.Printf("broker:     %d deliveries, %d deduped\n", st.Deliveries, st.Deduped)
 	return nil
 }

@@ -9,7 +9,8 @@ import (
 	"testing"
 )
 
-// smallOpts is a fast fault-profile run small enough for -short.
+// smallOpts is a fast run small enough for -short. It asks for no broker
+// replay; each test enables one.
 func smallOpts() options {
 	return options{
 		alg:       "forgy",
@@ -19,15 +20,12 @@ func smallOpts() options {
 		events:    60,
 		budget:    400,
 		seed:      7,
-		drop:      0.2,
-		crashNode: -1,
-		retries:   3,
 		traceRate: 1,
 		traceCap:  256,
 	}
 }
 
-// TestValidateFlags: satellite guard — malformed fault/observability flags
+// TestValidateFlags: satellite guard — malformed replay/observability flags
 // are rejected up front.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
@@ -35,15 +33,10 @@ func TestValidateFlags(t *testing.T) {
 		mutate func(*options)
 		want   string
 	}{
-		{"drop-high", func(o *options) { o.drop = 1.5 }, "-drop"},
-		{"drop-negative", func(o *options) { o.drop = -0.1 }, "-drop"},
-		{"link-drop", func(o *options) { o.linkDrop = 2 }, "-link-drop"},
-		{"dup", func(o *options) { o.dup = -1 }, "-dup"},
-		{"retries", func(o *options) { o.retries = -1 }, "-retries"},
+		{"churn-rate", func(o *options) { o.churnRate = -1 }, "-churn-rate"},
+		{"decide-workers", func(o *options) { o.decideWorkers = -1 }, "-decide-workers"},
 		{"trace-rate", func(o *options) { o.traceRate = 1.01 }, "-trace-rate"},
 		{"trace-cap", func(o *options) { o.traceCap = 0 }, "-trace-cap"},
-		{"max-inflight", func(o *options) { o.maxInflight = -1 }, "-max-inflight"},
-		{"shed-policy", func(o *options) { o.shedPolicy = "bogus" }, "-shed-policy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,34 +56,13 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestHealthReplay: the overload-protection flags alone enable the broker
-// replay, attach the health subsystem, and the run completes even when
-// admission control rejects part of the stream.
-func TestHealthReplay(t *testing.T) {
-	opt := smallOpts()
-	opt.drop = 0 // no fault flags: health flags must trigger the replay
-	opt.maxInflight = 4
-	opt.shedPolicy = "reject"
-	opt.autoRefresh = true
-	if !opt.healthRequested() || opt.faultsRequested() {
-		t.Fatal("flag plumbing wrong")
-	}
-	if err := opt.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(opt); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
 // TestDurableReplayRestart: -data-dir alone enables the broker replay, and
 // a second run over the same directory recovers the clean checkpoint the
 // first run's Close wrote.
 func TestDurableReplayRestart(t *testing.T) {
 	opt := smallOpts()
-	opt.drop = 0 // no fault flags: -data-dir must trigger the replay itself
 	opt.dataDir = t.TempDir()
-	if opt.faultsRequested() || opt.healthRequested() {
+	if !opt.replayRequested() {
 		t.Fatal("flag plumbing wrong")
 	}
 	if err := run(opt); err != nil {
@@ -101,10 +73,11 @@ func TestDurableReplayRestart(t *testing.T) {
 	}
 }
 
-// TestServeEndToEnd runs a full faulty replay with -http and probes every
-// observability endpoint on the live server.
+// TestServeEndToEnd runs a full broker replay with live churn and -http,
+// and probes every observability endpoint on the live server.
 func TestServeEndToEnd(t *testing.T) {
 	opt := smallOpts()
+	opt.churnRate = 0.2
 	opt.httpAddr = "127.0.0.1:0"
 
 	var addr string

@@ -12,68 +12,44 @@
 //
 //   - completeness: every live subscriber interested in an event receives
 //     it, exactly once;
-//   - single delivery: no node receives the same event twice (receiver-side
-//     dedup turns at-least-once retransmission into exactly-once
-//     accounting);
+//   - single delivery: no node receives the same event twice (a durable
+//     broker's receiver-side dedup windows turn a recovery's redelivery
+//     into exactly-once accounting);
 //   - waste: deliveries to uninterested group members are counted, and a
 //     No-Loss engine produces exactly zero of them.
 //
 // # Snapshot decision plane
 //
 // Decisions are served RCU-style. The engine builds an immutable
-// core.DecisionSnapshot (cloned subscription index, group tables,
-// quarantine set); the broker publishes it through an atomic pointer and N
-// decision workers (default GOMAXPROCS) take lock-free loads, so Decide
-// throughput scales with cores while decisions stay byte-identical per
-// snapshot. All engine *mutations* — subscription churn via
-// Broker.Subscribe/Unsubscribe, quarantines reported by fan-out workers,
-// and controller-triggered auto-refreshes — run on a single writer
-// goroutine that mutates the private engine and swaps the snapshot
-// atomically. Each publication captures the snapshot current at Publish
-// and drains against it; a new subscriber is covered from the moment Subscribe
-// returns (the swap happens before the reply), topped up by unicast until
-// the next group rebuild folds it in — the paper's never-lose invariant.
+// core.DecisionSnapshot (cloned subscription index, group tables); the
+// broker publishes it through an atomic pointer and N decision workers
+// (default GOMAXPROCS) take lock-free loads, so Decide throughput scales
+// with cores while decisions stay byte-identical per snapshot. All engine
+// *mutations* — subscription churn via Broker.Subscribe/Unsubscribe — run
+// on a single writer goroutine that mutates the private engine and swaps
+// the snapshot atomically. Each publication captures the snapshot current
+// at Publish and drains against it; a new subscriber is covered from the
+// moment Subscribe returns (the swap happens before the reply), topped up
+// by unicast until a group rebuild folds it in — the paper's never-lose
+// invariant.
 //
 // Pipeline shape (all stdlib, structured shutdown):
 //
 //	Publish() → seq assignment → publishCh → N decision workers (snapshot reads)
 //	          → fanoutCh → M fan-out workers → accept per copy → Stats
-//	Subscribe()/Unsubscribe()/quarantines/auto-refresh → writer goroutine
+//	Subscribe()/Unsubscribe() → writer goroutine
 //	          → engine mutation → snapshot swap
 //
-// With a faults.Injector attached (WithFaults), the broker layers a
-// reliability protocol over the lossy fabric:
-//
-//   - every publication carries a sequence number (assigned at Publish, so
-//     it orders events even across concurrent decision workers); receivers
-//     dedup on it within a sliding window;
-//   - dropped attempts are retried with exponential backoff + deterministic
-//     jitter, bounded per delivery (MaxRetries) and per event (RetryBudget);
-//   - when the primary route exhausts its retries, the delivery degrades to
-//     a unicast top-up along an alternate path computed by a Dijkstra
-//     recompute with failed links removed;
-//   - when even the degraded path fails — destination crashed or
-//     partitioned — the delivery is abandoned and the routed group is
-//     quarantined, so the decision plane falls back to unicast for its
-//     members until the next Refresh.
-//
-// With a health.Health attached (WithHealth), the broker closes the
-// remaining feedback loops:
-//
-//   - Publish passes through admission control — a token-bucket rate
-//     limiter plus a MaxInflight semaphore over the whole pipeline — and
-//     under the RejectNewest/ShedLowFanout policies returns
-//     health.ErrOverloaded instead of queueing unbounded work; each
-//     admitted event carries a strict one-shot release token;
-//   - each destination gets a circuit breaker fed by delivery outcomes and
-//     ack latencies; deliveries to an open breaker are skipped outright
-//     (and the routed group quarantined) instead of burning retries on a
-//     known-dead path, with jittered probes re-closing the breaker once
-//     the destination recovers;
-//   - a control-loop goroutine watches quarantine fraction, breaker state
-//     and shed/loss counts, and — with hysteresis — asks the writer
-//     goroutine to run an automatic Engine.Refresh, un-quarantining
-//     recovered groups without operator intervention.
+// The failures the broker meets are those of the process around it. A
+// durable broker (Open) journals every publication and the copies each
+// node accepted; after a crash the next incarnation redelivers the journal
+// tail under the original sequence numbers, and its per-node dedup windows
+// suppress the copies that had already arrived. With a health.Health
+// attached (WithHealth), Publish passes through admission control — a
+// token-bucket rate limiter plus a MaxInflight semaphore over the whole
+// pipeline — and under the RejectNewest/ShedLowFanout policies returns
+// health.ErrOverloaded instead of queueing unbounded work; each admitted
+// event carries a strict one-shot release token.
 package broker
 
 import (
@@ -89,7 +65,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/health"
 	"repro/internal/multicast"
-	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -109,12 +84,6 @@ type Delivery struct {
 	// Interested reports whether the receiving node had a matching
 	// subscription (false ⇒ wasted delivery).
 	Interested bool
-	// Attempt is the delivery attempt that succeeded (0 = first try,
-	// > 0 ⇒ the copy is a successful retransmission).
-	Attempt int
-	// Degraded marks a copy that arrived via the alternate-path unicast
-	// top-up after the primary route exhausted its retries.
-	Degraded bool
 
 	// born is the decision-stage timestamp; accept turns it into the
 	// end-to-end delivery-latency histogram.
@@ -234,12 +203,6 @@ type routed struct {
 	// (Broadcast), captured at decision time from the snapshot so fan-out
 	// never reads mutable state. Read-only.
 	nodes []topology.NodeID
-	// paths maps each destination to its primary routing path (publisher's
-	// SPT); only populated under fault injection.
-	paths map[topology.NodeID][]topology.NodeID
-	// budget is the event's remaining retry allowance, shared across
-	// destinations.
-	budget *atomic.Int64
 	// acks collects the event's accepted copies for its one ack record
 	// and barrier (durable brokers only); owned by the fan-out worker.
 	acks *ackBatch
@@ -263,24 +226,15 @@ type Stats struct {
 	Unsubscribes  int64 // live subscriptions removed via Broker.Unsubscribe
 	SnapshotSwaps int64 // decision-snapshot publications since start
 
-	// Reliability counters — all zero without fault injection.
-	Retries     int64 // retransmission attempts after a dropped attempt
-	Redelivered int64 // deliveries that succeeded only after ≥ 1 retry
-	Deduped     int64 // duplicate copies suppressed at receivers
-	Degraded    int64 // deliveries re-routed via alternate-path unicast
-	Quarantined int64 // groups quarantined after persistent failures
-	Offline     int64 // deliveries skipped because the node was crashed
-	Lost        int64 // deliveries abandoned for live nodes (violations)
+	// Deduped counts duplicate copies suppressed at receivers: a durable
+	// broker's recovery redelivering copies that had already arrived.
+	Deduped int64
 
-	// Overload / self-healing counters — all zero without WithHealth.
+	// Overload counters — all zero without WithHealth.
 	Shed            int64 // decided events dropped by ShedLowFanout
 	Rejected        int64 // publishes refused with health.ErrOverloaded
 	RateLimited     int64 // rejections specifically from the token bucket
 	ReleaseSpurious int64 // double-releases caught by strict admission tokens
-	BreakerOpens    int64 // breaker open transitions
-	BreakerSkipped  int64 // deliveries skipped on an open breaker
-	Probes          int64 // half-open probe deliveries admitted
-	AutoRefreshes   int64 // automatic engine refreshes triggered
 
 	PerNode map[topology.NodeID]int64
 }
@@ -304,18 +258,10 @@ type metrics struct {
 	// snapAge is the replaced snapshot's service lifetime at each swap, ns.
 	snapAge *telemetry.Histogram
 
-	retries     *telemetry.Counter
-	redelivered *telemetry.Counter
-	deduped     *telemetry.Counter
-	degraded    *telemetry.Counter
-	quarantined *telemetry.Counter
-	offline     *telemetry.Counter
-	lost        *telemetry.Counter
+	deduped *telemetry.Counter
 
 	// deliverLatency is decision→accept wall time per copy, ns.
 	deliverLatency *telemetry.Histogram
-	// backoffWait is time slept in retry backoff, ns.
-	backoffWait *telemetry.Histogram
 }
 
 func newMetrics(s *telemetry.Scope) metrics {
@@ -331,96 +277,13 @@ func newMetrics(s *telemetry.Scope) metrics {
 		swaps:          s.Counter("snapshot_swaps"),
 		snapVersion:    s.Gauge("snapshot_version"),
 		snapAge:        s.Histogram("snapshot_age_ns", telemetry.LatencyBuckets()),
-		retries:        s.Counter("retries"),
-		redelivered:    s.Counter("redelivered"),
 		deduped:        s.Counter("deduped"),
-		degraded:       s.Counter("degraded"),
-		quarantined:    s.Counter("quarantined"),
-		offline:        s.Counter("offline"),
-		lost:           s.Counter("lost"),
 		deliverLatency: s.Histogram("deliver_latency_ns", telemetry.LatencyBuckets()),
-		backoffWait:    s.Histogram("backoff_wait_ns", telemetry.LatencyBuckets()),
-	}
-}
-
-// ReliabilityConfig tunes the retry protocol used under fault injection.
-type ReliabilityConfig struct {
-	// MaxRetries is the retransmission cap per delivery on the primary
-	// path (default 4).
-	MaxRetries int
-	// LastResort is the retransmission cap on the degraded alternate path
-	// (default 16) — the bounded stand-in for "retry until the peer is
-	// declared dead".
-	LastResort int
-	// RetryBudget caps total primary-path retries per event across all
-	// destinations (default 512; ≤ 0 means the default). Exhausting it
-	// sends remaining failing deliveries straight to the degraded path.
-	RetryBudget int64
-	// BaseBackoff is the first retry's backoff (default 50µs); backoff
-	// doubles per attempt up to MaxBackoff (default 2ms), with ±50%
-	// deterministic jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// DedupWindow is the per-node dedup memory, in sequence numbers
-	// (default 4096): a receiver remembers the last DedupWindow seqs and
-	// treats anything older as already seen. Duplicates only arise from
-	// immediate retransmission, so the window bounds dedup memory at
-	// DedupWindow bits per node instead of growing for the life of the
-	// broker.
-	DedupWindow int
-}
-
-// Validate rejects nonsensical reliability tunings. Zero fields are legal
-// (they take defaults); explicitly negative values are not, and a MaxBackoff
-// below BaseBackoff would make the backoff schedule non-monotone.
-func (rc ReliabilityConfig) Validate() error {
-	if rc.MaxRetries < 0 {
-		return fmt.Errorf("broker: MaxRetries = %d, need ≥ 0", rc.MaxRetries)
-	}
-	if rc.LastResort < 0 {
-		return fmt.Errorf("broker: LastResort = %d, need ≥ 0", rc.LastResort)
-	}
-	if rc.RetryBudget < 0 {
-		return fmt.Errorf("broker: RetryBudget = %d, need ≥ 0", rc.RetryBudget)
-	}
-	if rc.BaseBackoff < 0 {
-		return fmt.Errorf("broker: BaseBackoff = %v, need ≥ 0", rc.BaseBackoff)
-	}
-	if rc.MaxBackoff < 0 {
-		return fmt.Errorf("broker: MaxBackoff = %v, need ≥ 0", rc.MaxBackoff)
-	}
-	if rc.BaseBackoff > 0 && rc.MaxBackoff > 0 && rc.MaxBackoff < rc.BaseBackoff {
-		return fmt.Errorf("broker: MaxBackoff %v < BaseBackoff %v", rc.MaxBackoff, rc.BaseBackoff)
-	}
-	if rc.DedupWindow < 0 {
-		return fmt.Errorf("broker: DedupWindow = %d, need ≥ 0", rc.DedupWindow)
-	}
-	return nil
-}
-
-func (rc *ReliabilityConfig) setDefaults() {
-	if rc.MaxRetries <= 0 {
-		rc.MaxRetries = 4
-	}
-	if rc.LastResort <= 0 {
-		rc.LastResort = 32
-	}
-	if rc.RetryBudget <= 0 {
-		rc.RetryBudget = 512
-	}
-	if rc.BaseBackoff <= 0 {
-		rc.BaseBackoff = 50 * time.Microsecond
-	}
-	if rc.MaxBackoff <= 0 {
-		rc.MaxBackoff = 2 * time.Millisecond
-	}
-	if rc.DedupWindow <= 0 {
-		rc.DedupWindow = 4096
 	}
 }
 
 // nodeState is one subscriber node's receiving end: its delivered counter
-// and, when the broker is durable or fault-injected, its dedup window.
+// and, when the broker is durable, its dedup window.
 type nodeState struct {
 	delivered atomic.Int64
 	win       *lockedWindow
@@ -451,12 +314,9 @@ type churnResp struct {
 // with Close. Safe for concurrent Publish, Subscribe and Unsubscribe.
 type Broker struct {
 	engine        *core.Engine
-	graph         *topology.Graph
 	workers       int // fan-out workers
 	decideWorkers int // decision workers; 0 = GOMAXPROCS
 
-	inj    *faults.Injector
-	rel    ReliabilityConfig
 	health *health.Health
 
 	// snap is the published decision snapshot: decision workers take
@@ -468,13 +328,8 @@ type Broker struct {
 	// routes is the current node directory (see routeTable).
 	routes atomic.Pointer[routeTable]
 
-	publishCh    chan queued
-	fanoutCh     chan routed
-	quarantineCh chan int
-	// refreshCh carries auto-refresh requests (the warm-iteration count)
-	// from the control loop to the writer goroutine. One request may be
-	// pending; requestRefresh replaces it so the newest value wins.
-	refreshCh chan int
+	publishCh chan queued
+	fanoutCh  chan routed
 	// writerCh carries churn requests to the writer goroutine.
 	writerCh   chan churnReq
 	writerStop chan struct{}
@@ -504,8 +359,6 @@ type Broker struct {
 	// decideNs holds one decide-latency histogram per decision worker
 	// ("decide_w<i>_ns"), so per-worker skew is visible.
 	decideNs []*telemetry.Histogram
-	// quarantineSent dedups quarantine requests per group.
-	quarantineSent sync.Map
 	// lastSwap is the previous snapshot publication time (writer-only).
 	lastSwap time.Time
 
@@ -516,11 +369,6 @@ type Broker struct {
 	fanoutWG   sync.WaitGroup
 	writerWG   sync.WaitGroup
 	closeOnce  sync.Once
-
-	// controlStop ends the control-loop goroutine; nil without WithHealth
-	// or when AutoRefresh is off.
-	controlStop chan struct{}
-	controlWG   sync.WaitGroup
 }
 
 // Option customises a Broker.
@@ -547,18 +395,6 @@ func WithObserver(fn func(topology.NodeID, Delivery)) Option {
 	return func(b *Broker) { b.observer = fn }
 }
 
-// WithFaults attaches a fault injector and enables the reliability
-// protocol (sequence numbers, dedup, retries, degradation, quarantine).
-func WithFaults(inj *faults.Injector) Option {
-	return func(b *Broker) { b.inj = inj }
-}
-
-// WithReliability overrides the retry protocol's tuning. Only meaningful
-// together with WithFaults.
-func WithReliability(rc ReliabilityConfig) Option {
-	return func(b *Broker) { b.rel = rc }
-}
-
 // WithTelemetry publishes the broker's metrics into a shared registry
 // (scope "broker") instead of a private one, so exporters and the HTTP
 // server see them. Stats() reads the same instruments either way.
@@ -572,11 +408,9 @@ func WithTracer(tr *telemetry.Tracer) Option {
 	return func(b *Broker) { b.tracer = tr }
 }
 
-// WithHealth attaches the overload-protection and self-healing subsystem:
-// admission control on Publish, per-destination circuit breakers in the
-// delivery path, and (when h's config enables AutoRefresh) the control
-// loop that triggers automatic engine refreshes. The broker instruments h
-// into its telemetry registry.
+// WithHealth attaches admission control to Publish: h's Admission bounds
+// the events in flight and applies its overload policy. The broker
+// instruments h into its telemetry registry.
 func WithHealth(h *health.Health) Option {
 	return func(b *Broker) { b.health = h }
 }
@@ -599,7 +433,6 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 	}
 	b := &Broker{
 		engine:  engine,
-		graph:   engine.Model().Graph(),
 		workers: 4,
 	}
 	for _, opt := range opts {
@@ -614,10 +447,6 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 	if b.decideWorkers == 0 {
 		b.decideWorkers = runtime.GOMAXPROCS(0)
 	}
-	if err := b.rel.Validate(); err != nil {
-		return nil, err
-	}
-	b.rel.setDefaults()
 	if b.reg == nil {
 		b.reg = telemetry.NewRegistry()
 	}
@@ -627,7 +456,6 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 	for i := range b.decideNs {
 		b.decideNs[i] = scope.Histogram(fmt.Sprintf("decide_w%d_ns", i), telemetry.LatencyBuckets())
 	}
-	b.quarantineCh = make(chan int, 128)
 	// Size the publish queue at least MaxInflight so that under the
 	// rejecting policies an admitted event never blocks on the channel
 	// send: admission is the bound, not the channel.
@@ -637,7 +465,6 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 	}
 	b.publishCh = make(chan queued, queue)
 	b.fanoutCh = make(chan routed, 64)
-	b.refreshCh = make(chan int, 1)
 	b.writerCh = make(chan churnReq, 16)
 	b.writerStop = make(chan struct{})
 	b.ckptCh = make(chan chan error)
@@ -678,12 +505,6 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 
 	b.writerWG.Add(1)
 	go b.writer()
-
-	if b.health != nil && b.health.Controller.Enabled() {
-		b.controlStop = make(chan struct{})
-		b.controlWG.Add(1)
-		go b.controlLoop()
-	}
 	return b, nil
 }
 
@@ -791,10 +612,6 @@ func (b *Broker) Unsubscribe(slot int) error {
 func (b *Broker) Close() error {
 	var closeErr error
 	b.closeOnce.Do(func() {
-		if b.controlStop != nil {
-			close(b.controlStop)
-			b.controlWG.Wait()
-		}
 		if b.health != nil {
 			// Unblock Publish calls waiting inside Admit before taking the
 			// write lock they hold read-side.
@@ -807,9 +624,8 @@ func (b *Broker) Close() error {
 		b.decisionWG.Wait()
 		close(b.fanoutCh)
 		b.fanoutWG.Wait()
-		// Stop the writer after fan-out: it must stay alive to serve the
-		// quarantine requests fan-out workers file. It drains pending
-		// quarantines before exiting, then hands the engine back.
+		// Churn calls hold closeMu's read side, so none is in flight now:
+		// the writer has nothing left to serve and hands the engine back.
 		close(b.writerStop)
 		b.writerWG.Wait()
 		if b.dur != nil {
@@ -841,8 +657,7 @@ func (b *Broker) Close() error {
 // Unsubscribes — seeded from the last checkpoint before any new traffic
 // is accepted. Recovery redeliveries do not re-increment them. Everything
 // else is explicitly per-incarnation and restarts at zero: SnapshotSwaps,
-// the reliability counters (Retries … Lost), the overload/self-healing
-// counters, and PerNode.
+// Deduped, the overload counters, and PerNode.
 func (b *Broker) Stats() Stats {
 	rt := b.routes.Load()
 	out := Stats{
@@ -855,13 +670,7 @@ func (b *Broker) Stats() Stats {
 		Subscribes:    b.ctr.subscribes.Value(),
 		Unsubscribes:  b.ctr.unsubscribes.Value(),
 		SnapshotSwaps: b.ctr.swaps.Value(),
-		Retries:       b.ctr.retries.Value(),
-		Redelivered:   b.ctr.redelivered.Value(),
 		Deduped:       b.ctr.deduped.Value(),
-		Degraded:      b.ctr.degraded.Value(),
-		Quarantined:   b.ctr.quarantined.Value(),
-		Offline:       b.ctr.offline.Value(),
-		Lost:          b.ctr.lost.Value(),
 		PerNode:       make(map[topology.NodeID]int64, len(rt.nodes)),
 	}
 	if b.health != nil {
@@ -870,23 +679,12 @@ func (b *Broker) Stats() Stats {
 		out.Rejected = hc.Rejected
 		out.RateLimited = hc.RateLimited
 		out.ReleaseSpurious = hc.ReleaseSpurious
-		out.BreakerOpens = hc.BreakerOpen
-		out.BreakerSkipped = hc.Skipped
-		out.Probes = hc.Probes
-		out.AutoRefreshes = hc.Refreshes
 	}
 	for n, ns := range rt.nodes {
 		out.PerNode[n] = ns.delivered.Load()
 	}
 	return out
 }
-
-// Health exposes the attached health subsystem (nil without WithHealth).
-func (b *Broker) Health() *health.Health { return b.health }
-
-// QuarantineCount reports how many groups the published decision snapshot
-// quarantines. Safe to call while the broker runs.
-func (b *Broker) QuarantineCount() int { return b.snap.Load().NumQuarantined() }
 
 // SnapshotVersion returns the published decision snapshot's build number.
 func (b *Broker) SnapshotVersion() int64 { return b.snap.Load().Version() }
@@ -927,7 +725,7 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.Model) {
 	}
 	dt := time.Since(t0)
 	b.decideNs[w].ObserveDuration(dt)
-	trace.Add("decide", t0, dt, -1, d.Group, 0, methodNote(d.Method))
+	trace.Add("decide", t0, dt, -1, d.Group, methodNote(d.Method))
 	if !q.replay {
 		// Recovery redeliveries were counted by the incarnation that
 		// journaled them (preserved via checkpoint); counting them again
@@ -966,11 +764,6 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.Model) {
 		}
 		r.nodes = nodes
 	}
-	if b.inj != nil {
-		r.paths = routePaths(view, &r)
-		r.budget = new(atomic.Int64)
-		r.budget.Store(b.rel.RetryBudget)
-	}
 	if b.health != nil {
 		b.health.Admission.NoteFanout(len(d.Interested))
 	}
@@ -990,7 +783,7 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.Model) {
 					// checkpoint carry-forward entry here.
 					b.dur.inflight.Delete(q.seq)
 				}
-				trace.Add("shed", enq, time.Since(enq), -1, d.Group, 0, "low-fanout")
+				trace.Add("shed", enq, time.Since(enq), -1, d.Group, "low-fanout")
 				if sc != nil {
 					decideScratchPool.Put(sc)
 				}
@@ -1001,14 +794,14 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.Model) {
 	} else {
 		b.fanoutCh <- r
 	}
-	trace.Add("enqueue", enq, time.Since(enq), -1, d.Group, 0, "")
+	trace.Add("enqueue", enq, time.Since(enq), -1, d.Group, "")
 	if b.decisionObs != nil {
 		b.decisionObs(r.seq, q.ev, d, snap.CostOf(q.ev, d, view))
 	}
 }
 
-// writer is the single goroutine that owns the engine after New: all
-// mutations — subscription churn, quarantines, auto-refreshes — land here,
+// writer is the single goroutine that owns the engine after New: every
+// mutation — subscription churn — lands here,
 // and every visible change is published as a fresh immutable snapshot that
 // the decision workers pick up on their next load.
 func (b *Broker) writer() {
@@ -1037,21 +830,8 @@ func (b *Broker) writer() {
 			}
 		case reply := <-b.ckptCh:
 			reply <- b.doCheckpoint()
-		case g := <-b.quarantineCh:
-			b.applyQuarantines(g)
-		case wi := <-b.refreshCh:
-			b.autoRefresh(wi)
 		case <-b.writerStop:
-			// Apply any quarantines still queued so post-Close state
-			// reflects every reported failure, then hand the engine back.
-			for {
-				select {
-				case g := <-b.quarantineCh:
-					b.applyQuarantines(g)
-				default:
-					return
-				}
-			}
+			return
 		}
 	}
 }
@@ -1145,127 +925,6 @@ func (b *Broker) publishSnapshot() {
 	b.ctr.snapVersion.Set(s.Version())
 }
 
-// applyQuarantines applies one quarantine request plus any others already
-// queued, then publishes the (cheap, structure-sharing) snapshot swap.
-// Requests referencing groups that no longer exist — an auto-refresh may
-// have shrunk the group count while the request was in flight — are
-// dropped.
-func (b *Broker) applyQuarantines(first int) {
-	g := first
-	for {
-		if g < b.engine.NumGroups() && !b.engine.Quarantined(g) {
-			b.engine.Quarantine(g)
-		}
-		select {
-		case g = <-b.quarantineCh:
-		default:
-			b.publishSnapshot()
-			return
-		}
-	}
-}
-
-// autoRefresh runs one controller-triggered engine refresh on the writer
-// goroutine.
-func (b *Broker) autoRefresh(warmIters int) {
-	// Fold in quarantines that raced the refresh request.
-	for {
-		select {
-		case g := <-b.quarantineCh:
-			if g < b.engine.NumGroups() && !b.engine.Quarantined(g) {
-				b.engine.Quarantine(g)
-			}
-			continue
-		default:
-		}
-		break
-	}
-	if b.engine.NumQuarantined() == 0 && !b.engine.Stale() {
-		b.publishSnapshot() // nothing to rebuild; still surface drained state
-		return
-	}
-	// Refresh compacts live slots; capture the compaction order first so
-	// the durable slot→id map can follow it.
-	var live []int
-	if b.dur != nil {
-		live = b.engine.LiveSlots()
-	}
-	if err := b.engine.Refresh(warmIters); err != nil {
-		// Refresh can fail legitimately (e.g. zero live subscriptions);
-		// leave the quarantines in place and let the loop retry later.
-		b.publishSnapshot()
-		return
-	}
-	if b.dur != nil {
-		b.remapSlots(live)
-	}
-	// The rebuilt groups start with a clean slate: allow future failures to
-	// quarantine them again.
-	b.quarantineSent.Range(func(k, _ any) bool {
-		b.quarantineSent.Delete(k)
-		return true
-	})
-	b.publishSnapshot()
-	b.health.NoteAutoRefresh()
-}
-
-// controlLoop is the self-healing loop: every CheckInterval it snapshots
-// the health signals and, when the controller decides the system is both
-// degraded and stable enough to rebuild, asks the writer goroutine to
-// refresh the engine.
-func (b *Broker) controlLoop() {
-	defer b.controlWG.Done()
-	tick := time.NewTicker(b.health.Controller.Interval())
-	defer tick.Stop()
-	for {
-		select {
-		case <-b.controlStop:
-			return
-		case <-tick.C:
-			b.controlTick()
-		}
-	}
-}
-
-// controlTick gathers one Signals snapshot and forwards a refresh request
-// when warranted.
-func (b *Broker) controlTick() {
-	hc := b.health.CounterSnapshot()
-	ts := b.health.Tracker.Snapshot()
-	snap := b.snap.Load()
-	s := health.Signals{
-		QuarantinedGroups: snap.NumQuarantined(),
-		TotalGroups:       snap.NumGroups(),
-		OpenBreakers:      ts.Open,
-		HalfOpenBreakers:  ts.HalfOpen,
-		Shed:              hc.Shed,
-		Rejected:          hc.Rejected,
-		Lost:              b.ctr.lost.Value(),
-		Skipped:           hc.Skipped,
-	}
-	if b.health.Controller.Decide(s) {
-		b.requestRefresh(b.health.Controller.WarmIters())
-	}
-}
-
-// requestRefresh queues a refresh for the writer. refreshCh holds a single
-// pending request; when one is already queued the stale value is drained
-// and replaced so the latest warm-iteration count wins (a plain
-// non-blocking send would silently keep the stale one).
-func (b *Broker) requestRefresh(warmIters int) {
-	for {
-		select {
-		case b.refreshCh <- warmIters:
-			return
-		default:
-		}
-		select {
-		case <-b.refreshCh:
-		default:
-		}
-	}
-}
-
 // methodNote renders a decision method for trace spans.
 func methodNote(m multicast.Method) string {
 	switch m {
@@ -1278,67 +937,33 @@ func methodNote(m multicast.Method) string {
 	}
 }
 
-// requestQuarantine asks the writer goroutine to quarantine a group. The
-// send never blocks; at-most-once per group is guaranteed by
-// quarantineSent, and a full channel simply drops the request — a later
-// failure will retry.
-func (b *Broker) requestQuarantine(group int) {
-	if group < 0 {
-		return
-	}
-	if _, dup := b.quarantineSent.LoadOrStore(group, true); dup {
-		return
-	}
-	b.ctr.quarantined.Add(1)
-	select {
-	case b.quarantineCh <- group:
-	default:
-		b.quarantineSent.Delete(group)
-	}
-}
-
-// routePaths resolves each destination's primary routing path along the
-// publisher's shortest-path tree, using the decision worker's private SPT
-// view. Destinations come from the routed event itself (its frozen node
-// sets), never from mutable broker state.
-func routePaths(view *multicast.Model, r *routed) map[topology.NodeID][]topology.NodeID {
-	spt := view.SPT(r.ev.Pub)
-	paths := make(map[topology.NodeID][]topology.NodeID)
-	add := func(n topology.NodeID) {
-		if _, ok := paths[n]; !ok {
-			paths[n] = spt.PathTo(n)
-		}
-	}
-	switch r.d.Method {
-	case multicast.Broadcast, multicast.NetworkMulticast:
-		for _, n := range r.nodes {
-			add(n)
-		}
-		for _, n := range r.d.Remainder {
-			add(n)
-		}
-	default:
-		for _, n := range r.d.Interested {
-			add(n)
-		}
-	}
-	return paths
-}
-
 // ackBatch holds a durable event's accepted copies until flushAcks admits
 // them, journals them as one ack record and waits out one ack barrier, so
 // a fan-out worker appends and waits once per event rather than once per
 // copy. Each fan-out worker owns one and reuses it.
 type ackBatch struct {
+	// d holds the Delivery fields every copy of the event shares; each
+	// copy keeps only the fields that differ, so a worker's retained
+	// copies slice stays small.
+	d      Delivery
 	copies []ackedCopy
 	nodes  []topology.NodeID // the fresh copies' nodes: the record's body
 }
 
 // ackedCopy is one accepted copy waiting for its event's ack record.
 type ackedCopy struct {
-	n  topology.NodeID
-	ns *nodeState
-	d  Delivery
+	n          topology.NodeID
+	ns         *nodeState
+	method     multicast.Method
+	group      int
+	interested bool
+}
+
+// delivery rebuilds copy c's Delivery.
+func (a *ackBatch) delivery(c ackedCopy) Delivery {
+	d := a.d
+	d.Method, d.Group, d.Interested = c.method, c.group, c.interested
+	return d
 }
 
 // fanout delivers one copy per destination node and accepts each inline.
@@ -1422,8 +1047,7 @@ func (b *Broker) fanoutOne(r routed) {
 }
 
 // deliver hands a copy to node n; unknown nodes (non-subscribers) are
-// counted but have no state. Under fault injection it runs the
-// reliability protocol.
+// counted but have no state.
 func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery) {
 	d.born = r.t0
 	d.trace = r.trace
@@ -1438,116 +1062,7 @@ func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery
 		}
 		return
 	}
-	if b.inj == nil {
-		b.accept(r, n, ns, d)
-		return
-	}
-	b.deliverReliable(r, n, ns, d)
-}
-
-// deliverReliable runs the retry → degrade → quarantine ladder for one
-// delivery over the lossy fabric.
-func (b *Broker) deliverReliable(r routed, n topology.NodeID, ns *nodeState, d Delivery) {
-	if b.health != nil && !b.health.Tracker.AllowDest(n) {
-		// Open breaker: skip the destination outright instead of burning
-		// the event's retry budget on a known-dead path. The routed group
-		// stays quarantined until the destination recovers and the control
-		// loop rebuilds.
-		b.health.NoteSkip()
-		r.trace.Add("breaker-skip", time.Now(), 0, int64(n), d.Group, 0, "open")
-		if d.Group >= 0 {
-			b.requestQuarantine(d.Group)
-		}
-		return
-	}
-	if b.inj.NodeDown(n, r.seq) {
-		// Destination crashed: nothing to retry against. The loss is
-		// expected (the completeness invariant covers live nodes only), but
-		// a routed group with a dead member is degraded state — quarantine
-		// it so future events unicast around the corpse.
-		b.ctr.offline.Add(1)
-		r.trace.Add("offline", time.Now(), 0, int64(n), d.Group, 0, "node down")
-		if b.health != nil {
-			b.health.Tracker.ReportFailure(n)
-		}
-		if d.Group >= 0 {
-			b.requestQuarantine(d.Group)
-		}
-		return
-	}
-
-	// Primary path: bounded retries with exponential backoff + jitter,
-	// capped by the event's shared retry budget.
-	path := r.paths[n]
-	attempt := 0
-	for ; attempt <= b.rel.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if r.budget.Add(-1) < 0 {
-				r.trace.Add("degrade", time.Now(), 0, int64(n), d.Group, attempt, "budget-exhausted")
-				break // event budget exhausted: degrade immediately
-			}
-			b.ctr.retries.Add(1)
-			b.backoff(r.seq, n, attempt)
-		}
-		if !b.inj.DropAttempt(r.seq, n, attempt, path) {
-			if b.health != nil {
-				b.health.Tracker.ReportPath(path, true)
-			}
-			b.complete(r, n, ns, d, attempt)
-			return
-		}
-		r.trace.Add("retry", time.Now(), 0, int64(n), d.Group, attempt, "dropped")
-	}
-	if b.health != nil {
-		// The primary path exhausted its retries: every hop shares the
-		// suspicion (the broker cannot tell which one dropped the copies).
-		b.health.Tracker.ReportPath(path, false)
-	}
-
-	// Degraded: recompute a route with failed links removed and unicast
-	// along it. LastResort attempts stand in for "retry until the peer is
-	// declared dead", so live reachable nodes essentially never lose.
-	alt := routing.DijkstraAvoid(b.graph, r.ev.Pub, b.inj.Blocked(r.seq))
-	apath := alt.PathTo(n)
-	if apath == nil {
-		// Partitioned even after removing failed links from the route
-		// computation: abandon and quarantine.
-		r.trace.Add("abandon", time.Now(), 0, int64(n), d.Group, attempt, "partitioned")
-		b.abandon(n, d)
-		return
-	}
-	d.Degraded = true
-	d.Method = multicast.Unicast
-	r.trace.Add("degrade", time.Now(), 0, int64(n), d.Group, attempt, "alternate-path")
-	for la := 0; la < b.rel.LastResort; la++ {
-		if la > 0 {
-			b.ctr.retries.Add(1)
-			b.backoff(r.seq, n, attempt+la)
-		}
-		if !b.inj.DropAttempt(r.seq, n, attempt+la, apath) {
-			b.ctr.degraded.Add(1)
-			b.complete(r, n, ns, d, attempt+la)
-			return
-		}
-	}
-	r.trace.Add("abandon", time.Now(), 0, int64(n), d.Group, attempt+b.rel.LastResort, "last-resort exhausted")
-	b.abandon(n, d)
-}
-
-// complete hands a successful (possibly retransmitted, possibly
-// duplicated, possibly delayed) copy to the destination node.
-func (b *Broker) complete(r routed, n topology.NodeID, ns *nodeState, d Delivery, attempt int) {
-	d.Attempt = attempt
-	if attempt > 0 {
-		b.ctr.redelivered.Add(1)
-	}
-	if delay := b.inj.Delay(r.seq, n); delay > 0 {
-		time.Sleep(delay)
-	}
 	b.accept(r, n, ns, d)
-	if b.inj.Duplicate(r.seq, n) {
-		b.accept(r, n, ns, d) // receiver-side dedup suppresses the copy
-	}
 }
 
 // accept is node n's receiving end for one copy. A durable copy waits in
@@ -1556,7 +1071,8 @@ func (b *Broker) complete(r routed, n topology.NodeID, ns *nodeState, d Delivery
 // accounted and observed at once.
 func (b *Broker) accept(r routed, n topology.NodeID, ns *nodeState, d Delivery) {
 	if b.dur != nil {
-		r.acks.copies = append(r.acks.copies, ackedCopy{n: n, ns: ns, d: d})
+		r.acks.d = d
+		r.acks.copies = append(r.acks.copies, ackedCopy{n: n, ns: ns, method: d.Method, group: d.Group, interested: d.Interested})
 		return
 	}
 	if ns.win != nil && !ns.win.admit(d.Seq) {
@@ -1569,7 +1085,7 @@ func (b *Broker) accept(r routed, n topology.NodeID, ns *nodeState, d Delivery) 
 // dedup counts and traces a copy its node's window already admitted.
 func (b *Broker) dedup(n topology.NodeID, d Delivery) {
 	b.ctr.deduped.Add(1)
-	d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
+	d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, "")
 }
 
 // flushAcks settles a durable event's accepted copies. Under the read side
@@ -1597,7 +1113,7 @@ func (b *Broker) flushAcks(seq int64, a *ackBatch) {
 	d.ackGate.RLock()
 	for _, c := range a.copies {
 		if !c.ns.win.admit(seq) {
-			b.dedup(c.n, c.d)
+			b.dedup(c.n, a.delivery(c))
 			continue
 		}
 		fresh = append(fresh, c)
@@ -1611,13 +1127,13 @@ func (b *Broker) flushAcks(seq int64, a *ackBatch) {
 	for _, c := range fresh {
 		switch {
 		case err == nil:
-			b.observe(c.n, c.ns, c.d)
+			b.observe(c.n, c.ns, a.delivery(c))
 		case errors.Is(err, faults.ErrCrashed) && !errors.Is(err, durable.ErrAlreadyCrashed):
 			d.noteLost(c.n, seq)
 		}
 	}
 	clear(a.copies)
-	a.copies, a.nodes = a.copies[:0], a.nodes[:0]
+	a.d, a.copies, a.nodes = Delivery{}, a.copies[:0], a.nodes[:0]
 }
 
 // observe accounts one accepted copy and hands it to the observer.
@@ -1625,46 +1141,13 @@ func (b *Broker) observe(n topology.NodeID, ns *nodeState, d Delivery) {
 	b.ctr.deliveries.Add(1)
 	ns.delivered.Add(1)
 	if !d.born.IsZero() {
-		lat := time.Since(d.born)
-		b.ctr.deliverLatency.ObserveDuration(lat)
-		if b.health != nil {
-			b.health.Tracker.ReportSuccess(n, lat)
-		}
+		b.ctr.deliverLatency.ObserveDuration(time.Since(d.born))
 	}
-	d.trace.Add("ack", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
+	d.trace.Add("ack", time.Now(), 0, int64(n), d.Group, "")
 	if !d.Interested {
 		b.ctr.wasted.Add(1)
 	}
 	if b.observer != nil {
 		b.observer(n, d)
 	}
-}
-
-// abandon records a delivery given up on for a live node and quarantines
-// the routed group.
-func (b *Broker) abandon(n topology.NodeID, d Delivery) {
-	b.ctr.lost.Add(1)
-	if b.health != nil {
-		b.health.Tracker.ReportFailure(n)
-	}
-	if d.Group >= 0 {
-		b.requestQuarantine(d.Group)
-	}
-}
-
-// backoff sleeps the exponential backoff for the given retry attempt:
-// BaseBackoff·2^(attempt-1) capped at MaxBackoff, scaled by a
-// deterministic jitter in [0.5, 1.5).
-func (b *Broker) backoff(seq int64, n topology.NodeID, attempt int) {
-	d := b.rel.BaseBackoff
-	for i := 1; i < attempt && d < b.rel.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > b.rel.MaxBackoff {
-		d = b.rel.MaxBackoff
-	}
-	jitter := 0.5 + b.inj.Jitter(seq, n, attempt)
-	wait := time.Duration(float64(d) * jitter)
-	time.Sleep(wait)
-	b.ctr.backoffWait.ObserveDuration(wait)
 }

@@ -252,26 +252,6 @@ func TestDecideWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestRequestRefreshLatestWins: a refresh request queued behind another
-// must replace it — the old non-blocking send silently kept the stale
-// WarmIters value.
-func TestRequestRefreshLatestWins(t *testing.T) {
-	b := &Broker{refreshCh: make(chan int, 1)}
-	b.requestRefresh(3)
-	b.requestRefresh(7) // channel full: must drain the 3 and queue the 7
-	select {
-	case got := <-b.refreshCh:
-		if got != 7 {
-			t.Fatalf("writer would see WarmIters = %d, want 7 (latest)", got)
-		}
-	default:
-		t.Fatal("no refresh request queued")
-	}
-	if len(b.refreshCh) != 0 {
-		t.Fatal("stale request left behind")
-	}
-}
-
 // TestSnapshotVersionVisible: snapshot bookkeeping surfaces through the
 // public accessors and advances under churn.
 func TestSnapshotVersionVisible(t *testing.T) {

@@ -748,9 +748,9 @@ func TestCheckpointWaitsForAckRecord(t *testing.T) {
 
 	stuck := &nodeState{win: &lockedWindow{w: wire.NewWindow(16)}}
 	stuck.win.mu.Lock()
-	batch := &ackBatch{copies: []ackedCopy{
-		{n: a, ns: b.routes.Load().nodes[a], d: Delivery{Event: ev, Seq: seq, Interested: true}},
-		{n: -2, ns: stuck, d: Delivery{Event: ev, Seq: seq}},
+	batch := &ackBatch{d: Delivery{Event: ev, Seq: seq}, copies: []ackedCopy{
+		{n: a, ns: b.routes.Load().nodes[a], interested: true},
+		{n: -2, ns: stuck},
 	}}
 	flushed := make(chan struct{})
 	go func() {

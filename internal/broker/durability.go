@@ -24,11 +24,10 @@ package broker
 // never arrived land now — exactly once overall for any publish whose
 // Publish call returned nil before the crash.
 //
-// Durable identity: the engine's slot numbers compact on Refresh, so each
-// subscription also gets a durable id — base subscriptions own ids
-// 0..baseCount-1, churned ones count up from there, ids never reused. The
-// writer goroutine keeps the slot↔id map and remaps it across refreshes
-// via Engine.LiveSlots.
+// Durable identity: a recovered engine re-adds the churned subscriptions
+// into fresh slots, so each subscription also gets a durable id — base
+// subscriptions own ids 0..baseCount-1, churned ones count up from there,
+// ids never reused. The writer goroutine keeps the slot↔id map.
 
 import (
 	"fmt"
@@ -44,9 +43,9 @@ import (
 
 // preservedCounters are the broker counters a durable restart carries
 // forward (at checkpoint granularity): the cumulative work done across
-// incarnations. Everything else — reliability, overload, snapshot and
-// per-node counters — describes one incarnation's pathology and restarts
-// at zero; see Broker.Stats.
+// incarnations. Everything else — dedup, overload, snapshot and per-node
+// counters — describes one incarnation and restarts at zero; see
+// Broker.Stats.
 var preservedCounters = []string{
 	"published", "multicast_events", "unicast_events", "broadcast_events",
 	"deliveries", "wasted", "subscribes", "unsubscribes",
@@ -85,8 +84,8 @@ type recoveredInit struct {
 }
 
 // durState is the broker's durability bookkeeping. The identity maps are
-// owned by the writer goroutine (churn, refresh remaps and checkpoints all
-// run there); inflight is shared with publishers and fan-out workers.
+// owned by the writer goroutine (churn and checkpoints both run
+// there); inflight is shared with publishers and fan-out workers.
 type durState struct {
 	store *durable.Store
 
@@ -138,7 +137,7 @@ func (d *durState) noteLost(n topology.NodeID, seq int64) {
 // and "exactly 1" everywhere else. Copies whose ack append the dead store
 // refused are not listed: nothing of it was written. The list is complete
 // once Close returns; fan-out workers may still add to it after the
-// Publish that saw the crash. Empty without fault injection.
+// Publish that saw the crash. Empty without crash injection.
 func (b *Broker) CrashDroppedCopies() []durable.AckRecord {
 	if b.dur == nil {
 		return nil
@@ -261,9 +260,9 @@ func Open(dir string, engine *core.Engine, opts ...Option) (*Broker, error) {
 	return b, nil
 }
 
-// initDurable finishes durability setup inside New, once the reliability
-// defaults and telemetry registry exist: restore recovered dedup windows
-// (normalising them to the configured DedupWindow), seed the preserved
+// initDurable finishes durability setup inside New, once the telemetry
+// registry exists: restore recovered dedup windows (normalising them to
+// wire.DedupWindow), seed the preserved
 // counters, and position the sequence allocator past everything journaled.
 func (b *Broker) initDurable() {
 	d := b.dur
@@ -275,12 +274,12 @@ func (b *Broker) initDurable() {
 	in := d.init
 	d.init = nil
 	for _, ws := range in.windows {
-		d.recovered[ws.Node] = wire.RestoreWindow(b.rel.DedupWindow, ws.Max, ws.Seqs)
+		d.recovered[ws.Node] = wire.RestoreWindow(wire.DedupWindow, ws.Max, ws.Seqs)
 	}
 	for _, a := range in.acks {
 		w, ok := d.recovered[a.Node]
 		if !ok {
-			w = wire.NewWindow(b.rel.DedupWindow)
+			w = wire.NewWindow(wire.DedupWindow)
 			d.recovered[a.Node] = w
 		}
 		w.Admit(a.Seq)
@@ -293,19 +292,16 @@ func (b *Broker) initDurable() {
 }
 
 // nodeWindow builds node n's dedup window when n enters the route table:
-// nil unless the broker is durable or fault-injected (only then can a copy
-// arrive twice), seeded from recovery on a durable broker.
+// nil unless the broker is durable (only a recovery redelivers a copy),
+// seeded from recovery.
 func (b *Broker) nodeWindow(n topology.NodeID) *lockedWindow {
-	if b.dur == nil && b.inj == nil {
+	if b.dur == nil {
 		return nil
 	}
-	var w *wire.Window
-	if b.dur != nil {
-		w = b.dur.recovered[n]
-		delete(b.dur.recovered, n)
-	}
+	w := b.dur.recovered[n]
+	delete(b.dur.recovered, n)
 	if w == nil {
-		w = wire.NewWindow(b.rel.DedupWindow)
+		w = wire.NewWindow(wire.DedupWindow)
 	}
 	return &lockedWindow{w: w}
 }
@@ -362,19 +358,6 @@ func (b *Broker) journalChurn(reqs []churnReq, resps []churnResp) {
 			}
 		}
 	}
-}
-
-// remapSlots rebuilds the slot→durable-id map after a Refresh compacted
-// the live slots: old slot live[i] became slot i.
-func (b *Broker) remapSlots(live []int) {
-	d := b.dur
-	m := make(map[int]int64, len(live))
-	for newSlot, oldSlot := range live {
-		if id, ok := d.slotToID[oldSlot]; ok {
-			m[newSlot] = id
-		}
-	}
-	d.slotToID = m
 }
 
 // checkpointDue reports whether the automatic checkpoint should run: on a
@@ -434,7 +417,7 @@ func (b *Broker) doCheckpoint() error {
 		if max < 0 {
 			continue // nothing admitted yet
 		}
-		cp.Windows = append(cp.Windows, durable.WindowState{Node: n, Size: b.rel.DedupWindow, Max: max, Seqs: seqs})
+		cp.Windows = append(cp.Windows, durable.WindowState{Node: n, Size: wire.DedupWindow, Max: max, Seqs: seqs})
 	}
 	d.ackGate.Unlock()
 	sort.Slice(cp.Windows, func(i, j int) bool { return cp.Windows[i].Node < cp.Windows[j].Node })

@@ -24,15 +24,21 @@ func matches(w *workload.World, ev workload.Event) bool {
 	return false
 }
 
-// slowBroker builds a broker whose observer sleeps per delivery, so the
-// pipeline congests under a fast publisher. Returns the broker and a
-// function reporting the distinct sequence numbers delivered.
-func slowBroker(t *testing.T, e *core.Engine, delay time.Duration, hc health.Config) (*Broker, func() map[int64]bool) {
+// mustHealth builds a health subsystem or fails the test.
+func mustHealth(t *testing.T, hc health.Config) *health.Health {
 	t.Helper()
 	h, err := health.New(hc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return h
+}
+
+// slowBroker builds a broker admitting through h whose observer sleeps per
+// delivery, so the pipeline congests under a fast publisher. Returns the
+// broker and a function reporting the distinct sequence numbers delivered.
+func slowBroker(t *testing.T, e *core.Engine, delay time.Duration, h *health.Health) (*Broker, func() map[int64]bool) {
+	t.Helper()
 	var mu sync.Mutex
 	seqs := map[int64]bool{}
 	b, err := New(e, WithWorkers(2), WithHealth(h),
@@ -62,11 +68,12 @@ func slowBroker(t *testing.T, e *core.Engine, delay time.Duration, hc health.Con
 func TestOverloadRejectNewest(t *testing.T) {
 	e, w := testEngine(t, core.Config{Groups: 10, CellBudget: 300}, 930)
 	const cap = 8
-	b, delivered := slowBroker(t, e, 500*time.Microsecond, health.Config{
+	h := mustHealth(t, health.Config{
 		MaxInflight: cap,
 		Policy:      health.RejectNewest,
 		Seed:        930,
 	})
+	b, delivered := slowBroker(t, e, 500*time.Microsecond, h)
 
 	rejected, expected := 0, 0
 	evs := w.Events(300, 931)
@@ -82,7 +89,7 @@ func TestOverloadRejectNewest(t *testing.T) {
 		default:
 			t.Fatalf("unexpected publish error: %v", err)
 		}
-		if inf := b.Health().Admission.Inflight(); inf > cap {
+		if inf := h.Admission.Inflight(); inf > cap {
 			t.Fatalf("inflight %d exceeds cap %d", inf, cap)
 		}
 	}
@@ -110,11 +117,11 @@ func TestOverloadRejectNewest(t *testing.T) {
 // rejections, no shedding, every single event delivered.
 func TestOverloadBlock(t *testing.T) {
 	e, w := testEngine(t, core.Config{Groups: 10, CellBudget: 300}, 940)
-	b, delivered := slowBroker(t, e, 200*time.Microsecond, health.Config{
+	b, delivered := slowBroker(t, e, 200*time.Microsecond, mustHealth(t, health.Config{
 		MaxInflight: 8,
 		Policy:      health.Block,
 		Seed:        940,
-	})
+	}))
 	evs := w.Events(200, 941)
 	expected := 0
 	for _, ev := range evs {
@@ -144,11 +151,11 @@ func TestOverloadBlock(t *testing.T) {
 // delivered + shed = published.
 func TestOverloadShedLowFanout(t *testing.T) {
 	e, w := testEngine(t, core.Config{Groups: 10, CellBudget: 300}, 950)
-	b, delivered := slowBroker(t, e, time.Millisecond, health.Config{
+	b, delivered := slowBroker(t, e, time.Millisecond, mustHealth(t, health.Config{
 		MaxInflight: 512, // larger than fanoutCh, so congestion reaches the shed point
 		Policy:      health.ShedLowFanout,
 		Seed:        950,
-	})
+	}))
 	evs := w.Events(400, 951)
 	admitted, matched := 0, 0
 	for _, ev := range evs {
@@ -216,16 +223,10 @@ func TestPublishRateLimit(t *testing.T) {
 
 // TestPublishAfterCloseWithHealth: the ErrClosed contract holds on the
 // admission path too — a closed broker reports ErrClosed, not
-// ErrOverloaded, and Close stays idempotent with the control loop running.
+// ErrOverloaded, and Close stays idempotent.
 func TestPublishAfterCloseWithHealth(t *testing.T) {
 	e, w := testEngine(t, core.Config{Groups: 10, CellBudget: 300}, 970)
-	hc := fastHealth(970)
-	hc.Policy = health.RejectNewest
-	hc.MaxInflight = 1
-	h, err := health.New(hc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustHealth(t, health.Config{Policy: health.RejectNewest, MaxInflight: 1, Seed: 970})
 	b, err := New(e, WithHealth(h))
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestPublishAfterCloseWithHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	b.Close() // idempotent, control loop included
+	b.Close() // idempotent
 	if err := b.Publish(evs[1]); !errors.Is(err, ErrClosed) {
 		t.Errorf("publish after close = %v, want ErrClosed", err)
 	}
@@ -243,28 +244,4 @@ func TestPublishAfterCloseWithHealth(t *testing.T) {
 	if inf := h.Admission.Inflight(); inf != 0 {
 		t.Errorf("inflight %d after close, want 0", inf)
 	}
-}
-
-// TestReliabilityValidation: nonsense retry tunings are rejected at New.
-func TestReliabilityValidation(t *testing.T) {
-	e, _ := testEngine(t, core.Config{Groups: 10, CellBudget: 300}, 980)
-	bad := []ReliabilityConfig{
-		{MaxRetries: -1},
-		{LastResort: -3},
-		{RetryBudget: -1},
-		{BaseBackoff: -time.Millisecond},
-		{MaxBackoff: -time.Second},
-		{BaseBackoff: 2 * time.Millisecond, MaxBackoff: time.Millisecond},
-	}
-	for i, rc := range bad {
-		if _, err := New(e, WithReliability(rc)); err == nil {
-			t.Errorf("config %d accepted: %+v", i, rc)
-		}
-	}
-	// Zero values remain legal (defaults).
-	b, err := New(e, WithReliability(ReliabilityConfig{}))
-	if err != nil {
-		t.Fatalf("zero reliability config rejected: %v", err)
-	}
-	b.Close()
 }

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -98,22 +97,15 @@ type Engine struct {
 	groups  *groupTable
 	gridRes *cluster.Result
 
-	// quarantined groups are skipped by decisions (fallback to unicast) until
-	// the next Refresh/rebuild; the broker's fault-tolerance layer marks
-	// groups whose deliveries persistently fail.
-	quarantined map[int]bool
-
 	stale bool // groups no longer reflect the current subscriptions
 
 	build BuildTimes // phases of the last rebuild
 
-	// Snapshot cache: lastSnap is reused until one of the dirty flags
-	// marks the corresponding state as changed (see Snapshot).
+	// Snapshot cache: lastSnap is reused until dirty marks the index, the
+	// subscription slice or the group table as changed (see Snapshot).
 	lastSnap    *DecisionSnapshot
 	snapVersion int64
-	dirtySubs   bool // tree / subscription slice changed
-	dirtyGroups bool // group tables, overlays or indexes changed
-	dirtyQuar   bool // quarantine set changed
+	dirty       bool
 
 	tel engineTelemetry
 }
@@ -122,21 +114,19 @@ type Engine struct {
 // until Instrument is called; every recording site is nil-safe, and sites
 // that would pay a time.Now() guard on the histogram being present.
 type engineTelemetry struct {
-	decides          *telemetry.Counter
-	decideNs         *telemetry.Histogram
-	refreshes        *telemetry.Counter
-	refreshNs        *telemetry.Histogram
-	rebuilds         *telemetry.Counter
-	quarantines      *telemetry.Counter
-	quarantineClears *telemetry.Counter
-	subsAdded        *telemetry.Counter
-	subsRemoved      *telemetry.Counter
-	liveGroups       *telemetry.Gauge
+	decides     *telemetry.Counter
+	decideNs    *telemetry.Histogram
+	refreshes   *telemetry.Counter
+	refreshNs   *telemetry.Histogram
+	rebuilds    *telemetry.Counter
+	subsAdded   *telemetry.Counter
+	subsRemoved *telemetry.Counter
+	liveGroups  *telemetry.Gauge
 }
 
 // Instrument publishes the engine's metrics into the registry under scope
-// "core": decide latency, refresh duration, full rebuilds, quarantine
-// churn (set + cleared), subscription dynamics and the live group count.
+// "core": decide latency, refresh duration, full rebuilds, subscription
+// dynamics and the live group count.
 // Call before handing the engine to a broker (the decision goroutine owns
 // it afterwards). A nil registry is a no-op.
 func (e *Engine) Instrument(reg *telemetry.Registry) {
@@ -145,16 +135,14 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	e.tel = engineTelemetry{
-		decides:          s.Counter("decides"),
-		decideNs:         s.Histogram("decide_ns", telemetry.LatencyBuckets()),
-		refreshes:        s.Counter("refreshes"),
-		refreshNs:        s.Histogram("refresh_ns", telemetry.LatencyBuckets()),
-		rebuilds:         s.Counter("rebuilds"),
-		quarantines:      s.Counter("quarantines"),
-		quarantineClears: s.Counter("quarantine_clears"),
-		subsAdded:        s.Counter("subs_added"),
-		subsRemoved:      s.Counter("subs_removed"),
-		liveGroups:       s.Gauge("live_groups"),
+		decides:     s.Counter("decides"),
+		decideNs:    s.Histogram("decide_ns", telemetry.LatencyBuckets()),
+		refreshes:   s.Counter("refreshes"),
+		refreshNs:   s.Histogram("refresh_ns", telemetry.LatencyBuckets()),
+		rebuilds:    s.Counter("rebuilds"),
+		subsAdded:   s.Counter("subs_added"),
+		subsRemoved: s.Counter("subs_removed"),
+		liveGroups:  s.Gauge("live_groups"),
 	}
 	e.tel.liveGroups.Set(int64(e.NumGroups()))
 }
@@ -196,19 +184,6 @@ func NewFromWorld(w *workload.World, train []workload.Event, cfg Config) (*Engin
 		return nil, fmt.Errorf("core: nil world")
 	}
 	return New(w.Graph, w.Axes, w.Subs, train, cfg)
-}
-
-// clearQuarantines drops all quarantines, counting the churn.
-func (e *Engine) clearQuarantines() {
-	e.tel.quarantineClears.Add(int64(len(e.quarantined)))
-	e.quarantined = nil
-	e.dirtyQuar = true
-}
-
-// markRebuilt flags every snapshot-visible structure as changed after a
-// full index/group reconstruction.
-func (e *Engine) markRebuilt() {
-	e.dirtySubs, e.dirtyGroups, e.dirtyQuar = true, true, true
 }
 
 // reindex installs a fresh world and grid and a subscription index over
@@ -341,8 +316,7 @@ func (e *Engine) adoptGridAssignment(in *cluster.Input, assign cluster.Assignmen
 // came from (nil under No-Loss).
 func (e *Engine) adoptGroups(groups *groupTable, gridRes *cluster.Result) {
 	e.groups, e.gridRes = groups, gridRes
-	e.clearQuarantines()
-	e.markRebuilt()
+	e.dirty = true
 	e.tel.liveGroups.Set(int64(len(groups.nodes)))
 	e.stale = false
 }
@@ -370,42 +344,6 @@ type GroupInfo struct {
 	Nodes []topology.NodeID
 	// OverlayCost is the application-level overlay MST cost.
 	OverlayCost float64
-}
-
-// Quarantine marks multicast group g unusable: decisions stop routing events
-// through it (falling back to unicast for its members) until the next
-// Refresh or rebuild clears the quarantine. The broker invokes this when
-// deliveries to a group member persistently fail (node down, link
-// partitioned) so that the decision stage degrades gracefully instead of
-// feeding an unreachable group.
-func (e *Engine) Quarantine(g int) {
-	if g < 0 || g >= e.NumGroups() {
-		panic(fmt.Sprintf("core: quarantine group %d out of range [0,%d)", g, e.NumGroups()))
-	}
-	if e.quarantined == nil {
-		e.quarantined = make(map[int]bool)
-	}
-	if !e.quarantined[g] {
-		e.tel.quarantines.Inc()
-		e.dirtyQuar = true
-	}
-	e.quarantined[g] = true
-}
-
-// Quarantined reports whether group g is currently quarantined.
-func (e *Engine) Quarantined(g int) bool { return e.quarantined[g] }
-
-// NumQuarantined returns how many groups are currently quarantined.
-func (e *Engine) NumQuarantined() int { return len(e.quarantined) }
-
-// QuarantinedGroups returns the quarantined group indices, ascending.
-func (e *Engine) QuarantinedGroups() []int {
-	out := make([]int, 0, len(e.quarantined))
-	for g := range e.quarantined {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Group returns the composition of multicast group i in [0, NumGroups()).

@@ -30,10 +30,10 @@ type Decision struct {
 }
 
 // decider is the frozen state one delivery decision reads: the
-// subscription index, the group table and the quarantine set. It lives
-// only inside a DecisionSnapshot: Engine.Snapshot freezes one over the
-// engine's live state (structurally shared tree clone, frozen subscription
-// slice, copied quarantine map) for lock-free concurrent reads, and
+// subscription index and the group table. It lives only inside a
+// DecisionSnapshot: Engine.Snapshot freezes one over the engine's live
+// state (structurally shared tree clone, frozen subscription slice) for
+// lock-free concurrent reads, and
 // GridSnapshot and NoLossSnapshot build one over a grouping computed
 // outside an Engine.
 //
@@ -47,8 +47,7 @@ type decider struct {
 	subs []workload.Subscription
 	tree *rtree.Tree
 
-	groups      *groupTable
-	quarantined map[int]bool
+	groups *groupTable
 }
 
 // DecideScratch holds the temporaries one delivery decision fills: the
@@ -100,12 +99,6 @@ func (dc *decider) decideStatic(ev workload.Event, sc *DecideScratch) Decision {
 
 	g, ok := dc.groups.route.GroupFor(ev.Point)
 	if !ok {
-		return d
-	}
-	// Quarantined groups (persistent delivery failures reported by the
-	// broker) are bypassed: affected members fall back to unicast until
-	// Refresh rebuilds the groups.
-	if dc.quarantined[g] {
 		return d
 	}
 

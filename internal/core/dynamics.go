@@ -31,7 +31,7 @@ func (e *Engine) AddSubscription(s workload.Subscription) (int, error) {
 	e.world.Subs = append(e.world.Subs, s)
 	e.live[slot] = true
 	e.stale = true
-	e.dirtySubs = true
+	e.dirty = true
 	e.tel.subsAdded.Inc()
 	return slot, nil
 }
@@ -48,7 +48,7 @@ func (e *Engine) RemoveSubscription(slot int) error {
 	}
 	delete(e.live, slot)
 	e.stale = true
-	e.dirtySubs = true
+	e.dirty = true
 	e.tel.subsRemoved.Inc()
 	return nil
 }

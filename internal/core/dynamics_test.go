@@ -136,56 +136,3 @@ func TestRefreshWithZeroLiveSubscriptions(t *testing.T) {
 		t.Fatal("cold refresh with zero live subscriptions accepted")
 	}
 }
-
-// TestQuarantineLifecycle: quarantine redirects decisions to unicast and
-// both Refresh and rebuild clear it.
-func TestQuarantineLifecycle(t *testing.T) {
-	w, train := testWorld(t, 200, 100)
-	e, err := NewFromWorld(w, train, Config{Groups: 10, CellBudget: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := w.Events(200, 101)
-	// Find an event routed through a group.
-	var grp = -1
-	for _, ev := range evs {
-		if d := decide(t, e, ev); d.Method == multicast.NetworkMulticast {
-			grp = d.Group
-			break
-		}
-	}
-	if grp < 0 {
-		t.Fatal("no multicast decision to quarantine")
-	}
-	e.Quarantine(grp)
-	if !e.Quarantined(grp) {
-		t.Fatal("group not quarantined")
-	}
-	for _, ev := range evs {
-		if d := decide(t, e, ev); d.Method == multicast.NetworkMulticast && d.Group == grp {
-			t.Fatalf("quarantined group %d still routed", grp)
-		}
-	}
-	if got := e.QuarantinedGroups(); len(got) != 1 || got[0] != grp {
-		t.Errorf("QuarantinedGroups = %v", got)
-	}
-	if got := e.NumQuarantined(); got != 1 {
-		t.Errorf("NumQuarantined = %d, want 1", got)
-	}
-	if err := e.Refresh(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.QuarantinedGroups()) != 0 {
-		t.Error("quarantine survived warm refresh")
-	}
-	if got := e.NumQuarantined(); got != 0 {
-		t.Errorf("NumQuarantined after refresh = %d, want 0", got)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range quarantine did not panic")
-		}
-	}()
-	e.Quarantine(10_000)
-}

@@ -14,9 +14,8 @@ import (
 // DecisionSnapshot is an immutable view of everything one delivery
 // decision reads: the subscription index (an O(1) clone of the persistent
 // R*-tree, sharing every node the writer has not since changed), a frozen
-// subscription slice, the group table (with its overlays) and a copy of the
-// quarantine set. Snapshots are safe for concurrent use by any
-// number of readers; the broker publishes them through an atomic pointer
+// subscription slice and the group table (with its overlays). Snapshots
+// are safe for concurrent use by any number of readers; the broker publishes them through an atomic pointer
 // and its decision workers take lock-free loads (RCU: readers drain on the
 // old snapshot while the writer prepares the next).
 //
@@ -40,12 +39,6 @@ func (s *DecisionSnapshot) Version() int64 { return s.version }
 
 // NumGroups returns the number of multicast groups in the snapshot.
 func (s *DecisionSnapshot) NumGroups() int { return len(s.dec.groups.nodes) }
-
-// NumQuarantined returns how many groups this snapshot quarantines.
-func (s *DecisionSnapshot) NumQuarantined() int { return len(s.dec.quarantined) }
-
-// Quarantined reports whether group g is quarantined in this snapshot.
-func (s *DecisionSnapshot) Quarantined(g int) bool { return s.dec.quarantined[g] }
 
 // NumSubscriptions returns the live subscription count at snapshot time.
 func (s *DecisionSnapshot) NumSubscriptions() int { return s.dec.tree.Len() }
@@ -92,9 +85,6 @@ func (e *Engine) NewSPTView() *multicast.Model { return e.model.View() }
 // state, building one only when state changed since the last call:
 //
 //   - nothing changed: the previous snapshot is returned as-is;
-//   - only the quarantine set changed: the new snapshot shares the
-//     subscription index and group table with its predecessor and swaps
-//     in a fresh quarantine copy (cheap, O(quarantined));
 //   - subscriptions or groups changed: the R*-tree is cloned in O(1) and
 //     the subscription slice frozen at its current length. The clone shares
 //     the index structurally: the engine's next Insert/Delete copies only
@@ -103,39 +93,23 @@ func (e *Engine) NewSPTView() *multicast.Model { return e.model.View() }
 //
 // Snapshot must be called from the goroutine that owns the engine.
 func (e *Engine) Snapshot() *DecisionSnapshot {
-	if e.lastSnap != nil && !e.dirtySubs && !e.dirtyGroups && !e.dirtyQuar {
+	if e.lastSnap != nil && !e.dirty {
 		return e.lastSnap
 	}
 	e.snapVersion++
-	var dec decider
-	if e.lastSnap != nil && !e.dirtySubs && !e.dirtyGroups {
-		// Quarantine-only change: share everything structural.
-		dec = e.lastSnap.dec
-	} else {
-		dec = decider{
-			threshold: e.cfg.Threshold,
-			dynamic:   e.cfg.DynamicMethod,
-			// Freeze the slice length: writer-side appends only ever write
-			// at indices ≥ this length, which the snapshot never reads.
-			// Capping the capacity too keeps any accidental append on the
-			// snapshot side from aliasing the live array.
-			subs:   e.world.Subs[:len(e.world.Subs):len(e.world.Subs)],
-			tree:   e.tree.Clone(),
-			groups: e.groups,
-		}
-	}
-	if len(e.quarantined) == 0 {
-		dec.quarantined = nil
-	} else {
-		q := make(map[int]bool, len(e.quarantined))
-		for g := range e.quarantined {
-			q[g] = true
-		}
-		dec.quarantined = q
-	}
-	s := &DecisionSnapshot{version: e.snapVersion, dec: dec}
+	s := &DecisionSnapshot{version: e.snapVersion, dec: decider{
+		threshold: e.cfg.Threshold,
+		dynamic:   e.cfg.DynamicMethod,
+		// Freeze the slice length: writer-side appends only ever write
+		// at indices ≥ this length, which the snapshot never reads.
+		// Capping the capacity too keeps any accidental append on the
+		// snapshot side from aliasing the live array.
+		subs:   e.world.Subs[:len(e.world.Subs):len(e.world.Subs)],
+		tree:   e.tree.Clone(),
+		groups: e.groups,
+	}}
 	e.lastSnap = s
-	e.dirtySubs, e.dirtyGroups, e.dirtyQuar = false, false, false
+	e.dirty = false
 	return s
 }
 

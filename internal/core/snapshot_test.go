@@ -68,8 +68,7 @@ func TestGridSnapshotMatchesEngine(t *testing.T) {
 }
 
 // TestSnapshotCaching: Snapshot() must return the identical object until
-// state changes, bump the version on churn and quarantine, and share the
-// subscription index across quarantine-only rebuilds.
+// state changes, and bump the version on churn with a fresh index clone.
 func TestSnapshotCaching(t *testing.T) {
 	w, train := testWorld(t, 200, 402)
 	e, err := NewFromWorld(w, train, Config{Groups: 20, CellBudget: 500})
@@ -81,33 +80,23 @@ func TestSnapshotCaching(t *testing.T) {
 		t.Fatal("clean engine rebuilt its snapshot")
 	}
 
-	// Quarantine-only change: new snapshot, shared structure.
-	e.Quarantine(0)
-	s3 := e.Snapshot()
-	if s3 == s1 {
-		t.Fatal("quarantine did not produce a new snapshot")
-	}
-	if s3.Version() <= s1.Version() {
-		t.Fatalf("version did not advance: %d → %d", s1.Version(), s3.Version())
-	}
-	if s3.dec.tree != s1.dec.tree {
-		t.Error("quarantine-only snapshot cloned the tree")
-	}
-	if !s3.Quarantined(0) || s1.Quarantined(0) {
-		t.Error("quarantine copy leaked across snapshots")
-	}
-
 	// Subscription churn: a fresh clone, not the live tree.
 	sub := w.Subs[0]
 	if _, err := e.AddSubscription(sub); err != nil {
 		t.Fatal(err)
 	}
-	s4 := e.Snapshot()
-	if s4.dec.tree == s3.dec.tree {
+	s3 := e.Snapshot()
+	if s3 == s1 {
+		t.Fatal("churn did not produce a new snapshot")
+	}
+	if s3.Version() <= s1.Version() {
+		t.Fatalf("version did not advance: %d → %d", s1.Version(), s3.Version())
+	}
+	if s3.dec.tree == s1.dec.tree {
 		t.Error("churn snapshot shares the live tree")
 	}
-	if s4.NumSubscriptions() != s3.NumSubscriptions()+1 {
-		t.Errorf("subscription count %d → %d", s3.NumSubscriptions(), s4.NumSubscriptions())
+	if s3.NumSubscriptions() != s1.NumSubscriptions()+1 {
+		t.Errorf("subscription count %d → %d", s1.NumSubscriptions(), s3.NumSubscriptions())
 	}
 }
 
@@ -128,14 +117,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 
 	// Mutate the engine aggressively: churn subscriptions (tree inserts can
-	// split nodes), quarantine groups, refresh.
+	// split nodes), refresh.
 	for i := 0; i < 50; i++ {
 		if _, err := e.AddSubscription(w.Subs[i%len(w.Subs)]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for g := 0; g < e.NumGroups(); g += 2 {
-		e.Quarantine(g)
 	}
 	if err := e.Refresh(0); err != nil {
 		t.Fatal(err)

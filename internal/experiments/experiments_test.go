@@ -602,53 +602,3 @@ func TestDimensionality(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRunFaultSweepSmall(t *testing.T) {
-	env := smallEnv(t, 72)
-	pts, err := RunFaultSweep(env, FaultSweepConfig{
-		DropProbs:  []float64{0, 0.2},
-		Groups:     20,
-		CellBudget: 400,
-		FaultSeed:  9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	clean, lossy := pts[0], pts[1]
-	if clean.Stats.Retries != 0 || clean.Observed != 1 || clean.Predicted != 1 {
-		t.Errorf("loss-free point shows retry overhead: %+v", clean)
-	}
-	if lossy.Stats.Retries == 0 || lossy.Stats.Redelivered == 0 {
-		t.Errorf("lossy point saw no retries: %+v", lossy.Stats)
-	}
-	for _, p := range pts {
-		if p.Stats.Lost != 0 {
-			t.Errorf("drop %.2f lost %d deliveries", p.DropProb, p.Stats.Lost)
-		}
-		if p.Delivered != 1 {
-			t.Errorf("drop %.2f delivered fraction %.3f, want 1", p.DropProb, p.Delivered)
-		}
-	}
-	// Measured retransmission overhead must track the truncated-geometric
-	// prediction.
-	if diff := lossy.Observed - lossy.Predicted; diff < -0.1 || diff > 0.1 {
-		t.Errorf("observed overhead %.3f far from predicted %.3f", lossy.Observed, lossy.Predicted)
-	}
-
-	var tab, csv strings.Builder
-	if err := RenderFaultSweep(&tab, "fault sweep", pts); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tab.String(), "retries") {
-		t.Error("table missing header")
-	}
-	if err := RenderFaultSweepCSV(&csv, pts); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(csv.String(), "\n"); got != 3 {
-		t.Errorf("CSV has %d lines, want 3", got)
-	}
-}

@@ -9,8 +9,7 @@ import (
 )
 
 // ConnConfig parameterises connection-level fault injection for the wire
-// transport. Like the delivery-level Injector, every decision is a pure
-// hash of (seed, connection index, operation index), so a fault schedule
+// transport. Every decision is a pure hash of (seed, connection index, operation index), so a fault schedule
 // replays identically regardless of goroutine interleaving — a (seed,
 // config) pair fully identifies which byte of which connection dies.
 type ConnConfig struct {
@@ -180,4 +179,12 @@ func ConnWasCut(c net.Conn) bool {
 		return fc.WasCut()
 	}
 	return false
+}
+
+// splitmix64 is the SplitMix64 finalizer — a high-quality 64-bit mixer.
+func splitmix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
 }

@@ -1,3 +1,19 @@
+// Package faults injects the failures a pubsub daemon meets, each on the
+// path that meets it, so chaos tests can stage them deterministically:
+//
+//   - CrashInjector kills the durable store at a chosen journal append or
+//     checkpoint (CrashPoint), the classic write-ahead-log failure
+//     windows; every later store operation fails with ErrCrashed until a
+//     new incarnation re-opens the directory.
+//   - ConnInjector wraps the wire transport's connections: it splits
+//     writes into chunks, stalls reads and writes, and cuts a connection
+//     after a scheduled byte count, so the peer sees a reset mid-frame.
+//
+// Everything is reproducible from a seed: every decision is a pure hash of
+// (seed, connection index, operation index) or a fixed count of store
+// operations, never a draw from a shared generator, so the outcome does
+// not depend on goroutine interleaving and a (seed, config) pair replays
+// the same schedule run after run.
 package faults
 
 import (

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/topology"
 )
 
 // TestCrashInjectorFiresOnce pins the one-shot contract: the scheduled
@@ -101,83 +99,5 @@ func TestCrashInjectorMidCheckpointIgnoresAppends(t *testing.T) {
 	}
 	if p := ci.OnAppend(); p != CrashBeforeAppend {
 		t.Fatalf("append after checkpoint death: got %v, want %v", p, CrashBeforeAppend)
-	}
-}
-
-// TestCrashAtSequenceZero: a node scheduled down from the very first event
-// (DownAt: 0) is down at seq 0, and UpAt ≤ 0 means it never recovers.
-func TestCrashAtSequenceZero(t *testing.T) {
-	inj, err := New(Config{Seed: 7, Crashes: []Crash{
-		{Node: 4, DownAt: 0, UpAt: 3}, // down for seqs 0,1,2
-		{Node: 9, DownAt: 0},          // down forever
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := int64(0); seq < 3; seq++ {
-		if !inj.NodeDown(4, seq) {
-			t.Errorf("node 4 up at seq %d inside [0,3)", seq)
-		}
-	}
-	if inj.NodeDown(4, 3) {
-		t.Error("node 4 still down at seq 3 == UpAt")
-	}
-	for _, seq := range []int64{0, 1, 1000, 1 << 40} {
-		if !inj.NodeDown(9, seq) {
-			t.Errorf("permanently crashed node 9 up at seq %d", seq)
-		}
-	}
-}
-
-// TestOverlappingCrashAndOutage exercises staggered windows: node 7 is
-// crashed for [5,15) while its link to node 2 is out for [10,20). Through
-// the overlap [10,15) both faults apply; each recovers on its own schedule
-// and neither window leaks into the other's predicate.
-func TestOverlappingCrashAndOutage(t *testing.T) {
-	inj, err := New(Config{
-		Seed:    11,
-		Crashes: []Crash{{Node: 7, DownAt: 5, UpAt: 15}},
-		Outages: []LinkOutage{{U: 7, V: 2, DownAt: 10, UpAt: 20}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type phase struct {
-		seq              int64
-		nodeDown, linkDn bool
-	}
-	phases := []phase{
-		{0, false, false},  // before either window
-		{4, false, false},  // last seq before the crash
-		{5, true, false},   // crash only
-		{9, true, false},   // still crash only
-		{10, true, true},   // overlap begins
-		{14, true, true},   // last seq of the overlap
-		{15, false, true},  // node back, link still out
-		{19, false, true},  // last seq of the outage
-		{20, false, false}, // fully recovered
-	}
-	for _, p := range phases {
-		if got := inj.NodeDown(7, p.seq); got != p.nodeDown {
-			t.Errorf("seq %d: NodeDown(7) = %v, want %v", p.seq, got, p.nodeDown)
-		}
-		if got := inj.LinkDown(7, 2, p.seq); got != p.linkDn {
-			t.Errorf("seq %d: LinkDown(7,2) = %v, want %v", p.seq, got, p.linkDn)
-		}
-		// The reverse edge orientation must agree (links are undirected).
-		if got := inj.LinkDown(2, 7, p.seq); got != p.linkDn {
-			t.Errorf("seq %d: LinkDown(2,7) = %v, want %v", p.seq, got, p.linkDn)
-		}
-		// An unrelated node and link never see either window.
-		if inj.NodeDown(3, p.seq) || inj.LinkDown(3, 4, p.seq) {
-			t.Errorf("seq %d: unrelated node/link affected", p.seq)
-		}
-	}
-	// Blocked (the routing predicate) must track LinkDown through the
-	// overlap and the staggered recovery.
-	for _, p := range phases {
-		if got := inj.Blocked(p.seq)(topology.NodeID(7), topology.NodeID(2)); got != p.linkDn {
-			t.Errorf("seq %d: Blocked = %v, want %v", p.seq, got, p.linkDn)
-		}
 	}
 }

@@ -26,16 +26,6 @@ type SlotRef struct {
 }
 
 const (
-	// dedupWindow is the size, in seqs, of each (node, tile) duplicate
-	// suppression window (one bit per seq): the window over global seqs
-	// and, on the unmapped-replay path, the one over local seqs. A
-	// delivery more than dedupWindow seqs below the highest its window
-	// admitted reads as a duplicate, so the window must exceed a shard's
-	// failover replay (journaled-but-unacked tail plus deliveries in
-	// flight), the reordering of its per-node fan-out, and the publishes
-	// that take a global seq while another is on its way into the shard.
-	// It is also how many half-accepted publishes each tile remembers.
-	dedupWindow = 4096
 	// mapWindow is the number of local seqs each shard's local→global
 	// translation table remembers, in publications.
 	mapWindow = 65536
@@ -353,10 +343,10 @@ const feedWait = 20 * time.Millisecond
 // come from tile i's broker, in its local seq order up to the reordering
 // among its fan-out workers; a promoted broker enqueues its replay before
 // it serves new publishes. dedup[n][i].global is a residue window over the
-// global seqs of that stream. It reads a seq more than dedupWindow below
-// the highest it admitted as seen, so it relies on this bound: a first
-// delivery to n from tile i lies within dedupWindow global seqs of the
-// highest seq that (n, i) admitted. PublishSeq makes it hold: a publish
+// global seqs of that stream. It reads a seq more than wire.DedupWindow
+// below the highest it admitted as seen, so it relies on this bound: a
+// first delivery to n from tile i lies within wire.DedupWindow global seqs
+// of the highest seq that (n, i) admitted. PublishSeq makes it hold: a publish
 // takes its global seq just before the DecideSeq attempt that gives it a
 // local seq, so a tile's global order departs from its local order only
 // by the publishes that take a global seq while one is on its way into
@@ -395,7 +385,7 @@ func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 	var fresh bool
 	if ok {
 		if td.global == nil {
-			td.global = wire.NewWindow(dedupWindow)
+			td.global = wire.NewWindow(wire.DedupWindow)
 		}
 		fresh = td.global.Admit(g)
 		if held, half := r.half[i].nodes[g]; half {
@@ -406,7 +396,7 @@ func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 		}
 	} else {
 		if td.local == nil {
-			td.local = wire.NewWindow(dedupWindow)
+			td.local = wire.NewWindow(wire.DedupWindow)
 		}
 		fresh = td.local.Admit(d.Seq)
 	}
@@ -432,13 +422,18 @@ func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
 // admits mapped deliveries by global seq; local admits unmapped ones — a
 // replay from an incarnation predating this router, for which no global
 // seq exists — by the local seq that tile's broker replays them under.
-// Each window is created on its first use.
+// Each window is created on its first use, wire.DedupWindow seqs wide: a
+// delivery further below the highest its window admitted reads as a
+// duplicate, so that width must exceed a shard's failover replay
+// (journaled-but-unacked tail plus deliveries in flight), the reordering
+// of its per-node fan-out, and the publishes that take a global seq while
+// another is on its way into the shard.
 type tileDedup struct{ global, local *wire.Window }
 
 // halfAccepted is one tile's set of half-accepted publishes: the global
 // seq of each publish whose DecideSeq consumed a local seq and failed,
 // with the nodes that have admitted a copy of it. It remembers the last
-// dedupWindow such publishes.
+// wire.DedupWindow such publishes.
 type halfAccepted struct {
 	nodes map[int64]map[topology.NodeID]struct{}
 	order []int64 // global seqs, oldest first
@@ -457,7 +452,7 @@ func (r *Router) markHalfAccepted(i int, g int64) {
 	}
 	h.nodes[g] = make(map[topology.NodeID]struct{})
 	h.order = append(h.order, g)
-	if len(h.order) > dedupWindow {
+	if len(h.order) > wire.DedupWindow {
 		delete(h.nodes, h.order[0])
 		h.order = h.order[1:]
 	}

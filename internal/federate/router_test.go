@@ -237,7 +237,7 @@ func TestBoundaryStraddlerRegisteredOnBothShards(t *testing.T) {
 }
 
 func fastHealth() health.Config {
-	return health.Config{OpenTimeout: 10 * time.Second, CheckInterval: 5 * time.Millisecond}
+	return health.Config{OpenTimeout: 10 * time.Second}
 }
 
 // TestFencedLeaderRerouted is the regression for the stale-leader bug:

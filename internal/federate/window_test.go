@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/space"
 	"repro/internal/topology"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -136,7 +137,7 @@ func (s *stallShard) localsOf(pub topology.NodeID) []int64 {
 
 // TestRouterLateRetryDelivered is the case a global-seq window must not
 // lose: publisher A's publish on tile 0 is stuck in retry while more than
-// dedupWindow global seqs go to tile 1, then publisher B's publish on tile
+// wire.DedupWindow global seqs go to tile 1, then publisher B's publish on tile
 // 0 reaches node n before A's. A's delivery must still arrive, exactly
 // once — whether A's failed attempts consumed no local seq, consumed one
 // that the promoted shard never replays, or consumed one it replays ahead
@@ -183,7 +184,7 @@ func TestRouterLateRetryDelivered(t *testing.T) {
 				done <- err
 			}()
 			<-hit
-			for k := 0; k < 2*dedupWindow; k++ {
+			for k := 0; k < 2*wire.DedupWindow; k++ {
 				if err := r.Publish(workload.Event{Pub: 100, Point: space.Point{2.5}}); err != nil {
 					t.Fatal(err)
 				}

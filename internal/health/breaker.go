@@ -15,8 +15,8 @@ type State int
 const (
 	// StateClosed is the healthy state: deliveries flow normally.
 	StateClosed State = iota
-	// StateOpen rejects all deliveries to the destination; the broker
-	// skips it instead of burning retries on a known-dead path.
+	// StateOpen rejects all deliveries to the destination; the caller
+	// skips it instead of waiting on a known-dead peer.
 	StateOpen
 	// StateHalfOpen admits jittered probe deliveries; enough successes
 	// re-close the breaker, any failure re-opens it.
@@ -52,18 +52,10 @@ type breaker struct {
 	opens       int64
 }
 
-// linkHealth is one link's failure EWMA, fed by whole-path outcomes
-// (suspicion shared across every edge of a failing path, network-tomography
-// style). Observability only: breakers key on destinations.
-type linkHealth struct {
-	failEWMA float64
-	reports  int64
-}
-
 // Tracker detects failing destinations and runs their circuit breakers.
-// It is fed by the broker: ReportSuccess from consumers (ack + latency),
-// ReportFailure from the fan-out workers (abandons, offline skips), and
-// ReportPath for per-link accounting. Safe for concurrent use.
+// Its owner feeds it ReportSuccess (exchange + latency) and ReportFailure
+// for every exchange with a destination and asks AllowDest before the
+// next one. Safe for concurrent use.
 type Tracker struct {
 	cfg   Config
 	clock func() time.Time
@@ -71,7 +63,6 @@ type Tracker struct {
 
 	mu    sync.Mutex
 	dests map[topology.NodeID]*breaker
-	links map[topology.EdgeKey]*linkHealth
 	// jitterCtr salts successive probe-jitter draws so they are
 	// deterministic from Config.Seed yet mutually independent.
 	jitterCtr uint64
@@ -83,7 +74,6 @@ func newTracker(cfg Config, met *metrics) *Tracker {
 		clock: cfg.Clock,
 		met:   met,
 		dests: make(map[topology.NodeID]*breaker),
-		links: make(map[topology.EdgeKey]*linkHealth),
 	}
 }
 
@@ -133,7 +123,7 @@ func (t *Tracker) AllowDest(n topology.NodeID) bool {
 	return true
 }
 
-// ReportSuccess feeds one acked delivery and its publish→ack latency.
+// ReportSuccess feeds one successful exchange and its latency.
 // Successes reset the consecutive-failure count and suspicion, and drive
 // half-open breakers toward closed.
 func (t *Tracker) ReportSuccess(n topology.NodeID, ackLatency time.Duration) {
@@ -158,7 +148,7 @@ func (t *Tracker) ReportSuccess(n topology.NodeID, ackLatency time.Duration) {
 	}
 }
 
-// ReportFailure feeds one hard delivery failure (abandon or offline skip).
+// ReportFailure feeds one hard failure: an exchange that got no answer.
 // It recomputes the suspicion score and opens the breaker past either
 // threshold; a failure during half-open re-opens immediately.
 func (t *Tracker) ReportFailure(n topology.NodeID) {
@@ -224,43 +214,6 @@ func (t *Tracker) setState(b *breaker, next State) {
 		t.met.halfOpenBreakers.Add(1)
 	}
 	b.state = next
-}
-
-// ReportPath folds one primary-path outcome into the per-link failure
-// EWMAs: every edge of a failing path shares the suspicion (the broker
-// cannot tell which hop dropped the attempt), and every edge of a
-// succeeding path is exonerated.
-func (t *Tracker) ReportPath(path []topology.NodeID, ok bool) {
-	if len(path) < 2 {
-		return
-	}
-	fail := 1.0
-	if ok {
-		fail = 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 1; i < len(path); i++ {
-		k := topology.MakeEdgeKey(path[i-1], path[i])
-		lh, exists := t.links[k]
-		if !exists {
-			lh = &linkHealth{}
-			t.links[k] = lh
-		}
-		lh.reports++
-		lh.failEWMA += t.cfg.EWMAAlpha * (fail - lh.failEWMA)
-	}
-}
-
-// LinkSuspicion returns the link's smoothed failure rate in [0, 1]
-// (0 for links never reported on).
-func (t *Tracker) LinkSuspicion(u, v topology.NodeID) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if lh, ok := t.links[topology.MakeEdgeKey(u, v)]; ok {
-		return lh.failEWMA
-	}
-	return 0
 }
 
 // Suspicion returns the destination's current suspicion score.

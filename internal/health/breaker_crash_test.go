@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
@@ -12,16 +11,11 @@ import (
 // crash that strikes twice: the destination is down for seqs [0,40) and
 // again for [45,60). The second window lands exactly on a half-open probe,
 // so the breaker must re-open from half-open and only close once probes
-// land after the second recovery. The fault schedule comes from
-// faults.Injector so the interleaving is the same one the broker's chaos
-// suite replays.
+// land after the second recovery.
 func TestCrashRestartHalfOpenProbe(t *testing.T) {
-	inj, err := faults.New(faults.Config{Seed: 13, Crashes: []faults.Crash{
-		{Node: 7, DownAt: 0, UpAt: 40},
-		{Node: 7, DownAt: 45, UpAt: 60},
-	}})
-	if err != nil {
-		t.Fatal(err)
+	// down reports whether the destination is crashed at event sequence seq.
+	down := func(seq int64) bool {
+		return (seq >= 0 && seq < 40) || (seq >= 45 && seq < 60)
 	}
 	clk := newFakeClock()
 	h := newTestHealth(t, clk.Config(Config{
@@ -36,7 +30,7 @@ func TestCrashRestartHalfOpenProbe(t *testing.T) {
 	// report simulates one delivery attempt at the given event sequence:
 	// the scheduled crash decides whether the destination answers.
 	report := func(seq int64) {
-		if inj.NodeDown(n, seq) {
+		if down(seq) {
 			tr.ReportFailure(n)
 		} else {
 			tr.ReportSuccess(n, time.Millisecond)
@@ -46,7 +40,7 @@ func TestCrashRestartHalfOpenProbe(t *testing.T) {
 	// Seqs 0–2 fall in the first crash window: three consecutive failures
 	// trip the breaker.
 	for seq := int64(0); seq < 3; seq++ {
-		if !inj.NodeDown(n, seq) {
+		if !down(seq) {
 			t.Fatalf("seq %d: node up inside first crash window", seq)
 		}
 		report(seq)
@@ -72,7 +66,7 @@ func TestCrashRestartHalfOpenProbe(t *testing.T) {
 	if !tr.AllowDest(n) {
 		t.Fatal("second probe not admitted")
 	}
-	if !inj.NodeDown(n, 45) {
+	if !down(45) {
 		t.Fatal("seq 45: node up inside second crash window")
 	}
 	report(45)

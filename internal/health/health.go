@@ -1,42 +1,29 @@
-// Package health is the overload-protection and self-healing layer of the
-// delivery fabric. The broker's reliability protocol (internal/broker)
-// reacts to faults per delivery — retry, alternate path, quarantine — but
-// on its own the system degrades monotonically: quarantines accumulate
-// until a manual Engine.Refresh, known-dead paths burn their full retry
-// budget on every event, and Publish accepts unbounded work. This package
-// adds the three missing feedback loops:
+// Package health is the overload-protection and failure-detection layer
+// of the daemon. It has two parts:
 //
-//   - Admission: bounded ingress. A token-bucket publish rate limiter and a
-//     MaxInflight semaphore over the broker pipeline, with three overload
-//     policies — Block (lossless backpressure), RejectNewest (fail fast
-//     with ErrOverloaded) and ShedLowFanout (under congestion, drop the
-//     events with the fewest interested subscribers: the cheapest to
-//     recover, since the fewest parties miss them).
+//   - Admission: bounded ingress for the broker. A token-bucket publish
+//     rate limiter and a MaxInflight semaphore over the broker pipeline,
+//     with three overload policies — Block (lossless backpressure),
+//     RejectNewest (fail fast with ErrOverloaded) and ShedLowFanout (under
+//     congestion, drop the events with the fewest interested subscribers:
+//     the cheapest to recover, since the fewest parties miss them).
 //
-//   - Tracker: failure detection and circuit breakers. A per-destination
-//     health record fed by delivery outcomes and ack latencies combines an
-//     EWMA of ack latency, a consecutive-failure count and a simplified
-//     phi-accrual-style suspicion score; past the threshold the
-//     destination's breaker opens and the broker skips it outright instead
-//     of burning retries on a known-dead path. After OpenTimeout the
-//     breaker half-opens and admits jittered probes; enough probe
-//     successes re-close it. Per-link failure EWMAs (suspicion shared
-//     along the primary path) are kept for observability.
-//
-//   - Controller: the self-healing control loop policy. Fed a periodic
-//     Signals snapshot (quarantined-group fraction, breaker states, shed
-//     and loss counts), it decides when the broker should trigger an
-//     automatic Engine.Refresh — with hysteresis: a minimum interval
-//     between refreshes, a required run of stable ticks with every breaker
-//     closed (refreshing while paths are still dead would just re-poison
-//     the new groups), and a force path when most groups are quarantined.
+//   - Tracker: failure detection and circuit breakers for remote peers. A
+//     per-destination health record fed by exchange outcomes and
+//     latencies combines an EWMA of the latency, a consecutive-failure
+//     count and a simplified phi-accrual-style suspicion score; past the
+//     threshold the destination's breaker opens and the caller stops
+//     sending to it. After OpenTimeout the breaker half-opens and admits
+//     jittered probes; enough probe successes re-close it. The
+//     replication leader and follower (internal/replicate) track their
+//     peer with one.
 //
 // All knobs live in Config with validated defaults; everything observable
 // lands in the "health" telemetry scope (shed_events, rejected_events,
-// breaker_open, breaker_close, breaker_skips, probes, auto_refresh,
-// rate_limited counters, open/half-open breaker and inflight gauges, a
-// suspicion histogram and a queue_depth histogram). Probe jitter is
-// deterministic from Config.Seed, so chaos tests replay identically.
+// breaker_open, breaker_close, probes, rate_limited counters, open/half-open
+// breaker and inflight gauges, a suspicion histogram and a queue_depth
+// histogram). Probe jitter is deterministic from Config.Seed, so tests
+// replay identically.
 package health
 
 import (
@@ -101,8 +88,8 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Config tunes every part of the subsystem. The zero value is valid: it
-// means Block admission with the default inflight bound, no rate limit,
-// default breaker thresholds and the control loop disabled.
+// means Block admission with the default inflight bound, no rate limit and
+// default breaker thresholds.
 type Config struct {
 	// --- Admission ---
 
@@ -118,15 +105,15 @@ type Config struct {
 
 	// --- Failure detection / circuit breakers ---
 
-	// FailureThreshold is the consecutive hard-failure count (abandons,
-	// offline skips) that opens a destination's breaker (default 3).
+	// FailureThreshold is the consecutive hard-failure count that opens a
+	// destination's breaker (default 3).
 	FailureThreshold int
 	// SuspicionThreshold opens the breaker when the phi-style suspicion
 	// score exceeds it even before FailureThreshold consecutive failures
 	// (default 8).
 	SuspicionThreshold float64
-	// EWMAAlpha is the smoothing factor for ack-latency and link-failure
-	// EWMAs, in (0, 1] (default 0.2).
+	// EWMAAlpha is the smoothing factor for the latency EWMA, in (0, 1]
+	// (default 0.2).
 	EWMAAlpha float64
 	// OpenTimeout is how long an open breaker rejects before it half-opens
 	// and admits probes (default 100ms).
@@ -137,29 +124,6 @@ type Config struct {
 	// ProbeSuccesses is how many consecutive probe successes re-close a
 	// half-open breaker (default 2).
 	ProbeSuccesses int
-
-	// --- Self-healing control loop ---
-
-	// AutoRefresh enables the control loop: the broker periodically asks
-	// the Controller whether to trigger an automatic Engine.Refresh.
-	AutoRefresh bool
-	// CheckInterval is the control-loop tick (default 20ms).
-	CheckInterval time.Duration
-	// MinRefreshInterval is the hysteresis floor between automatic
-	// refreshes (default 250ms).
-	MinRefreshInterval time.Duration
-	// StableTicks is how many consecutive ticks with all breakers closed
-	// and no new failures must pass before a refresh is allowed — the
-	// cool-down that stops the loop from refreshing into a still-broken
-	// network (default 2).
-	StableTicks int
-	// ForceRefreshFraction triggers a refresh regardless of breaker state
-	// when at least this fraction of groups is quarantined (default 0.5;
-	// set > 1 to disable).
-	ForceRefreshFraction float64
-	// WarmIters is passed to Engine.Refresh on automatic refreshes
-	// (0 = full rebuild).
-	WarmIters int
 
 	// Seed drives the deterministic probe jitter (default 1).
 	Seed int64
@@ -197,18 +161,6 @@ func (c *Config) setDefaults() {
 	if c.ProbeSuccesses == 0 {
 		c.ProbeSuccesses = 2
 	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = 20 * time.Millisecond
-	}
-	if c.MinRefreshInterval == 0 {
-		c.MinRefreshInterval = 250 * time.Millisecond
-	}
-	if c.StableTicks == 0 {
-		c.StableTicks = 2
-	}
-	if c.ForceRefreshFraction == 0 {
-		c.ForceRefreshFraction = 0.5
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -242,10 +194,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("health: EWMAAlpha = %v, need [0, 1]", c.EWMAAlpha)
 	}
 	for name, d := range map[string]time.Duration{
-		"OpenTimeout":        c.OpenTimeout,
-		"ProbeInterval":      c.ProbeInterval,
-		"CheckInterval":      c.CheckInterval,
-		"MinRefreshInterval": c.MinRefreshInterval,
+		"OpenTimeout":   c.OpenTimeout,
+		"ProbeInterval": c.ProbeInterval,
 	} {
 		if d < 0 {
 			return fmt.Errorf("health: %s = %v, need ≥ 0", name, d)
@@ -253,15 +203,6 @@ func (c Config) Validate() error {
 	}
 	if c.ProbeSuccesses < 0 {
 		return fmt.Errorf("health: ProbeSuccesses = %d, need ≥ 0", c.ProbeSuccesses)
-	}
-	if c.StableTicks < 0 {
-		return fmt.Errorf("health: StableTicks = %d, need ≥ 0", c.StableTicks)
-	}
-	if c.ForceRefreshFraction < 0 {
-		return fmt.Errorf("health: ForceRefreshFraction = %v, need ≥ 0", c.ForceRefreshFraction)
-	}
-	if c.WarmIters < 0 {
-		return fmt.Errorf("health: WarmIters = %d, need ≥ 0", c.WarmIters)
 	}
 	return nil
 }
@@ -276,9 +217,7 @@ type metrics struct {
 	releaseSpurious *telemetry.Counter // repeated Token.Release calls (bug tripwire)
 	breakerOpen     *telemetry.Counter // closed/half-open → open transitions
 	breakerClos     *telemetry.Counter // half-open → closed transitions
-	skips           *telemetry.Counter // deliveries skipped on an open breaker
 	probes          *telemetry.Counter // half-open probe deliveries admitted
-	autoRefresh     *telemetry.Counter // refreshes triggered by the controller
 
 	openBreakers     *telemetry.Gauge
 	halfOpenBreakers *telemetry.Gauge
@@ -288,16 +227,15 @@ type metrics struct {
 	queueDepth *telemetry.Histogram // inflight depth sampled at each admit
 }
 
-// Health bundles the three cooperating parts. Construct with New, wire
-// into a broker with broker.WithHealth; the broker instruments it into its
-// registry and drives the Controller from its control loop.
+// Health bundles the two parts. Construct with New, wire into a broker
+// with broker.WithHealth; the broker instruments it into its registry and
+// admits every publication through its Admission.
 type Health struct {
 	cfg Config
 	met metrics
 
-	Admission  *Admission
-	Tracker    *Tracker
-	Controller *Controller
+	Admission *Admission
+	Tracker   *Tracker
 }
 
 // New validates the config, applies defaults and builds the subsystem.
@@ -309,7 +247,6 @@ func New(cfg Config) (*Health, error) {
 	h := &Health{cfg: cfg}
 	h.Admission = newAdmission(cfg, &h.met)
 	h.Tracker = newTracker(cfg, &h.met)
-	h.Controller = newController(cfg)
 	return h, nil
 }
 
@@ -331,9 +268,7 @@ func (h *Health) Instrument(reg *telemetry.Registry) {
 		releaseSpurious:  s.Counter("release_spurious"),
 		breakerOpen:      s.Counter("breaker_open"),
 		breakerClos:      s.Counter("breaker_close"),
-		skips:            s.Counter("breaker_skips"),
 		probes:           s.Counter("probes"),
-		autoRefresh:      s.Counter("auto_refresh"),
 		openBreakers:     s.Gauge("open_breakers"),
 		halfOpenBreakers: s.Gauge("half_open_breakers"),
 		inflight:         s.Gauge("inflight"),
@@ -342,25 +277,13 @@ func (h *Health) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// NoteAutoRefresh records one controller-triggered refresh (called by the
-// broker's decision stage after the refresh completes).
-func (h *Health) NoteAutoRefresh() { h.met.autoRefresh.Inc() }
-
-// NoteSkip records one delivery skipped because the destination's breaker
-// was open.
-func (h *Health) NoteSkip() { h.met.skips.Inc() }
-
-// Counters returns the cumulative overload/self-healing counts — the
-// broker folds these into its Stats snapshot.
+// Counters returns the cumulative admission counts — the broker folds
+// these into its Stats snapshot.
 type Counters struct {
 	Shed            int64
 	Rejected        int64
 	RateLimited     int64
 	ReleaseSpurious int64
-	BreakerOpen     int64
-	Skipped         int64
-	Probes          int64
-	Refreshes       int64
 }
 
 // CounterSnapshot reads the cumulative counters.
@@ -370,15 +293,11 @@ func (h *Health) CounterSnapshot() Counters {
 		Rejected:        h.met.rejected.Value(),
 		RateLimited:     h.met.rateLimited.Value(),
 		ReleaseSpurious: h.met.releaseSpurious.Value(),
-		BreakerOpen:     h.met.breakerOpen.Value(),
-		Skipped:         h.met.skips.Value(),
-		Probes:          h.met.probes.Value(),
-		Refreshes:       h.met.autoRefresh.Value(),
 	}
 }
 
 // splitmix64 is the SplitMix64 finalizer, the same mixer the fault
-// injector uses; health draws its probe jitter from it so a (seed, key)
+// injectors use; health draws its probe jitter from it so a (seed, key)
 // pair fully determines every probabilistic choice.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15

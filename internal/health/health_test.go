@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // fakeClock is a manually advanced time source shared by the deterministic
-// breaker/controller tests.
+// breaker tests.
 type fakeClock struct{ now time.Time }
 
 func newFakeClock() *fakeClock {
@@ -43,11 +42,6 @@ func TestConfigValidate(t *testing.T) {
 		{OpenTimeout: -time.Second},
 		{ProbeInterval: -time.Second},
 		{ProbeSuccesses: -1},
-		{CheckInterval: -time.Second},
-		{MinRefreshInterval: -time.Second},
-		{StableTicks: -1},
-		{ForceRefreshFraction: -0.1},
-		{WarmIters: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -260,9 +254,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if snap.Open != 0 || snap.HalfOpen != 0 || snap.Opens != 2 {
 		t.Errorf("snapshot = %+v, want 0 open, 2 cumulative opens", snap)
 	}
-	c := h.CounterSnapshot()
-	if c.BreakerOpen != 2 {
-		t.Errorf("breaker_open counter = %d, want 2", c.BreakerOpen)
+	if got := h.met.breakerOpen.Value(); got != 2 {
+		t.Errorf("breaker_open counter = %d, want 2", got)
 	}
 }
 
@@ -286,120 +279,5 @@ func TestSuspicionGrowsWithSilence(t *testing.T) {
 	tr.ReportFailure(n)
 	if st := tr.DestState(n); st != StateOpen {
 		t.Fatalf("suspicion %v did not open the breaker (state %v)", tr.Suspicion(n), st)
-	}
-}
-
-func TestLinkSuspicion(t *testing.T) {
-	h := newTestHealth(t, Config{EWMAAlpha: 0.5})
-	tr := h.Tracker
-	path := []int{1, 2, 3}
-	nodes := make([]topology.NodeID, len(path))
-	for i, v := range path {
-		nodes[i] = topology.NodeID(v)
-	}
-	tr.ReportPath(nodes, false)
-	if got := tr.LinkSuspicion(1, 2); got != 0.5 {
-		t.Fatalf("link suspicion after one failure = %v, want 0.5", got)
-	}
-	if got := tr.LinkSuspicion(3, 2); got != 0.5 {
-		t.Fatalf("edge key not canonicalised: %v", got)
-	}
-	tr.ReportPath(nodes, true)
-	if got := tr.LinkSuspicion(1, 2); got != 0.25 {
-		t.Fatalf("link suspicion after exoneration = %v, want 0.25", got)
-	}
-	if got := tr.LinkSuspicion(5, 6); got != 0 {
-		t.Fatalf("unreported link suspicion = %v", got)
-	}
-}
-
-func TestControllerHysteresis(t *testing.T) {
-	clk := newFakeClock()
-	h := newTestHealth(t, clk.Config(Config{
-		AutoRefresh:        true,
-		StableTicks:        2,
-		MinRefreshInterval: time.Second,
-	}))
-	c := h.Controller
-	if !c.Enabled() {
-		t.Fatal("controller disabled")
-	}
-
-	healthy := Signals{TotalGroups: 20}
-	if c.Decide(healthy) {
-		t.Fatal("refresh with nothing quarantined")
-	}
-
-	// Quarantined but breakers still open: never refresh.
-	deg := Signals{QuarantinedGroups: 2, TotalGroups: 20, OpenBreakers: 1}
-	for i := 0; i < 10; i++ {
-		clk.Advance(time.Second)
-		if c.Decide(deg) {
-			t.Fatal("refreshed while a breaker was open")
-		}
-	}
-
-	// Breakers closed: needs StableTicks consecutive clean ticks.
-	clean := Signals{QuarantinedGroups: 2, TotalGroups: 20}
-	if c.Decide(clean) {
-		t.Fatal("refreshed on the first stable tick")
-	}
-	clk.Advance(time.Second)
-	if !c.Decide(clean) {
-		t.Fatal("no refresh after StableTicks stable ticks")
-	}
-
-	// Fresh losses reset the stability run.
-	lossy := clean
-	lossy.Lost = 5
-	clk.Advance(time.Second)
-	if c.Decide(lossy) {
-		t.Fatal("refreshed on a tick with fresh losses")
-	}
-	clk.Advance(time.Second)
-	if c.Decide(clean) {
-		t.Fatal("refreshed with only one stable tick after losses")
-	}
-	clk.Advance(time.Second)
-	if !c.Decide(clean) {
-		t.Fatal("no refresh after re-stabilising")
-	}
-
-	// Min-interval hysteresis: immediate re-trigger is suppressed even
-	// when stable.
-	if c.Decide(clean) || c.Decide(clean) {
-		t.Fatal("refreshed again inside MinRefreshInterval")
-	}
-	clk.Advance(2 * time.Second)
-	if !c.Decide(clean) {
-		t.Fatal("no refresh after MinRefreshInterval elapsed")
-	}
-	if got := c.Decisions(); got != 3 {
-		t.Errorf("decisions = %d, want 3", got)
-	}
-}
-
-func TestControllerForceRefresh(t *testing.T) {
-	clk := newFakeClock()
-	h := newTestHealth(t, clk.Config(Config{
-		AutoRefresh:          true,
-		StableTicks:          3,
-		MinRefreshInterval:   time.Second,
-		ForceRefreshFraction: 0.5,
-	}))
-	c := h.Controller
-	// Most groups quarantined and a breaker still open: force path fires
-	// anyway, but respects the min interval.
-	worst := Signals{QuarantinedGroups: 15, TotalGroups: 20, OpenBreakers: 3}
-	clk.Advance(time.Second)
-	if !c.Decide(worst) {
-		t.Fatal("force refresh did not fire at 75% quarantined")
-	}
-	if c.Decide(worst) {
-		t.Fatal("force refresh ignored MinRefreshInterval")
-	}
-	clk.Advance(2 * time.Second)
-	if !c.Decide(worst) {
-		t.Fatal("force refresh did not re-fire after the interval")
 	}
 }

@@ -121,7 +121,7 @@ func checkOracle(t *testing.T, w *workload.World, evs []workload.Event, acked []
 // fastHealth opens the breaker quickly: three strikes inside tight
 // windows, so leader death is declared in tens of milliseconds.
 func fastHealth() health.Config {
-	return health.Config{OpenTimeout: 10 * time.Second, CheckInterval: 5 * time.Millisecond}
+	return health.Config{OpenTimeout: 10 * time.Second}
 }
 
 func noAutoCkpt(crash *faults.CrashInjector) durable.Options {

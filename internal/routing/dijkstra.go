@@ -48,15 +48,6 @@ func (p *pq) Pop() interface{} {
 // Dijkstra computes the shortest-path tree from root. Ties are broken by
 // heap order, which is deterministic for a fixed graph.
 func Dijkstra(g *topology.Graph, root topology.NodeID) *SPT {
-	return DijkstraAvoid(g, root, nil)
-}
-
-// DijkstraAvoid computes the shortest-path tree from root over the subgraph
-// that excludes every edge for which blocked(u, v) reports true. A nil
-// blocked function is the plain Dijkstra. The broker's degradation ladder
-// uses this to re-route deliveries around failed links: nodes cut off by
-// the blocked set come back with Dist = +Inf.
-func DijkstraAvoid(g *topology.Graph, root topology.NodeID, blocked func(u, v topology.NodeID) bool) *SPT {
 	n := g.NumNodes()
 	if root < 0 || int(root) >= n {
 		panic(fmt.Sprintf("routing: root %d out of range [0,%d)", root, n))
@@ -83,9 +74,6 @@ func DijkstraAvoid(g *topology.Graph, root topology.NodeID, blocked func(u, v to
 		}
 		done[u] = true
 		for _, h := range g.Neighbors(u) {
-			if blocked != nil && blocked(u, h.To) {
-				continue
-			}
 			nd := it.dist + h.Cost
 			if nd < t.Dist[h.To] {
 				t.Dist[h.To] = nd

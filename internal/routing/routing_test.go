@@ -88,71 +88,6 @@ func TestDijkstraBadRootPanics(t *testing.T) {
 	Dijkstra(topology.NewGraph(2), 5)
 }
 
-// TestDijkstraAvoidNilMatchesDijkstra: a nil blocked predicate is the plain
-// algorithm.
-func TestDijkstraAvoidNilMatchesDijkstra(t *testing.T) {
-	g := ringGraphForAvoid(t)
-	a, b := Dijkstra(g, 0), DijkstraAvoid(g, 0, nil)
-	for i := range a.Dist {
-		if a.Dist[i] != b.Dist[i] || a.Parent[i] != b.Parent[i] {
-			t.Fatalf("node %d: (%v,%d) vs (%v,%d)", i, a.Dist[i], a.Parent[i], b.Dist[i], b.Parent[i])
-		}
-	}
-}
-
-// ringGraphForAvoid builds a 4-cycle with unit edges: two routes between
-// any pair.
-func ringGraphForAvoid(t *testing.T) *topology.Graph {
-	t.Helper()
-	g := topology.NewGraph(4)
-	for _, e := range [][2]topology.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
-		if err := g.AddEdge(e[0], e[1], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
-}
-
-// TestDijkstraAvoidReroutes: blocking the direct edge forces the long way
-// around the ring.
-func TestDijkstraAvoidReroutes(t *testing.T) {
-	g := ringGraphForAvoid(t)
-	blocked := func(u, v topology.NodeID) bool {
-		return topology.MakeEdgeKey(u, v) == topology.MakeEdgeKey(0, 1)
-	}
-	spt := DijkstraAvoid(g, 0, blocked)
-	if spt.Dist[1] != 3 {
-		t.Errorf("Dist[1] = %v, want 3 (0→3→2→1)", spt.Dist[1])
-	}
-	path := spt.PathTo(1)
-	want := []topology.NodeID{0, 3, 2, 1}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-// TestDijkstraAvoidPartition: blocking every edge of a node leaves it
-// unreachable (Dist = +Inf, PathTo = nil).
-func TestDijkstraAvoidPartition(t *testing.T) {
-	g := ringGraphForAvoid(t)
-	blocked := func(u, v topology.NodeID) bool { return u == 2 || v == 2 }
-	spt := DijkstraAvoid(g, 0, blocked)
-	if !math.IsInf(spt.Dist[2], 1) {
-		t.Errorf("Dist[2] = %v, want +Inf", spt.Dist[2])
-	}
-	if spt.PathTo(2) != nil {
-		t.Error("path to partitioned node not nil")
-	}
-	if spt.Dist[1] != 1 || spt.Dist[3] != 1 {
-		t.Error("unblocked nodes affected")
-	}
-}
-
 func TestCovererSharedPrefix(t *testing.T) {
 	// Star of paths: 0-1-2 and 0-1-3; covering {2,3} must count edge 0-1 once.
 	g := topology.NewGraph(4)

@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/matching"
@@ -89,52 +88,6 @@ func Evaluate(snap *core.DecisionSnapshot, view *multicast.Model, events []workl
 	c.Network /= n
 	c.AppLevel /= n
 	return c, nil
-}
-
-// ExpectedTransmissions returns the expected number of transmissions per
-// delivery under a per-attempt drop probability p and at most retries
-// retransmissions (a truncated geometric series):
-//
-//	E[T] = (1 − p^(retries+1)) / (1 − p)
-//
-// It is the multiplicative link-cost overhead of the broker's retry
-// protocol: every retransmission re-pays the delivery path.
-func ExpectedTransmissions(p float64, retries int) float64 {
-	if retries < 0 {
-		retries = 0
-	}
-	switch {
-	case p <= 0:
-		return 1
-	case p >= 1:
-		return float64(retries + 1)
-	}
-	return (1 - math.Pow(p, float64(retries+1))) / (1 - p)
-}
-
-// DeliveryProbability returns the chance a delivery succeeds within the
-// retry bound: 1 − p^(retries+1).
-func DeliveryProbability(p float64, retries int) float64 {
-	if retries < 0 {
-		retries = 0
-	}
-	switch {
-	case p <= 0:
-		return 1
-	case p >= 1:
-		return 0
-	}
-	return 1 - math.Pow(p, float64(retries+1))
-}
-
-// FaultAdjust scales solution costs by the expected retransmission
-// overhead of a lossy fabric: each delivered copy costs
-// ExpectedTransmissions(p, retries) times its loss-free price. This is the
-// cost model's view of the broker's reliability protocol — replays stay
-// cheap while the sweep in internal/experiments prices fault profiles.
-func FaultAdjust(c Costs, dropProb float64, retries int) Costs {
-	f := ExpectedTransmissions(dropProb, retries)
-	return Costs{Network: c.Network * f, AppLevel: c.AppLevel * f}
 }
 
 // Improvement converts a solution cost into the paper's improvement

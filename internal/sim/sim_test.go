@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -255,59 +254,5 @@ func TestEvaluateErrorsOnEmptyEvents(t *testing.T) {
 	}
 	if _, err := evalNoLoss(t, f, nres, 10, nil); err == nil {
 		t.Error("Evaluate accepted empty no-loss events")
-	}
-}
-
-func TestExpectedTransmissions(t *testing.T) {
-	if got := ExpectedTransmissions(0, 4); got != 1 {
-		t.Errorf("p=0: %v", got)
-	}
-	if got := ExpectedTransmissions(1, 4); got != 5 {
-		t.Errorf("p=1: %v", got)
-	}
-	// p=0.5, retries=2: 1 + 0.5 + 0.25 = 1.75.
-	if got := ExpectedTransmissions(0.5, 2); math.Abs(got-1.75) > 1e-12 {
-		t.Errorf("p=0.5 r=2: %v", got)
-	}
-	// Monotone in p and in retries.
-	if ExpectedTransmissions(0.3, 4) >= ExpectedTransmissions(0.6, 4) {
-		t.Error("not monotone in p")
-	}
-	if ExpectedTransmissions(0.3, 2) >= ExpectedTransmissions(0.3, 8) {
-		t.Error("not monotone in retries")
-	}
-	if got := ExpectedTransmissions(0.5, -3); got != 1 {
-		t.Errorf("negative retries: %v", got)
-	}
-}
-
-func TestDeliveryProbability(t *testing.T) {
-	if got := DeliveryProbability(0, 3); got != 1 {
-		t.Errorf("p=0: %v", got)
-	}
-	if got := DeliveryProbability(1, 3); got != 0 {
-		t.Errorf("p=1: %v", got)
-	}
-	// p=0.5, retries=1: 1 - 0.25 = 0.75.
-	if got := DeliveryProbability(0.5, 1); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("p=0.5 r=1: %v", got)
-	}
-	if DeliveryProbability(0.5, 1) >= DeliveryProbability(0.5, 5) {
-		t.Error("more retries must raise delivery probability")
-	}
-}
-
-func TestFaultAdjust(t *testing.T) {
-	c := Costs{Network: 100, AppLevel: 150}
-	got := FaultAdjust(c, 0, 4)
-	if got != c {
-		t.Errorf("loss-free adjust changed costs: %+v", got)
-	}
-	adj := FaultAdjust(c, 0.5, 2)
-	if math.Abs(adj.Network-175) > 1e-9 || math.Abs(adj.AppLevel-262.5) > 1e-9 {
-		t.Errorf("FaultAdjust = %+v", adj)
-	}
-	if adj.Network <= c.Network {
-		t.Error("lossy fabric must cost more")
 	}
 }

@@ -17,7 +17,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Begin(1).Add("match", time.Now(), time.Microsecond, -1, -1, 0, "")
+	tr.Begin(1).Add("match", time.Now(), time.Microsecond, -1, -1, "")
 
 	srv, err := Serve("127.0.0.1:0", reg, tr)
 	if err != nil {

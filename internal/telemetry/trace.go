@@ -13,8 +13,8 @@ import (
 // event's trace start, so traces are comparable across runs and serialise
 // without wall-clock noise.
 type Span struct {
-	// Name is the lifecycle stage: "match", "decide", "enqueue", "attempt",
-	// "retry", "degrade", "deliver", "dedup", "offline", "abandon".
+	// Name is the lifecycle stage: "decide", "enqueue", "shed", "ack",
+	// "dedup".
 	Name string `json:"name"`
 	// Start and Dur locate the span relative to the trace's first span.
 	Start time.Duration `json:"start_ns"`
@@ -23,9 +23,7 @@ type Span struct {
 	Node int64 `json:"node"`
 	// Group is the routed multicast group, -1 for unicast/none.
 	Group int `json:"group"`
-	// Attempt is the delivery attempt number for attempt-level spans.
-	Attempt int `json:"attempt,omitempty"`
-	// Note carries free-form detail ("budget-exhausted", "partitioned").
+	// Note carries free-form detail ("multicast", "low-fanout").
 	Note string `json:"note,omitempty"`
 }
 
@@ -41,19 +39,18 @@ type EventTrace struct {
 }
 
 // Add appends a completed span whose wall-clock start was st.
-func (et *EventTrace) Add(name string, st time.Time, dur time.Duration, node int64, group, attempt int, note string) {
+func (et *EventTrace) Add(name string, st time.Time, dur time.Duration, node int64, group int, note string) {
 	if et == nil {
 		return
 	}
 	et.mu.Lock()
 	et.spans = append(et.spans, Span{
-		Name:    name,
-		Start:   st.Sub(et.t0),
-		Dur:     dur,
-		Node:    node,
-		Group:   group,
-		Attempt: attempt,
-		Note:    note,
+		Name:  name,
+		Start: st.Sub(et.t0),
+		Dur:   dur,
+		Node:  node,
+		Group: group,
+		Note:  note,
 	})
 	et.mu.Unlock()
 }
@@ -114,7 +111,7 @@ func NewTracer(cfg TracerConfig) (*Tracer, error) {
 	}, nil
 }
 
-// splitmix64 is the same mixing function the fault injector uses: cheap,
+// splitmix64 is the same mixing function the conn-fault injector uses: cheap,
 // high-quality avalanche, so sampling is uniform over sequence numbers.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

@@ -103,8 +103,8 @@ func TestTraceJSONL(t *testing.T) {
 		t.Fatal("default tracer returned nil trace")
 	}
 	st := time.Now()
-	et.Add("match", st, 42*time.Microsecond, -1, -1, 0, "")
-	et.Add("deliver", st, time.Millisecond, 12, 3, 2, "retry")
+	et.Add("decide", st, 42*time.Microsecond, -1, -1, "")
+	et.Add("ack", st, time.Millisecond, 12, 3, "multicast")
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -124,8 +124,8 @@ func TestTraceJSONL(t *testing.T) {
 		if rec.Seq != 7 || len(rec.Spans) != 2 {
 			t.Fatalf("unexpected record: %+v", rec)
 		}
-		if rec.Spans[1].Name != "deliver" || rec.Spans[1].Node != 12 || rec.Spans[1].Group != 3 ||
-			rec.Spans[1].Attempt != 2 || rec.Spans[1].Note != "retry" {
+		if rec.Spans[1].Name != "ack" || rec.Spans[1].Node != 12 || rec.Spans[1].Group != 3 ||
+			rec.Spans[1].Note != "multicast" {
 			t.Fatalf("span fields lost: %+v", rec.Spans[1])
 		}
 	}
@@ -145,6 +145,6 @@ func TestUnsampledBeginIsNil(t *testing.T) {
 			t.Fatalf("Begin/Sampled disagree at seq %d", seq)
 		}
 		// nil traces must be safe to use.
-		et.Add("x", time.Now(), 0, 0, 0, 0, "")
+		et.Add("x", time.Now(), 0, 0, 0, "")
 	}
 }

@@ -68,9 +68,6 @@ type Config struct {
 	// SessionTimeout is how long a disconnected session awaits resumption
 	// before its subscriptions are dropped (default 10s).
 	SessionTimeout time.Duration
-	// PubDedupWindow sizes the per-session publish dedup window
-	// (default 4096).
-	PubDedupWindow int
 	// HandshakeTimeout bounds the hello exchange (default 5s).
 	HandshakeTimeout time.Duration
 	// ReplHandler, when set, receives connections whose first frame is a
@@ -94,9 +91,6 @@ func (c *Config) fill() {
 	}
 	if c.SessionTimeout == 0 {
 		c.SessionTimeout = 10 * time.Second
-	}
-	if c.PubDedupWindow <= 0 {
-		c.PubDedupWindow = 4096
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second

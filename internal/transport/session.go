@@ -134,7 +134,7 @@ func newSession(srv *Server, token uint64, credits uint32) *session {
 		token:    token,
 		credits:  int64(credits),
 		nextDid:  1,
-		pubWin:   wire.NewWindow(srv.cfg.PubDedupWindow),
+		pubWin:   wire.NewWindow(wire.DedupWindow),
 		slots:    make(map[int64]topology.NodeID),
 		nodeRefs: make(map[topology.NodeID]int),
 	}

@@ -32,6 +32,13 @@ type Window struct {
 	max   int64 // highest sequence number admitted; -1 before the first
 }
 
+// DedupWindow is the size, in sequence numbers, of every dedup window the
+// stack keeps: a broker node's delivery window, a server session's publish
+// window and the federation router's (node, tile) windows. A checkpoint
+// records the size it captured a window at, and recovery restores it at
+// this one.
+const DedupWindow = 4096
+
 // NewWindow returns a window remembering the last size sequence numbers
 // (minimum 1).
 func NewWindow(size int) *Window {

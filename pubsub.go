@@ -216,8 +216,6 @@ type (
 	BrokerStats = broker.Stats
 	// BrokerDelivery is one message copy arriving at a node.
 	BrokerDelivery = broker.Delivery
-	// ReliabilityConfig bounds the broker's retry protocol.
-	ReliabilityConfig = broker.ReliabilityConfig
 )
 
 // Broker constructors and options.
@@ -231,16 +229,11 @@ var (
 	WithDecideWorkers = broker.WithDecideWorkers
 	// WithObserver registers a per-delivery callback.
 	WithObserver = broker.WithObserver
-	// WithFaults plugs a fault injector into the delivery fabric.
-	WithFaults = broker.WithFaults
-	// WithReliability tunes the retry/backoff protocol.
-	WithReliability = broker.WithReliability
 	// WithTelemetry shares a metrics registry with the broker.
 	WithTelemetry = broker.WithTelemetry
 	// WithTracer records per-event lifecycle traces.
 	WithTracer = broker.WithTracer
-	// WithHealth attaches overload protection and the self-healing control
-	// loop to a broker.
+	// WithHealth attaches admission control to a broker.
 	WithHealth = broker.WithHealth
 	// WithDecisionObserver registers a per-decision callback with priced
 	// costs (runs on the decision workers; keep it fast, and pin
@@ -250,13 +243,12 @@ var (
 	ErrBrokerClosed = broker.ErrClosed
 )
 
-// Health: admission control, per-destination circuit breakers and the
-// self-healing control loop (see the Failure handling lifecycle section of
-// DESIGN.md).
+// Health: admission control and per-destination circuit breakers (see the
+// Failure model section of DESIGN.md).
 type (
 	// Health bundles the overload-protection subsystem for one broker.
 	Health = health.Health
-	// HealthConfig tunes admission, breakers and the control loop.
+	// HealthConfig tunes admission and the breakers.
 	HealthConfig = health.Config
 	// AdmissionPolicy selects the overload response.
 	AdmissionPolicy = health.Policy
@@ -364,31 +356,6 @@ var (
 	// ErrCrashed reports a simulated process crash; the durable broker
 	// refuses further work until re-opened.
 	ErrCrashed = faults.ErrCrashed
-)
-
-// Fault injection: deterministic drop/duplicate/delay/link-failure/crash
-// schedules for chaos-testing the delivery fabric.
-type (
-	// FaultConfig parameterises a fault injector.
-	FaultConfig = faults.Config
-	// FaultInjector makes seeded, reproducible fault decisions.
-	FaultInjector = faults.Injector
-	// Crash takes one node down for a sequence-number window.
-	Crash = faults.Crash
-	// Flap periodically fails one link.
-	Flap = faults.Flap
-	// LinkOutage takes one link down for a sequence-number window.
-	LinkOutage = faults.LinkOutage
-	// EdgeKey canonically identifies an undirected network edge.
-	EdgeKey = topology.EdgeKey
-)
-
-// Fault-injection constructors.
-var (
-	// NewFaultInjector validates a fault config and builds the injector.
-	NewFaultInjector = faults.New
-	// MakeEdgeKey canonicalises an undirected edge identity.
-	MakeEdgeKey = topology.MakeEdgeKey
 )
 
 // Wire transport: the broker over TCP — a daemon Server speaking a

@@ -202,7 +202,6 @@ func TestFacadeHealth(t *testing.T) {
 	h, err := pubsub.NewHealth(pubsub.HealthConfig{
 		MaxInflight: 64,
 		Policy:      pubsub.BlockPolicy,
-		AutoRefresh: true,
 		Seed:        96,
 	})
 	if err != nil {
@@ -227,9 +226,8 @@ func TestFacadeHealth(t *testing.T) {
 	if decisions != 50 {
 		t.Errorf("decision observer saw %d events, want 50", decisions)
 	}
-	var snap pubsub.BreakerSnapshot = h.Tracker.Snapshot()
-	if snap.Open != 0 {
-		t.Errorf("healthy run opened %d breakers", snap.Open)
+	if inf := h.Admission.Inflight(); inf != 0 {
+		t.Errorf("inflight %d after close, want 0", inf)
 	}
 	if st := b.Stats(); st.Rejected != 0 || st.Shed != 0 {
 		t.Errorf("lossless run rejected %d shed %d", st.Rejected, st.Shed)
